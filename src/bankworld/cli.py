@@ -1,27 +1,28 @@
 """Command-line entry point.
 
 Subcommands: ``train``, ``eval``, ``compare-methods``, ``compare-planner``,
-``oracle``. Settings resolve in three layers: built-in defaults, then a
-``--config`` file of ``key = value`` lines (keys mirror the flag names,
-plus an optional ``[layout]`` section of ``agent.N = r,c`` and
-``gem.N = r,c`` entries), then explicit flags. Every run echoes its fully
-resolved settings to ``config.txt`` in the output directory, in the same
-format the config file uses.
+``oracle``. Each setting is one row of ``_SETTINGS``, whose key is the flag,
+the config-file key and the config-echo label. Values resolve in three
+layers, each parsed from text by the row's converter: the row default, a
+``--config`` file of ``key = value`` lines (plus an optional ``[layout]``
+section of ``agent.N = r,c`` and ``gem.N = r,c``, N counting from 0), then
+flags. `GridConfig`, `Hyperparams` and `RunConfig` check the ranges. Every
+run echoes its resolved settings to ``config.txt`` in the config format.
 
-Exit codes: 0 on success, 2 for usage errors (the offending flag is
-named), 1 for runtime failures such as missing or malformed files.
+Exit codes: 0 on success; 1 when a file cannot be read or parsed (the
+message names ``file:line``) or the run fails; 2 for usage errors, such as
+an out-of-range value from a flag or the config file (the flag is named).
 """
 
 from __future__ import annotations
 
-import re
 import statistics
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
-from .environment import ConfigError, FixedLayout, GridConfig, Layout, Position, RandomLayout
+from .environment import ConfigError, FixedLayout, GridConfig, Position, RandomLayout
 from .harness import (
     NOT_REACHED,
     ParseError,
@@ -44,52 +45,59 @@ class UsageError(ValueError):
     """Bad flag or flag combination; message names the culprit."""
 
 
-_DEFAULTS = {
-    "method": "q-options",
-    "planner": "on",
-    "grid": "11x11",
-    "agents": 2,
-    "gems": 3,
-    "episodes": 6000,
-    "steps": 1000,
-    "noop-reward": 0,
-    "alpha": 0.1,
-    "gamma": 0.95,
-    "eps-start": 1.0,
-    "eps-end": 0.05,
-    "eps-decay-frac": 0.8,
-    "seed": 0,
-    "runs": 10,
-    "random-layout": False,
-}
-
-_CONVERTERS = {
-    "method": str,
-    "planner": str,
-    "grid": str,
-    "agents": int,
-    "gems": int,
-    "episodes": int,
-    "steps": int,
-    "noop-reward": int,
-    "alpha": float,
-    "gamma": float,
-    "eps-start": float,
-    "eps-end": float,
-    "eps-decay-frac": float,
-    "seed": int,
-    "runs": int,
-    "random-layout": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-}
+def _switch(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected on/off, true/false, yes/no or 1/0, got {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
-@dataclass
-class Settings:
-    values: dict
-    layout: Optional[Layout]
+def _grid_size(text: str) -> tuple[int, int]:
+    width, x, height = text.partition("x")
+    if not (x and width.isdigit() and height.isdigit()):
+        raise ValueError(f"expected WxH, got {text!r}")
+    return int(width), int(height)
 
-    def __getitem__(self, key):
-        return self.values[key]
+
+class Setting(NamedTuple):
+    key: str  # the flag without "--", the config-file key and the echo label
+    parse: Callable[[str], Any]  # flag or file text -> field value
+    default: str  # in config-file text
+    field: str  # RunConfig field(s) filled: "part.name", or "name" on RunConfig itself
+    show: Callable[[Any], Optional[str]]  # field value -> echo text; None writes no line
+    oracle: bool  # the oracle command takes it
+    help: Optional[str] = None
+
+    def paths(self) -> list[tuple[str, str]]:
+        return [tuple(path.rpartition(".")[::2]) for path in self.field.split()]
+
+
+_SETTINGS = (
+    Setting("method", Method, "q-options", "mode.method", lambda m: m.value, False,
+            "random, q or q-options"),
+    Setting("planner", _switch, "on", "mode.planner_enabled", lambda on: "on" if on else "off",
+            False, "on or off"),
+    Setting("grid", _grid_size, "11x11", "grid.width grid.height", "{0[0]}x{0[1]}".format,
+            True, "grid size as WxH, e.g. 11x11"),
+    Setting("agents", int, "2", "grid.num_agents", str, True),
+    Setting("gems", int, "3", "grid.num_gems", str, True),
+    Setting("episodes", int, "6000", "episodes", str, False),
+    Setting("steps", int, "1000", "grid.step_limit", str, True, "step limit per episode"),
+    Setting("noop-reward", int, "0", "grid.noop_reward", str, True, "0 or -1"),
+    Setting("alpha", float, "0.1", "hyper.alpha", repr, False),
+    Setting("gamma", float, "0.95", "hyper.gamma", repr, True),
+    Setting("eps-start", float, "1.0", "hyper.eps_start", repr, False),
+    Setting("eps-end", float, "0.05", "hyper.eps_end", repr, False),
+    Setting("eps-decay-frac", float, "0.8", "hyper.eps_decay_fraction", repr, False),
+    Setting("seed", int, "0", "hyper.seed", str, True),
+    Setting("runs", int, "10", "eval_runs", str, False, "greedy evaluation runs"),
+    Setting("random-layout", lambda text: RandomLayout() if _switch(text) else None, "false",
+            "grid.layout", lambda layout: "true" if isinstance(layout, RandomLayout) else None,
+            False, "fresh seeded start cells every episode"),
+)
+_BY_KEY = {s.key: s for s in _SETTINGS}
+_FLAGS = {name: f"--{s.key}" for s in _SETTINGS for _, name in s.paths()}
+_LAYOUT = next(s for s in _SETTINGS if s.field == "grid.layout")
 
 
 @dataclass
@@ -101,8 +109,8 @@ class TrainCmd:
 class EvalCmd:
     qtable: Path
     run: RunConfig
-    method_flag: Optional[str]
-    planner_flag: Optional[str]
+    method_flag: Optional[Method]
+    planner_flag: Optional[bool]
     seed_flag: Optional[int]
 
 
@@ -133,150 +141,93 @@ def _parse_position(text: str) -> Position:
 
 
 def read_config_file(path: Path) -> tuple[dict, Optional[FixedLayout]]:
-    """Parse the flat key=value format with its [layout] section."""
+    """Parse the flat key=value format with its [layout] section into
+    values by key and the layout, if the file has one."""
     values: dict = {}
-    agents: dict[int, Position] = {}
-    gems: dict[int, Position] = {}
+    cells: dict[str, list[Position]] = {"agent": [], "gem": []}
     in_layout = False
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line == "[layout]":
-                in_layout = True
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
             try:
+                if line == "[layout]":
+                    if values.get(_LAYOUT.key) is not None:
+                        raise ValueError(f"[layout] conflicts with {_LAYOUT.key} = true")
+                    in_layout = True
+                    continue
+                key, sep, value = (part.strip() for part in line.partition("="))
+                if not sep:
+                    raise ValueError("expected key = value")
                 if in_layout:
                     kind, _, index = key.partition(".")
-                    if kind == "agent":
-                        agents[int(index)] = _parse_position(value)
-                    elif kind == "gem":
-                        gems[int(index)] = _parse_position(value)
-                    else:
-                        raise ValueError(f"unknown layout entry {key!r}")
+                    if kind not in cells or index != str(len(cells[kind])):
+                        raise ValueError(f"expected agent.N or gem.N, N = 0, 1, ..., got {key!r}")
+                    cells[kind].append(_parse_position(value))
+                elif key in _BY_KEY and key not in values:
+                    values[key] = _BY_KEY[key].parse(value)
                 else:
-                    if key not in _CONVERTERS:
-                        raise ValueError(f"unknown setting {key!r}")
-                    values[key] = _CONVERTERS[key](value)
+                    raise ValueError(f"unknown or repeated setting {key!r}")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-    layout = None
-    if agents or gems:
-        layout = FixedLayout(
-            agents=tuple(agents[i] for i in sorted(agents)),
-            gems=tuple(gems[i] for i in sorted(gems)),
-        )
+    layout = FixedLayout(tuple(cells["agent"]), tuple(cells["gem"])) if in_layout else None
     return values, layout
 
 
-def _require(condition: bool, flag: str, message: str) -> None:
-    if not condition:
-        raise UsageError(f"{flag}: {message}")
-
-
-def _resolve_settings(args) -> Settings:
-    file_values: dict = {}
-    layout: Optional[Layout] = None
+def _resolve(args) -> dict:
+    """Defaults, then the config file, then explicit flags."""
+    values = {s.key: s.parse(s.default) for s in _SETTINGS}
     if args.config is not None:
         file_values, layout = read_config_file(Path(args.config))
-    values = dict(_DEFAULTS)
-    values.update(file_values)
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key.replace("-", "_"), None)
-        if flag_value is not None and flag_value is not False:
-            values[key] = flag_value
-
-    match = re.fullmatch(r"(\d+)x(\d+)", values["grid"])
-    _require(match is not None, "--grid", f"expected WxH, got {values['grid']!r}")
-    width, height = int(match.group(1)), int(match.group(2))
-    _require(width >= 3 and height >= 3, "--grid", f"grid must be at least 3x3, got {values['grid']}")
-    _require(values["agents"] >= 1, "--agents", "need at least one agent")
-    _require(values["gems"] >= 1, "--gems", "need at least one gem")
-    _require(values["episodes"] >= 1, "--episodes", "must be >= 1")
-    _require(values["steps"] >= 1, "--steps", "must be >= 1")
-    _require(values["runs"] >= 1, "--runs", "must be >= 1")
-    _require(values["noop-reward"] in (0, -1), "--noop-reward", "must be 0 or -1")
-    _require(0.0 < values["alpha"] <= 1.0, "--alpha", "must be in (0, 1]")
-    _require(0.0 <= values["gamma"] <= 1.0, "--gamma", "must be in [0, 1]")
-    _require(0.0 <= values["eps-start"] <= 1.0, "--eps-start", "must be in [0, 1]")
-    _require(0.0 <= values["eps-end"] <= values["eps-start"], "--eps-end", "must be in [0, eps-start]")
-    _require(0.0 <= values["eps-decay-frac"] <= 1.0, "--eps-decay-frac", "must be in [0, 1]")
-    _require(values["method"] in ("random", "q", "q-options"), "--method", f"unknown method {values['method']!r}")
-    _require(values["planner"] in ("on", "off"), "--planner", "must be on or off")
-
-    values["grid-size"] = (width, height)
-    if layout is None and values["random-layout"]:
-        layout = RandomLayout()
-    return Settings(values, layout)
+        values.update(file_values)
+        if layout is not None:
+            values[_LAYOUT.key] = layout
+    for s in _SETTINGS:
+        text = getattr(args, s.key.replace("-", "_"), None)
+        if text is None:
+            continue
+        if isinstance(values[s.key], FixedLayout):
+            raise UsageError(f"--{s.key}: {args.config} has a [layout] section")
+        try:
+            values[s.key] = s.parse(text)
+        except ValueError as exc:
+            raise UsageError(f"--{s.key}: {exc}") from None
+    return values
 
 
-def _build_run_config(settings: Settings, out: Optional[str]) -> RunConfig:
-    v = settings.values
-    width, height = v["grid-size"]
+def _build_run_config(values: dict, out: Optional[str]) -> RunConfig:
+    parts: dict[str, dict] = {"grid": {}, "hyper": {}, "mode": {}, "": {}}
+    for s in _SETTINGS:
+        paths = s.paths()
+        split = values[s.key] if len(paths) > 1 else (values[s.key],)
+        for (part, name), value in zip(paths, split):
+            parts[part][name] = value
     try:
-        grid = GridConfig(
-            width=width,
-            height=height,
-            num_agents=v["agents"],
-            num_gems=v["gems"],
-            step_limit=v["steps"],
-            layout=settings.layout,
-            noop_reward=v["noop-reward"],
-        )
-        hyper = Hyperparams(
-            alpha=v["alpha"],
-            gamma=v["gamma"],
-            eps_start=v["eps-start"],
-            eps_end=v["eps-end"],
-            eps_decay_fraction=v["eps-decay-frac"],
-            seed=v["seed"],
-        )
-        mode = ControllerMode(Method(v["method"]), v["planner"] == "on")
         return RunConfig(
-            grid=grid,
-            mode=mode,
-            hyper=hyper,
-            episodes=v["episodes"],
-            eval_runs=v["runs"],
+            grid=GridConfig(**parts["grid"]),
+            mode=ControllerMode(**parts["mode"]),
+            hyper=Hyperparams(**parts["hyper"]),
             output_dir=Path(out) if out is not None else None,
+            **parts[""],
         )
     except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+        flag = _FLAGS.get(exc.field)
+        raise UsageError(str(exc) if flag is None else f"{flag}: {exc}") from None
 
 
 def write_config_echo(cfg: RunConfig, path: Path) -> None:
-    lines = [
-        f"method = {cfg.mode.method.value}",
-        f"planner = {'on' if cfg.mode.planner_enabled else 'off'}",
-        f"grid = {cfg.grid.width}x{cfg.grid.height}",
-        f"agents = {cfg.grid.num_agents}",
-        f"gems = {cfg.grid.num_gems}",
-        f"episodes = {cfg.episodes}",
-        f"steps = {cfg.grid.step_limit}",
-        f"noop-reward = {cfg.grid.noop_reward}",
-        f"alpha = {cfg.hyper.alpha!r}",
-        f"gamma = {cfg.hyper.gamma!r}",
-        f"eps-start = {cfg.hyper.eps_start!r}",
-        f"eps-end = {cfg.hyper.eps_end!r}",
-        f"eps-decay-frac = {cfg.hyper.eps_decay_fraction!r}",
-        f"seed = {cfg.hyper.seed}",
-        f"runs = {cfg.eval_runs}",
-    ]
+    lines = []
+    for s in _SETTINGS:
+        value = [getattr(getattr(cfg, part) if part else cfg, name) for part, name in s.paths()]
+        text = s.show(tuple(value) if len(value) > 1 else value[0])
+        if text is not None:
+            lines.append(f"{s.key} = {text}")
     layout = cfg.grid.layout
-    if isinstance(layout, RandomLayout):
-        lines.append("random-layout = true")
-    else:
-        lines.append("")
-        lines.append("[layout]")
-        for i, pos in enumerate(layout.agents):
-            lines.append(f"agent.{i} = {pos[0]},{pos[1]}")
-        for i, pos in enumerate(layout.gems):
-            lines.append(f"gem.{i} = {pos[0]},{pos[1]}")
+    if isinstance(layout, FixedLayout):
+        lines += ["", "[layout]"]
+        lines += [f"agent.{i} = {r},{c}" for i, (r, c) in enumerate(layout.agents)]
+        lines += [f"gem.{i} = {r},{c}" for i, (r, c) in enumerate(layout.gems)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -288,81 +239,53 @@ def _build_parser():
         description="Multi-agent gem-collection gridworld: train and compare tabular learners.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_out=True):
+    commands = {
+        "train": "train one method and save its tables",
+        "eval": "replay greedy episodes from saved tables",
+        "compare-methods": "random vs flat vs options under one seed",
+        "compare-planner": "options learning with planner on vs off",
+        "oracle": "solve one sub-task exactly and save its Q map",
+    }
+    for command, summary in commands.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="config file; flags override its values")
-        p.add_argument("--method", choices=["random", "q", "q-options"])
-        p.add_argument("--planner", choices=["on", "off"])
-        p.add_argument("--grid", help="grid size as WxH, e.g. 11x11")
-        p.add_argument("--agents", type=int)
-        p.add_argument("--gems", type=int)
-        p.add_argument("--episodes", type=int)
-        p.add_argument("--steps", type=int, help="step limit per episode")
-        p.add_argument("--runs", type=int, help="greedy evaluation runs")
-        p.add_argument("--noop-reward", type=int, choices=[0, -1])
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--eps-start", type=float)
-        p.add_argument("--eps-end", type=float)
-        p.add_argument("--eps-decay-frac", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--random-layout", action="store_true", default=None)
-        if with_out:
-            p.add_argument("--out", required=True, help="output directory for run artifacts")
-
-    p_train = sub.add_parser("train", help="train one method and save its tables")
-    add_common(p_train)
-
-    p_eval = sub.add_parser("eval", help="replay greedy episodes from saved tables")
-    add_common(p_eval)
-    p_eval.add_argument("--qtable", required=True, help="q-table file written by train")
-
-    p_cm = sub.add_parser("compare-methods", help="random vs flat vs options under one seed")
-    add_common(p_cm)
-
-    p_cp = sub.add_parser("compare-planner", help="options learning with planner on vs off")
-    add_common(p_cp)
-
-    p_oracle = sub.add_parser("oracle", help="solve one sub-task exactly and save its Q map")
-    p_oracle.add_argument("--config", help="config file; flags override its values")
-    p_oracle.add_argument("--grid")
-    p_oracle.add_argument("--agents", type=int)
-    p_oracle.add_argument("--gems", type=int)
-    p_oracle.add_argument("--steps", type=int)
-    p_oracle.add_argument("--noop-reward", type=int, choices=[0, -1])
-    p_oracle.add_argument("--gamma", type=float)
-    p_oracle.add_argument("--seed", type=int)
-    p_oracle.add_argument("--task", required=True, choices=["pickup", "drop"])
-    p_oracle.add_argument("--out", required=True, help="output file for the Q map")
+        for s in _SETTINGS:
+            if command == "oracle" and not s.oracle:
+                continue
+            if s is _LAYOUT:
+                p.add_argument(f"--{s.key}", action="store_const", const="true", help=s.help)
+            else:
+                p.add_argument(f"--{s.key}", help=s.help)
+        if command == "eval":
+            p.add_argument("--qtable", required=True, help="q-table file written by train")
+        if command == "oracle":
+            p.add_argument("--task", required=True, choices=["pickup", "drop"])
+        where = "file for the Q map" if command == "oracle" else "directory for run artifacts"
+        p.add_argument("--out", required=True, help=f"output {where}")
     return parser
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> CliCommand:
     """Resolve argv (plus any config file) into a validated command."""
     args = _build_parser().parse_args(argv)
-    settings = _resolve_settings(args)
+    run = _build_run_config(_resolve(args), None if args.command == "oracle" else args.out)
     if args.command == "train":
-        return TrainCmd(_build_run_config(settings, args.out))
+        return TrainCmd(run)
     if args.command == "eval":
         return EvalCmd(
             Path(args.qtable),
-            _build_run_config(settings, args.out),
-            args.method,
-            args.planner,
-            args.seed,
+            run,
+            None if args.method is None else run.mode.method,
+            None if args.planner is None else run.mode.planner_enabled,
+            None if args.seed is None else run.hyper.seed,
         )
     if args.command == "compare-methods":
-        return CompareMethodsCmd(_build_run_config(settings, args.out))
+        return CompareMethodsCmd(run)
     if args.command == "compare-planner":
-        run = _build_run_config(settings, args.out)
         if run.mode.method is not Method.OPTIONS:
-            raise UsageError("--method: planner comparison requires q-options")
+            raise UsageError(f"{_FLAGS['method']}: planner comparison requires q-options")
         return ComparePlannerCmd(run)
-    if args.command == "oracle":
-        run = _build_run_config(settings, None)
-        gamma = args.gamma if args.gamma is not None else settings["gamma"]
-        return OracleCmd(run.grid, args.task, gamma, Path(args.out))
-    raise UsageError(f"unknown command {args.command!r}")
+    return OracleCmd(run.grid, args.task, run.hyper.gamma, Path(args.out))
 
 
 def _final_mean(records, window=100) -> float:
@@ -383,12 +306,12 @@ def _run_train(cmd: TrainCmd) -> None:
 
 def _run_eval(cmd: EvalCmd) -> None:
     mode, hyper, tables = read_qtable(cmd.qtable)
-    if cmd.method_flag is not None and cmd.method_flag != mode.method.value:
+    if cmd.method_flag is not None and cmd.method_flag is not mode.method:
         raise ConfigError(
-            f"q-table was trained with method {mode.method.value}, not {cmd.method_flag}"
+            f"q-table was trained with method {mode.method.value}, not {cmd.method_flag.value}"
         )
-    if cmd.planner_flag is not None and (cmd.planner_flag == "on") != mode.planner_enabled:
-        raise ConfigError("q-table planner setting does not match --planner")
+    if cmd.planner_flag is not None and cmd.planner_flag != mode.planner_enabled:
+        raise ConfigError(f"q-table planner setting does not match {_FLAGS['planner_enabled']}")
     if cmd.seed_flag is not None:
         hyper = replace(hyper, seed=cmd.seed_flag)
     cfg = replace(cmd.run, mode=mode, hyper=hyper)
@@ -441,18 +364,6 @@ def _run_oracle(cmd: OracleCmd) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         command = parse_args(argv)
-    except SystemExit as exc:  # argparse already reported the problem
-        return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         if isinstance(command, TrainCmd):
             _run_train(command)
         elif isinstance(command, EvalCmd):
@@ -463,10 +374,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_compare(command, compare_planner)
         else:
             _run_oracle(command)
-    except (ConfigError, ParseError) as exc:
+    except SystemExit as exc:  # argparse already reported the problem
+        return int(exc.code or 0)
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return 2
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

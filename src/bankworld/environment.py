@@ -41,7 +41,12 @@ REWARD_DEPOSIT = 500
 
 
 class ConfigError(ValueError):
-    """Invalid grid, layout, or run configuration."""
+    """Invalid grid, layout, or run configuration. ``field`` names the
+    config field at fault, when there is one."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 class Action(IntEnum):
@@ -167,15 +172,18 @@ class GridConfig:
 
     def __post_init__(self):
         if self.width < 3 or self.height < 3:
-            raise ConfigError(f"grid must be at least 3x3, got {self.width}x{self.height}")
+            raise ConfigError(
+                f"grid must be at least 3x3, got {self.width}x{self.height}",
+                "width" if self.width < 3 else "height",
+            )
         if self.num_agents < 1:
-            raise ConfigError("need at least one agent")
+            raise ConfigError("need at least one agent", "num_agents")
         if self.num_gems < 1:
-            raise ConfigError("need at least one gem")
+            raise ConfigError("need at least one gem", "num_gems")
         if self.step_limit < 1:
-            raise ConfigError("step limit must be positive")
+            raise ConfigError("step limit must be positive", "step_limit")
         if self.noop_reward not in (0, -1):
-            raise ConfigError(f"noop reward must be 0 or -1, got {self.noop_reward}")
+            raise ConfigError(f"noop reward must be 0 or -1, got {self.noop_reward}", "noop_reward")
         if self.bank is None:
             object.__setattr__(self, "bank", ((self.height - 1) // 2, (self.width - 1) // 2))
         br, bc = self.bank

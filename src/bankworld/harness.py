@@ -16,6 +16,7 @@ policy through a real episode.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import random
 import statistics
@@ -73,9 +74,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.episodes < 1:
-            raise ConfigError("episodes must be >= 1")
+            raise ConfigError("episodes must be >= 1", "episodes")
         if self.eval_runs < 1:
-            raise ConfigError("eval_runs must be >= 1")
+            raise ConfigError("eval_runs must be >= 1", "eval_runs")
 
 
 @dataclass(frozen=True)
@@ -512,6 +513,8 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
 
 
 def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
+    """Read a file written by `write_qtable`. Every value must be finite and
+    every (state, action) record unique; a row's missing actions read as 0.0."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("#"):
@@ -524,7 +527,8 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
             continue
         if line.startswith("# option="):
             key = line.partition("=")[2].strip()
-            current = tables.setdefault(key, QTable())
+            # NaN marks an entry not read yet, so a repeated record shows.
+            current = tables.setdefault(key, QTable(math.nan))
             continue
         if current is None:
             raise ParseError(f"{path}:{lineno}: record before any option section")
@@ -535,9 +539,20 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
             value = float(value_text)
             if not 0 <= action < 5:
                 raise ValueError(f"action index {action} out of range")
+            if not math.isfinite(value):
+                raise ValueError(f"value {value_text} is not finite")
+            row = current.row(state)
+            if not math.isnan(row[action]):
+                raise ValueError(f"repeated record for action {action} of {head}")
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        current.row(state)[action] = value
+        row[action] = value
+    for table in tables.values():
+        table.default = 0.0
+        for row in table.rows.values():
+            for a, value in enumerate(row):
+                if math.isnan(value):
+                    row[a] = 0.0
     return mode, hyper, tables
 
 

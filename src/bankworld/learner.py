@@ -99,15 +99,18 @@ class Hyperparams:
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}", "alpha")
         if not (0.0 <= self.gamma <= 1.0):
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
+            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}", "gamma")
+        if not (0.0 <= self.eps_start <= 1.0):
+            raise ConfigError(f"eps_start must be in [0, 1], got {self.eps_start}", "eps_start")
+        if not (0.0 <= self.eps_end <= self.eps_start):
             raise ConfigError(
-                f"need 0 <= eps_end <= eps_start <= 1, got {self.eps_start}..{self.eps_end}"
+                f"eps_end must be in [0, eps_start={self.eps_start}], got {self.eps_end}",
+                "eps_end",
             )
         if not (0.0 <= self.eps_decay_fraction <= 1.0):
-            raise ConfigError("eps_decay_fraction must be in [0, 1]")
+            raise ConfigError("eps_decay_fraction must be in [0, 1]", "eps_decay_fraction")
 
 
 def epsilon_at(episode: int, total_episodes: int, h: Hyperparams) -> float:

@@ -8,12 +8,14 @@ from bankworld.cli import (
     EvalCmd,
     OracleCmd,
     TrainCmd,
+    _build_parser,
     main,
     parse_args,
     read_config_file,
+    write_config_echo,
 )
 from bankworld.environment import FixedLayout, RandomLayout
-from bankworld.harness import read_qtable
+from bankworld.harness import ParseError, read_qtable
 from bankworld.learner import Method
 
 
@@ -240,3 +242,136 @@ class TestEndToEnd:
         assert code == 0
         lines = (tmp_path / "e" / "metrics.csv").read_text().splitlines()
         assert len(lines) == 4  # uniform-random actions, one row per run
+
+
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+class TestExitCodeRule:
+    """Unreadable or unparsable files exit 1 naming file:line; an
+    out-of-range value exits 2 naming its flag, from a flag or a file."""
+
+    def test_malformed_config_file_exits_1_naming_line(self, tmp_path, capsys):
+        path = write_text(tmp_path, "bad.cfg", "method = q\nbogus = 3\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "bad.cfg:2" in capsys.readouterr().err
+
+    def test_out_of_range_file_value_exits_2_naming_flag(self, tmp_path, capsys):
+        path = write_text(tmp_path, "run.cfg", "gems = 0\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "--gems" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        ("--grid 2x5", "--grid"),
+        ("--grid 5x2", "--grid"),
+        ("--grid five", "--grid"),
+        ("--agents 0", "--agents"),
+        ("--episodes 0", "--episodes"),
+        ("--steps 0", "--steps"),
+        ("--runs 0", "--runs"),
+        ("--noop-reward 5", "--noop-reward"),
+        ("--alpha 1.5", "--alpha"),
+        ("--gamma -0.5", "--gamma"),
+        ("--eps-start 1.5", "--eps-start"),
+        ("--eps-start 0.2 --eps-end 0.5", "--eps-end"),
+        ("--eps-decay-frac 2", "--eps-decay-frac"),
+        ("--planner maybe", "--planner"),
+        ("--method sarsa", "--method"),
+    ])
+    def test_bad_flag_value_names_flag(self, args, flag, capsys):
+        assert main(f"train {args} --out r".split()) == 2
+        assert f"error: {flag}:" in capsys.readouterr().err
+
+    def test_zero_alpha_parses(self):
+        assert parse_args("train --alpha 0 --out r".split()).run.hyper.alpha == 0.0
+
+
+class TestConfigFileStrictness:
+    LAYOUT = "[layout]\nagent.0 = 0,0\ngem.0 = 0,2\n"
+
+    @pytest.mark.parametrize("word", ["1", "true", "yes", "on", "TRUE"])
+    def test_true_words_select_random_layout(self, tmp_path, word):
+        path = write_text(tmp_path, "run.cfg", f"random-layout = {word}\n")
+        cmd = parse_args(["train", "--config", str(path), "--out", "o"])
+        assert isinstance(cmd.run.grid.layout, RandomLayout)
+
+    @pytest.mark.parametrize("word", ["0", "false", "no", "off"])
+    def test_false_words_keep_fixed_layout(self, tmp_path, word):
+        path = write_text(tmp_path, "run.cfg", f"random-layout = {word}\n")
+        cmd = parse_args(["train", "--config", str(path), "--out", "o"])
+        assert isinstance(cmd.run.grid.layout, FixedLayout)
+
+    def test_repeated_key_rejected_with_line(self, tmp_path):
+        path = write_text(tmp_path, "bad.cfg", "alpha = 0.1\nseed = 2\nalpha = 0.5\n")
+        with pytest.raises(ParseError, match=r"bad.cfg:3"):
+            read_config_file(path)
+
+    def test_unknown_switch_word_rejected_with_line(self, tmp_path):
+        path = write_text(tmp_path, "bad.cfg", "seed = 1\nrandom-layout = maybe\n")
+        with pytest.raises(ParseError, match=r"bad.cfg:2"):
+            read_config_file(path)
+
+    @pytest.mark.parametrize("entries, line", [
+        ("agent.0 = 0,0\nagent.5 = 1,1\n", 3),
+        ("agent.0 = 0,0\nagent.0 = 1,1\n", 3),
+        ("agent.1 = 0,0\n", 2),
+        ("robot.0 = 0,0\n", 2),
+    ])
+    def test_layout_indices_run_from_zero(self, tmp_path, entries, line):
+        path = write_text(tmp_path, "bad.cfg", "[layout]\n" + entries + "gem.0 = 0,2\n")
+        with pytest.raises(ParseError, match=rf"bad.cfg:{line}:"):
+            read_config_file(path)
+
+    def test_layout_section_conflicts_with_random_layout_in_file(self, tmp_path):
+        path = write_text(tmp_path, "bad.cfg", "random-layout = true\n" + self.LAYOUT)
+        with pytest.raises(ParseError, match=r"bad.cfg:2"):
+            read_config_file(path)
+
+    def test_layout_section_conflicts_with_random_layout_flag(self, tmp_path, capsys):
+        path = write_text(tmp_path, "run.cfg", "agents = 1\ngems = 1\n" + self.LAYOUT)
+        argv = ["train", "--config", str(path), "--random-layout", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "--random-layout" in capsys.readouterr().err
+
+
+class TestSettingsTable:
+    SHARED = {
+        "--config", "--method", "--planner", "--grid", "--agents", "--gems", "--episodes",
+        "--steps", "--noop-reward", "--alpha", "--gamma", "--eps-start", "--eps-end",
+        "--eps-decay-frac", "--seed", "--runs", "--random-layout", "--out",
+    }
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", set()),
+        ("eval", {"--qtable"}),
+        ("compare-methods", set()),
+        ("compare-planner", set()),
+    ])
+    def test_learning_commands_keep_their_flags(self, command, extra):
+        assert option_strings(command) == self.SHARED | extra
+
+    def test_oracle_keeps_its_flags(self):
+        assert option_strings("oracle") == {
+            "--config", "--grid", "--agents", "--gems", "--steps", "--noop-reward",
+            "--gamma", "--seed", "--task", "--out",
+        }
+
+    @pytest.mark.parametrize("flags", [
+        "--grid 7x9 --agents 3 --gems 2 --alpha 0.3 --eps-end 0.01 --noop-reward -1",
+        "--random-layout --method q --planner off --seed 4 --runs 3",
+    ])
+    def test_echo_through_config_is_byte_identical(self, tmp_path, flags):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        write_config_echo(parse_args(["train", *flags.split(), "--out", "o"]).run, first)
+        recycled = parse_args(["train", "--config", str(first), "--out", "o"])
+        write_config_echo(recycled.run, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def option_strings(command):
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    actions = subparsers.choices[command]._actions
+    return {o for a in actions for o in a.option_strings} - {"-h", "--help"}

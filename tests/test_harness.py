@@ -357,6 +357,35 @@ class TestPersistence:
         with pytest.raises(ParseError, match=r"bad.csv:3"):
             read_qtable(path)
 
+    @pytest.mark.parametrize("records, line", [
+        ("P,0,0,1,1,0,nan\n", 3),
+        ("P,0,0,1,1,0,inf\n", 3),
+        ("P,0,0,1,1,0,-inf\n", 3),
+        ("P,0,0,1,1,0,3.5\nP,0,0,1,1,1,2.0\nP,0,0,1,1,0,4.5\n", 5),
+    ])
+    def test_non_finite_and_repeated_records_rejected(self, tmp_path, records, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# mode=q-options planner=on alpha=0.1 gamma=0.95 eps_start=1.0"
+            " eps_end=0.05 eps_decay_fraction=0.8 alpha_visit_decay=none seed=0\n"
+            "# option=pickup\n" + records
+        )
+        with pytest.raises(ParseError, match=rf"bad.csv:{line}:"):
+            read_qtable(path)
+
+    def test_missing_actions_read_as_zero(self, tmp_path):
+        path = tmp_path / "partial.csv"
+        path.write_text(
+            "# mode=q-options planner=on alpha=0.1 gamma=0.95 eps_start=1.0"
+            " eps_end=0.05 eps_decay_fraction=0.8 alpha_visit_decay=none seed=0\n"
+            "# option=pickup\n"
+            "P,0,0,1,1,3,2.5\n"
+        )
+        _, _, tables = read_qtable(path)
+        table = tables["pickup"]
+        assert table.default == 0.0
+        assert list(table.rows.values()) == [[0.0, 0.0, 0.0, 2.5, 0.0]]
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("P,0,0,1,1,0,3.5\n")

@@ -114,6 +114,17 @@ class TestEpsilonSchedule:
         with pytest.raises(ConfigError):
             Hyperparams(alpha=1.5)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"eps_start": 1.5}, "eps_start"),
+        ({"eps_start": -0.1, "eps_end": -0.2}, "eps_start"),
+        ({"eps_start": 0.1, "eps_end": 0.5}, "eps_end"),
+        ({"eps_end": -0.1}, "eps_end"),
+    ])
+    def test_each_epsilon_bound_names_its_field(self, kwargs, field):
+        with pytest.raises(ConfigError) as info:
+            Hyperparams(**kwargs)
+        assert info.value.field == field
+
 
 def world(agent_positions, gem_statuses):
     return WorldState(tuple(agent_positions), tuple(gem_statuses), step=0)
