@@ -89,15 +89,17 @@ def abstract_no_planner(state: WorldState, agent: int) -> NoPlannerState:
     """Planner-off view: position, carrying flag, and all gem cells."""
     pos = state.agent_positions[agent]
     cells: list[Optional[Position]] = []
+    carrying = False
     for status in state.gems:
         kind = type(status)
         if kind is OnGrid:
             cells.append(status.pos)
         elif kind is CarriedBy and status.agent == agent:
             cells.append(pos)
+            carrying = True
         else:
             cells.append(None)
-    return NoPlannerState(pos, carried_gem(state, agent) is not None, tuple(cells))
+    return NoPlannerState(pos, carrying, tuple(cells))
 
 
 def _cell(pos: Optional[Position]) -> str:

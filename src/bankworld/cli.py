@@ -79,17 +79,17 @@ _SETTINGS = (
             False, "on or off"),
     Setting("grid", _grid_size, "11x11", "grid.width grid.height", "{0[0]}x{0[1]}".format,
             True, "grid size as WxH, e.g. 11x11"),
-    Setting("agents", int, "2", "grid.num_agents", str, True),
-    Setting("gems", int, "3", "grid.num_gems", str, True),
+    Setting("agents", int, "2", "grid.num_agents", str, False),
+    Setting("gems", int, "3", "grid.num_gems", str, False),
     Setting("episodes", int, "6000", "episodes", str, False),
-    Setting("steps", int, "1000", "grid.step_limit", str, True, "step limit per episode"),
+    Setting("steps", int, "1000", "grid.step_limit", str, False, "step limit per episode"),
     Setting("noop-reward", int, "0", "grid.noop_reward", str, True, "0 or -1"),
     Setting("alpha", float, "0.1", "hyper.alpha", repr, False),
     Setting("gamma", float, "0.95", "hyper.gamma", repr, True),
     Setting("eps-start", float, "1.0", "hyper.eps_start", repr, False),
     Setting("eps-end", float, "0.05", "hyper.eps_end", repr, False),
     Setting("eps-decay-frac", float, "0.8", "hyper.eps_decay_fraction", repr, False),
-    Setting("seed", int, "0", "hyper.seed", str, True),
+    Setting("seed", int, "0", "hyper.seed", str, False),
     Setting("runs", int, "10", "eval_runs", str, False, "greedy evaluation runs"),
     Setting("random-layout", lambda text: RandomLayout() if _switch(text) else None, "false",
             "grid.layout", lambda layout: "true" if isinstance(layout, RandomLayout) else None,
@@ -107,6 +107,8 @@ class TrainCmd:
 
 @dataclass
 class EvalCmd:
+    """Each ``*_flag`` holds the value a flag or the config file gave, else None."""
+
     qtable: Path
     run: RunConfig
     method_flag: Optional[Method]
@@ -175,12 +177,14 @@ def read_config_file(path: Path) -> tuple[dict, Optional[FixedLayout]]:
     return values, layout
 
 
-def _resolve(args) -> dict:
-    """Defaults, then the config file, then explicit flags."""
+def _resolve(args) -> tuple[dict, set]:
+    """Defaults, then the config file, then explicit flags; plus the keys those two gave."""
     values = {s.key: s.parse(s.default) for s in _SETTINGS}
+    given = set()
     if args.config is not None:
         file_values, layout = read_config_file(Path(args.config))
         values.update(file_values)
+        given.update(file_values)
         if layout is not None:
             values[_LAYOUT.key] = layout
     for s in _SETTINGS:
@@ -193,7 +197,8 @@ def _resolve(args) -> dict:
             values[s.key] = s.parse(text)
         except ValueError as exc:
             raise UsageError(f"--{s.key}: {exc}") from None
-    return values
+        given.add(s.key)
+    return values, given
 
 
 def _build_run_config(values: dict, out: Optional[str]) -> RunConfig:
@@ -268,16 +273,17 @@ def _build_parser():
 def parse_args(argv: Optional[Sequence[str]] = None) -> CliCommand:
     """Resolve argv (plus any config file) into a validated command."""
     args = _build_parser().parse_args(argv)
-    run = _build_run_config(_resolve(args), None if args.command == "oracle" else args.out)
+    values, given = _resolve(args)
+    run = _build_run_config(values, None if args.command == "oracle" else args.out)
     if args.command == "train":
         return TrainCmd(run)
     if args.command == "eval":
         return EvalCmd(
             Path(args.qtable),
             run,
-            None if args.method is None else run.mode.method,
-            None if args.planner is None else run.mode.planner_enabled,
-            None if args.seed is None else run.hyper.seed,
+            run.mode.method if "method" in given else None,
+            run.mode.planner_enabled if "planner" in given else None,
+            run.hyper.seed if "seed" in given else None,
         )
     if args.command == "compare-methods":
         return CompareMethodsCmd(run)

@@ -6,11 +6,13 @@ to the single run seed. Training anneals exploration per the schedule in
 seeds (run seed + run index) and never writes to the tables.
 
 `value_iteration_oracle` solves a single sub-task (fetch or deposit)
-exactly over its enumerated projected state space; transitions are
-deterministic, so sweeps converge to the literal fixed point and the
-sweep loop exits when nothing changes. The oracle doubles as the
-reference for "optimal episode return", obtained by rolling its greedy
-policy through a real episode.
+exactly over its enumerated projected state space. `SubtaskMDP` keeps no
+dynamics of its own: each transition is one `step_agent` call projected
+as the controller projects it. Transitions are deterministic, so sweeps
+converge to the literal fixed point and the sweep loop exits when
+nothing changes. The oracle doubles as the reference for "optimal
+episode return", obtained by rolling its greedy policy through a real
+episode.
 """
 
 from __future__ import annotations
@@ -29,17 +31,24 @@ from .abstraction import (
     AbstractState,
     DropState,
     PickupState,
+    abstract_drop,
+    abstract_pickup,
     parse_state,
     serialize_state,
 )
 from .environment import (
     ACTIONS,
     Action,
+    CarriedBy,
     ConfigError,
     Dropped,
+    Event,
     GridConfig,
+    OnGrid,
+    WorldState,
     is_terminal,
     reset,
+    step_agent,
 )
 from .learner import (
     DROP_TABLE,
@@ -187,11 +196,10 @@ def evaluate(tables: dict[str, QTable], cfg: RunConfig) -> list[EpisodeRecord]:
 
 
 class SubtaskMDP:
-    """Deterministic single-agent model of one sub-task.
-
-    Mirrors `environment.step_agent` exactly on the projected states:
-    fetch runs over (agent position, gem position) pairs and ends on
-    pickup; deposit runs over agent positions and ends at the bank.
+    """One sub-task: `environment.step_agent` seen through the controller's
+    projection, `abstract_pickup` over (agent, gem) position pairs for fetch
+    and `abstract_drop` over agent positions for deposit. The goal event,
+    pickup or deposit, ends the sub-task, as it does for the options learner.
     """
 
     PICKUP = "pickup"
@@ -213,22 +221,13 @@ class SubtaskMDP:
         ]
 
     def step(self, s: AbstractState, a: Action) -> tuple[Optional[AbstractState], int, bool]:
-        g = self.grid
-        r, c = s.agent_pos
-        dr, dc = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))[a]
-        nr, nc = r + dr, c + dc
-        if not (0 <= nr < g.height and 0 <= nc < g.width):
-            return s, -5, False
-        if dr == 0 and dc == 0:
-            return s, g.noop_reward, False
-        pos = (nr, nc)
-        if self.task == self.PICKUP:
-            if pos == s.gem_pos:
-                return None, 50, True
-            return PickupState(pos, s.gem_pos), -1, False
-        if pos == g.bank:
-            return None, 500, True
-        return DropState(pos), -1, False
+        pickup = self.task == self.PICKUP
+        gem = OnGrid(s.gem_pos) if pickup else CarriedBy(0)
+        world, outcome = step_agent(WorldState((s.agent_pos,), (gem,), 0), self.grid, 0, a, 0)
+        if outcome.event is Event.ACQUIRED or outcome.event is Event.DROPPED:
+            return None, outcome.reward, True
+        s_next = abstract_pickup(world, 0, 0) if pickup else abstract_drop(world, 0)
+        return s_next, outcome.reward, False
 
 
 def value_iteration_oracle(
@@ -244,17 +243,19 @@ def value_iteration_oracle(
         raise ConfigError(
             f"{len(states) * 5} state-action pairs exceed the oracle limit"
         )
-    transitions = [
-        (s, [mdp.step(s, a) for a in ACTIONS]) for s in states
-    ]
     q = QTable()
     rows = {s: q.row(s) for s in states}
+    # Successors are held as rows, not as state keys re-hashed in every sweep.
+    transitions = []
+    for s in states:
+        outcomes = [mdp.step(s, a) for a in ACTIONS]
+        successors = [(None if t else rows[s_next], r, t) for s_next, r, t in outcomes]
+        transitions.append((rows[s], successors))
     while True:
         delta = 0.0
-        for s, outcomes in transitions:
-            row = rows[s]
-            for a, (s_next, reward, terminal) in enumerate(outcomes):
-                target = reward if terminal else reward + gamma * max(rows[s_next])
+        for row, outcomes in transitions:
+            for a, (next_row, reward, terminal) in enumerate(outcomes):
+                target = reward if terminal else reward + gamma * max(next_row)
                 change = abs(target - row[a])
                 if change > delta:
                     delta = change

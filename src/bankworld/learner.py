@@ -1,13 +1,14 @@
 """Central controller: Q-tables, action selection, TD updates, dispatch.
 
-All agents read and write the same tables. In options mode there is one
-table per sub-task (fetch, deposit); flat mode keeps a single table. The
-controller walks agents in ascending index each timestep: refresh the
-planner allocation, pick the agent's task, project the state, choose an
-action, apply it, and update the executing table. A sub-task ends the
-moment its goal event fires (pickup for fetch, deposit for drop); that
-transition is updated with a terminal bootstrap, and a deposit also
-releases the planner allocation.
+All agents read and write the same tables: one per sub-task (fetch,
+deposit) in options mode, a single one in flat mode. Each timestep the
+controller walks agents in ascending index: refresh the planner
+allocation, pick the agent's task with `option_for_agent`, choose an
+action (uniformly for the random baseline, else epsilon-greedily from
+the projected state), apply it, and update the executing table. A
+sub-task ends the moment its goal event fires (pickup for fetch, deposit
+for drop); that transition is updated with a terminal bootstrap, and a
+deposit also releases the planner allocation.
 
 Unallocated agents under the planner are parked: the controller emits
 NoOp for them directly and learns nothing, since a one-action policy has
@@ -19,14 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from . import planner as plan
 from .abstraction import (
     AbstractState,
-    DropState,
-    NoPlannerState,
-    PickupState,
     abstract_drop,
     abstract_flat,
     abstract_no_planner,
@@ -218,40 +216,33 @@ def td_update(
     return q
 
 
-def option_for_agent(state: WorldState, agent: int, assignment: Assignment) -> OptionId:
-    """Planner-mode dispatch: deposit while carrying, fetch while
-    allocated, otherwise idle."""
+def option_for_agent(state: WorldState, agent: int, assignment: Optional[Assignment]) -> OptionId:
+    """The one dispatch: deposit while carrying, else fetch while allocated
+    or always with the planner off (``assignment=None``), else idle."""
     if carried_gem(state, agent) is not None:
         return OptionId.DROP
-    if agent in assignment.agent_to_gem:
+    if assignment is None or agent in assignment.agent_to_gem:
         return OptionId.PICKUP
     return OptionId.IDLE
 
 
-def greedy_policy(
-    tables: dict[str, QTable], mode: ControllerMode
-) -> Callable[[AbstractState], Action]:
-    """Exploitation-only policy over abstract states.
-
-    The state variant picks the table: fetch states hit the pickup
-    table, deposit states the drop table, flat states the single table.
-    Planner-off states dispatch on their carrying flag in options mode.
-    """
-
-    def policy(s: AbstractState) -> Action:
-        if mode.method is Method.FLAT:
-            table = tables[FLAT_TABLE]
-        elif type(s) is PickupState:
-            table = tables[PICKUP_TABLE]
-        elif type(s) is DropState:
-            table = tables[DROP_TABLE]
-        elif type(s) is NoPlannerState:
-            table = tables[DROP_TABLE if s.carrying else PICKUP_TABLE]
-        else:
-            raise ConfigError(f"no table for state {s!r} under {mode}")
-        return select_action(table, s, 0.0, None)
-
-    return policy
+def _project(
+    state: WorldState,
+    agent: int,
+    option: OptionId,
+    assignment: Optional[Assignment],
+    flat: bool,
+    config: GridConfig,
+) -> AbstractState:
+    """The state the executing table sees: the planner-off view, the flat
+    view, or the fetch or deposit view of ``option``."""
+    if assignment is None:
+        return abstract_no_planner(state, agent)
+    if flat:
+        return abstract_flat(state, agent, assignment, config.bank)
+    if option is OptionId.PICKUP:
+        return abstract_pickup(state, agent, assignment.agent_to_gem[agent])
+    return abstract_drop(state, agent)
 
 
 def controller_step(
@@ -270,94 +261,53 @@ def controller_step(
 
     Returns the new world state, the updated allocation, and one outcome
     per agent. ``learn=False`` (evaluation) skips all table writes.
-    ``stats['planner_calls']`` is incremented per planner consultation.
+    ``stats['planner_calls']`` counts planner consultations, one per agent.
     """
     outcomes: list[StepOutcome] = []
     method = mode.method
-    use_planner = mode.planner_enabled
+    flat = method is Method.FLAT
     learning = learn and method is not Method.RANDOM
+    alloc = assignment if mode.planner_enabled else None
+    if alloc is not None and stats is not None:
+        stats["planner_calls"] = stats.get("planner_calls", 0) + config.num_agents
 
     for agent in range(config.num_agents):
-        gem: Optional[int] = None
-        if use_planner:
-            assignment = plan.assign(state, assignment)
-            if stats is not None:
-                stats["planner_calls"] = stats.get("planner_calls", 0) + 1
-            holding = carried_gem(state, agent)
-            if holding is not None:
-                option = OptionId.DROP
-                gem = holding
-            elif agent in assignment.agent_to_gem:
-                option = OptionId.PICKUP
-                gem = assignment.agent_to_gem[agent]
-            else:
-                # Parked: no gem to fetch. Forced NoOp, no learning.
-                outcomes.append(StepOutcome(config.noop_reward, Event.IDLE))
-                continue
-        else:
-            option = OptionId.DROP if carried_gem(state, agent) is not None else OptionId.PICKUP
+        if alloc is not None:
+            alloc = plan.assign(state, alloc)
+        option = option_for_agent(state, agent, alloc)
+        if option is OptionId.IDLE:
+            # Parked: no gem to fetch. Forced NoOp, no learning.
+            outcomes.append(StepOutcome(config.noop_reward, Event.IDLE))
+            continue
 
         if method is Method.RANDOM:
             action = ACTIONS[rng.randrange(5)]
-            next_state, outcome = step_agent(
-                state, config, agent, action, gem if use_planner else None
-            )
-            state = next_state
-            outcomes.append(outcome)
-            if outcome.event is Event.DROPPED:
-                if use_planner:
-                    assignment = plan.release(assignment, outcome.gem)
-            continue
-
-        # Project the state for the executing task and table.
-        if method is Method.OPTIONS:
-            table = tables[PICKUP_TABLE if option is OptionId.PICKUP else DROP_TABLE]
-            if not use_planner:
-                s = abstract_no_planner(state, agent)
-            elif option is OptionId.PICKUP:
-                s = abstract_pickup(state, agent, gem)
-            else:
-                s = abstract_drop(state, agent)
         else:
-            table = tables[FLAT_TABLE]
-            if use_planner:
-                s = abstract_flat(state, agent, assignment, config.bank)
+            if flat:
+                table = tables[FLAT_TABLE]
             else:
-                s = abstract_no_planner(state, agent)
+                table = tables[PICKUP_TABLE if option is OptionId.PICKUP else DROP_TABLE]
+            s = _project(state, agent, option, alloc, flat, config)
+            action = select_action(table, s, epsilon, rng)
+        # A carrier's allocation is its carried gem until the deposit.
+        gem = None if alloc is None else alloc.agent_to_gem[agent]
+        next_state, outcome = step_agent(state, config, agent, action, gem)
 
-        action = select_action(table, s, epsilon, rng)
-        next_state, outcome = step_agent(
-            state, config, agent, action, gem if use_planner else None
-        )
-
-        if outcome.event is Event.DROPPED and use_planner:
-            assignment = plan.release(assignment, outcome.gem)
+        if outcome.event is Event.DROPPED and alloc is not None:
+            alloc = plan.release(alloc, outcome.gem)
 
         if learning:
             if method is Method.OPTIONS:
                 terminal = outcome.event is Event.ACQUIRED or outcome.event is Event.DROPPED
-                if terminal:
-                    s_next = None
-                elif not use_planner:
-                    s_next = abstract_no_planner(next_state, agent)
-                elif option is OptionId.PICKUP:
-                    s_next = abstract_pickup(next_state, agent, gem)
-                else:
-                    s_next = abstract_drop(next_state, agent)
             else:
                 terminal = all(type(g) is Dropped for g in next_state.gems)
-                if terminal:
-                    s_next = None
-                elif use_planner:
-                    s_next = abstract_flat(next_state, agent, assignment, config.bank)
-                else:
-                    s_next = abstract_no_planner(next_state, agent)
+            s_next = None if terminal else _project(next_state, agent, option, alloc, flat, config)
             td_update(table, s, action, outcome.reward, s_next, terminal, h)
 
         state = next_state
         outcomes.append(outcome)
 
-    return advance_step(state), assignment, outcomes
+    return advance_step(state), assignment if alloc is None else alloc, outcomes
 
 
 def fresh_tables(mode: ControllerMode) -> dict[str, QTable]:

@@ -37,9 +37,9 @@ def assign(state: WorldState, current: Assignment) -> Assignment:
     Existing allocations are never revoked. Returns ``current`` itself
     when there is nothing to do.
     """
-    free = [i for i in range(len(state.agent_positions)) if i not in current.agent_to_gem]
-    if not free:
+    if len(current.agent_to_gem) == len(state.agent_positions):
         return current
+    free = [i for i in range(len(state.agent_positions)) if i not in current.agent_to_gem]
     open_gems = [
         (j, status.pos)
         for j, status in enumerate(state.gems)

@@ -355,8 +355,7 @@ class TestSettingsTable:
 
     def test_oracle_keeps_its_flags(self):
         assert option_strings("oracle") == {
-            "--config", "--grid", "--agents", "--gems", "--steps", "--noop-reward",
-            "--gamma", "--seed", "--task", "--out",
+            "--config", "--grid", "--noop-reward", "--gamma", "--task", "--out",
         }
 
     @pytest.mark.parametrize("flags", [
@@ -369,6 +368,44 @@ class TestSettingsTable:
         recycled = parse_args(["train", "--config", str(first), "--out", "o"])
         write_config_echo(recycled.run, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestEvalConfigFile:
+    """A method, planner or seed from --config acts on eval exactly like the flag."""
+
+    def trained(self, tmp_path, method):
+        out = tmp_path / method
+        argv = f"train --method {method} --grid 5x5 --agents 1 --gems 1 --episodes 5 --steps 40"
+        assert main(f"{argv} --seed 3 --out {out}".split()) == 0
+        return out / "qtable.csv"
+
+    def evaluate(self, table, out, *extra):
+        argv = f"eval --qtable {table} --grid 5x5 --agents 1 --gems 1 --steps 40 --out {out}"
+        return main([*argv.split(), *extra])
+
+    @pytest.mark.parametrize("lines, setting", [
+        ("method = q-options", "method"),
+        ("planner = off", "planner"),
+        ("method = q-options\nplanner = off\nseed = 9", "method"),
+    ])
+    def test_file_mismatch_exits_1_naming_setting(self, tmp_path, capsys, lines, setting):
+        table = self.trained(tmp_path, "q")
+        path = write_text(tmp_path, "eval.cfg", lines + "\n")
+        assert self.evaluate(table, tmp_path / "e", "--config", str(path)) == 1
+        assert setting in capsys.readouterr().err
+
+    def test_file_seed_acts_like_flag(self, tmp_path, capsys):
+        # A random-policy table: every eval action is drawn from the seed.
+        table = self.trained(tmp_path, "random")
+        path = write_text(tmp_path, "eval.cfg", "seed = 9\n")
+        assert self.evaluate(table, tmp_path / "file", "--config", str(path)) == 0
+        assert self.evaluate(table, tmp_path / "flag", "--seed", "9") == 0
+        assert self.evaluate(table, tmp_path / "header") == 0
+        file, flag, header = (tmp_path / name for name in ("file", "flag", "header"))
+        for name in ("config.txt", "metrics.csv"):
+            assert (file / name).read_bytes() == (flag / name).read_bytes()
+        assert "seed = 9" in (file / "config.txt").read_text().splitlines()
+        assert (file / "metrics.csv").read_bytes() != (header / "metrics.csv").read_bytes()
 
 
 def option_strings(command):

@@ -222,6 +222,39 @@ class TestOracle:
                 ret = greedy_subtask_return(q, mdp, start, gamma=0.95)
                 assert ret == q.best_value(start)
 
+    @pytest.mark.parametrize("task", [SubtaskMDP.PICKUP, SubtaskMDP.DROP])
+    def test_values_match_closed_form(self, task):
+        """With no-op reward 0, a state's value depends only on the Manhattan
+        distance d >= 1 to its goal: d - 1 steps at -1, then the goal reward,
+        unless idling forever at 0 is worth more. Every action value follows
+        from the cell the action leads to."""
+        gamma = 0.95
+        grid = GridConfig(5, 7, 1, 1, 100, bank=(1, 2))
+        goal_reward = 50 if task == SubtaskMDP.PICKUP else 500
+
+        def value(d):
+            walk = sum(-(gamma ** k) for k in range(d - 1)) + gamma ** (d - 1) * goal_reward
+            return max(0.0, walk)
+
+        moves = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
+        q = value_iteration_oracle(grid, task, gamma)
+        assert len(q.rows) == len(SubtaskMDP(grid, task).states())
+        for s, a, got in q.items():
+            goal = s.gem_pos if task == SubtaskMDP.PICKUP else grid.bank
+            (r, c), (dr, dc) = s.agent_pos, moves[a]
+            d = abs(r - goal[0]) + abs(c - goal[1])
+            if d == 0:
+                continue
+            if not (0 <= r + dr < grid.height and 0 <= c + dc < grid.width):
+                want = -5 + gamma * value(d)
+            elif (dr, dc) == (0, 0):
+                want = gamma * value(d)
+            elif (r + dr, c + dc) == goal:
+                want = goal_reward
+            else:
+                want = -1 + gamma * value(abs(r + dr - goal[0]) + abs(c + dc - goal[1]))
+            assert got == pytest.approx(want, abs=1e-9), (s, a)
+
     @given(
         width=st.integers(3, 6),
         height=st.integers(3, 6),

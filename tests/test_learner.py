@@ -12,12 +12,12 @@ from bankworld.environment import (
     GridConfig,
     OnGrid,
     CarriedBy,
+    Dropped,
     WorldState,
     reset,
 )
 from bankworld.learner import (
     DROP_TABLE,
-    FLAT_TABLE,
     PICKUP_TABLE,
     ControllerMode,
     Hyperparams,
@@ -27,7 +27,6 @@ from bankworld.learner import (
     controller_step,
     epsilon_at,
     fresh_tables,
-    greedy_policy,
     option_for_agent,
     select_action,
     td_update,
@@ -49,9 +48,17 @@ class TestSelectAction:
     def test_argmax(self):
         q = table_with(S, [0.1, 0.5, 0.2, 0.0, 0.0])
         assert select_action(q, S, 0.0, None) is Action.DOWN
+        f = FlatState((0, 0), (1, 1), False)
+        row = [0.5, 1.25, 7.5, 2.0, 3.0]
+        # a unique maximizer, kept under positive scaling
+        for values in ([0.0, 1.0, 7.0, 2.0, 3.0], row, [12.0 * v for v in row]):
+            assert select_action(table_with(f, values), f, 0.0, None) is Action.LEFT
 
     def test_fresh_table_ties_to_up(self):
         assert select_action(QTable(), S, 0.0, None) is Action.UP
+        for s in (PickupState((0, 0), (4, 4)), DropState((3, 3))):
+            assert select_action(QTable(), s, 0.0, None) is Action.UP
+        assert select_action(table_with(S, [2.0] * 5), S, 0.0, None) is Action.UP
 
     def test_uniform_when_epsilon_one(self):
         rng = random.Random(123)
@@ -143,40 +150,15 @@ class TestOptionDispatch:
         state = world([(1, 1), (2, 2)], [OnGrid((4, 4))])
         assert option_for_agent(state, 1, Assignment({0: 0}, {0: 0})) is OptionId.IDLE
 
+    def test_planner_off_carrying_means_drop(self):
+        state = world([(1, 1), (2, 2)], [OnGrid((4, 4)), CarriedBy(1)])
+        assert option_for_agent(state, 1, None) is OptionId.DROP
 
-class TestGreedyPolicy:
-    def test_fresh_tables_give_constant_up(self):
-        mode = ControllerMode(Method.OPTIONS, True)
-        policy = greedy_policy(fresh_tables(mode), mode)
-        for s in (PickupState((0, 0), (4, 4)), DropState((3, 3))):
-            assert policy(s) is Action.UP
-
-    def test_unique_maximizer_returned(self):
-        mode = ControllerMode(Method.FLAT, True)
-        s = FlatState((0, 0), (1, 1), False)
-        tables = {FLAT_TABLE: table_with(s, [0.0, 1.0, 7.0, 2.0, 3.0])}
-        assert greedy_policy(tables, mode)(s) is Action.LEFT
-
-    def test_positive_scaling_preserves_argmax(self):
-        mode = ControllerMode(Method.FLAT, True)
-        s = FlatState((0, 0), (1, 1), False)
-        row = [0.5, 1.25, 7.5, 2.0, 3.0]
-        before = greedy_policy({FLAT_TABLE: table_with(s, row)}, mode)(s)
-        scaled = [12.0 * v for v in row]
-        after = greedy_policy({FLAT_TABLE: table_with(s, scaled)}, mode)(s)
-        assert before is after
-
-    def test_no_planner_states_dispatch_on_carrying(self):
-        mode = ControllerMode(Method.OPTIONS, False)
-        fetch = NoPlannerState((0, 0), False, ((1, 1),))
-        carry = NoPlannerState((0, 0), True, ((0, 0),))
-        tables = {
-            PICKUP_TABLE: table_with(fetch, [0, 9, 0, 0, 0]),
-            DROP_TABLE: table_with(carry, [0, 0, 0, 9, 0]),
-        }
-        policy = greedy_policy(tables, mode)
-        assert policy(fetch) is Action.DOWN
-        assert policy(carry) is Action.RIGHT
+    def test_planner_off_empty_handed_means_pickup(self):
+        # No allocation exists, yet nobody idles: every free agent fetches.
+        state = world([(1, 1), (2, 2)], [OnGrid((4, 4)), CarriedBy(1)])
+        assert option_for_agent(state, 0, None) is OptionId.PICKUP
+        assert option_for_agent(world([(1, 1)], [Dropped()]), 0, None) is OptionId.PICKUP
 
 
 def options_setup(agents, gems, bank=(3, 3)):
@@ -285,6 +267,23 @@ class TestControllerStep:
         keys = list(tables[PICKUP_TABLE].rows)
         assert all(type(s) is NoPlannerState for s in keys)
         assert len(keys) == 2
+
+    def test_no_planner_options_dispatch_on_carrying(self):
+        cfg = GridConfig(7, 7, 2, 2, 50,
+                         layout=FixedLayout(agents=((5, 5), (6, 6)), gems=((0, 6), (0, 0))))
+        mode = ControllerMode(Method.OPTIONS, planner_enabled=False)
+        tables = fresh_tables(mode)
+        carrying = reset(cfg, 0)._replace(gems=(CarriedBy(0), OnGrid((0, 0))))
+        controller_step(carrying, cfg, mode, tables, Assignment.empty(), 0.0,
+                        Hyperparams(), random.Random(0))
+        # agent 0 carries gem 0, which rides along at its cell; agent 1 sees
+        # gem 0 as absent because someone else holds it
+        assert list(tables[DROP_TABLE].rows) == [
+            NoPlannerState((5, 5), True, ((5, 5), (0, 0)))
+        ]
+        assert list(tables[PICKUP_TABLE].rows) == [
+            NoPlannerState((6, 6), False, (None, (0, 0)))
+        ]
 
 
 class TestQTableBounds:
