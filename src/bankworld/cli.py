@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ``train``, ``eval``, ``compare-methods``, ``compare-planner``,
-``oracle``. Each setting is one row of ``_SETTINGS``, whose key is the flag,
-the config-file key and the config-echo label. Values resolve in three
+Each subcommand is one row of ``_COMMANDS``: its help, its runner and the
+setting keys it takes. It has flags only for those and ignores other keys
+in a config file. Each setting is one row of ``_SETTINGS``, whose key is the
+flag, the config-file key and the config-echo label. Values resolve in three
 layers, each parsed from text by the row's converter: the row default, a
 ``--config`` file of ``key = value`` lines (plus an optional ``[layout]``
 section of ``agent.N = r,c`` and ``gem.N = r,c``, N counting from 0), then
@@ -16,19 +17,20 @@ an out-of-range value from a flag or the config file (the flag is named).
 
 from __future__ import annotations
 
+import argparse
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .environment import ConfigError, FixedLayout, GridConfig, Position, RandomLayout
 from .harness import (
     NOT_REACHED,
     ParseError,
     RunConfig,
-    compare_methods,
-    compare_planner,
+    SubtaskMDP,
+    compare,
     evaluate,
     read_qtable,
     run_and_save,
@@ -65,7 +67,6 @@ class Setting(NamedTuple):
     default: str  # in config-file text
     field: str  # RunConfig field(s) filled: "part.name", or "name" on RunConfig itself
     show: Callable[[Any], Optional[str]]  # field value -> echo text; None writes no line
-    oracle: bool  # the oracle command takes it
     help: Optional[str] = None
 
     def paths(self) -> list[tuple[str, str]]:
@@ -73,68 +74,31 @@ class Setting(NamedTuple):
 
 
 _SETTINGS = (
-    Setting("method", Method, "q-options", "mode.method", lambda m: m.value, False,
+    Setting("method", Method, "q-options", "mode.method", lambda m: m.value,
             "random, q or q-options"),
     Setting("planner", _switch, "on", "mode.planner_enabled", lambda on: "on" if on else "off",
-            False, "on or off"),
+            "on or off"),
     Setting("grid", _grid_size, "11x11", "grid.width grid.height", "{0[0]}x{0[1]}".format,
-            True, "grid size as WxH, e.g. 11x11"),
-    Setting("agents", int, "2", "grid.num_agents", str, False),
-    Setting("gems", int, "3", "grid.num_gems", str, False),
-    Setting("episodes", int, "6000", "episodes", str, False),
-    Setting("steps", int, "1000", "grid.step_limit", str, False, "step limit per episode"),
-    Setting("noop-reward", int, "0", "grid.noop_reward", str, True, "0 or -1"),
-    Setting("alpha", float, "0.1", "hyper.alpha", repr, False),
-    Setting("gamma", float, "0.95", "hyper.gamma", repr, True),
-    Setting("eps-start", float, "1.0", "hyper.eps_start", repr, False),
-    Setting("eps-end", float, "0.05", "hyper.eps_end", repr, False),
-    Setting("eps-decay-frac", float, "0.8", "hyper.eps_decay_fraction", repr, False),
-    Setting("seed", int, "0", "hyper.seed", str, False),
-    Setting("runs", int, "10", "eval_runs", str, False, "greedy evaluation runs"),
+            "grid size as WxH, e.g. 11x11"),
+    Setting("agents", int, "2", "grid.num_agents", str),
+    Setting("gems", int, "3", "grid.num_gems", str),
+    Setting("episodes", int, "6000", "episodes", str),
+    Setting("steps", int, "1000", "grid.step_limit", str, "step limit per episode"),
+    Setting("noop-reward", int, "0", "grid.noop_reward", str, "0 or -1"),
+    Setting("alpha", float, "0.1", "hyper.alpha", repr),
+    Setting("gamma", float, "0.95", "hyper.gamma", repr),
+    Setting("eps-start", float, "1.0", "hyper.eps_start", repr),
+    Setting("eps-end", float, "0.05", "hyper.eps_end", repr),
+    Setting("eps-decay-frac", float, "0.8", "hyper.eps_decay_fraction", repr),
+    Setting("seed", int, "0", "hyper.seed", str),
+    Setting("runs", int, "10", "eval_runs", str, "greedy evaluation runs"),
     Setting("random-layout", lambda text: RandomLayout() if _switch(text) else None, "false",
             "grid.layout", lambda layout: "true" if isinstance(layout, RandomLayout) else None,
-            False, "fresh seeded start cells every episode"),
+            "fresh seeded start cells every episode"),
 )
 _BY_KEY = {s.key: s for s in _SETTINGS}
 _FLAGS = {name: f"--{s.key}" for s in _SETTINGS for _, name in s.paths()}
 _LAYOUT = next(s for s in _SETTINGS if s.field == "grid.layout")
-
-
-@dataclass
-class TrainCmd:
-    run: RunConfig
-
-
-@dataclass
-class EvalCmd:
-    """Each ``*_flag`` holds the value a flag or the config file gave, else None."""
-
-    qtable: Path
-    run: RunConfig
-    method_flag: Optional[Method]
-    planner_flag: Optional[bool]
-    seed_flag: Optional[int]
-
-
-@dataclass
-class CompareMethodsCmd:
-    run: RunConfig
-
-
-@dataclass
-class ComparePlannerCmd:
-    run: RunConfig
-
-
-@dataclass
-class OracleCmd:
-    grid: GridConfig
-    task: str
-    gamma: float
-    out: Path
-
-
-CliCommand = Union[TrainCmd, EvalCmd, CompareMethodsCmd, ComparePlannerCmd, OracleCmd]
 
 
 def _parse_position(text: str) -> Position:
@@ -177,15 +141,17 @@ def read_config_file(path: Path) -> tuple[dict, Optional[FixedLayout]]:
     return values, layout
 
 
-def _resolve(args) -> tuple[dict, set]:
-    """Defaults, then the config file, then explicit flags; plus the keys those two gave."""
+def _resolve(args, takes: frozenset) -> tuple[dict, frozenset]:
+    """Defaults, then the config file, then explicit flags; plus the keys those two gave.
+    Config-file keys outside ``takes``, and a [layout] section unless it takes
+    ``random-layout``, are ignored: the command has no flag for them."""
     values = {s.key: s.parse(s.default) for s in _SETTINGS}
     given = set()
     if args.config is not None:
         file_values, layout = read_config_file(Path(args.config))
-        values.update(file_values)
-        given.update(file_values)
-        if layout is not None:
+        given.update(takes & file_values.keys())
+        values.update((key, file_values[key]) for key in given)
+        if layout is not None and _LAYOUT.key in takes:
             values[_LAYOUT.key] = layout
     for s in _SETTINGS:
         text = getattr(args, s.key.replace("-", "_"), None)
@@ -198,10 +164,10 @@ def _resolve(args) -> tuple[dict, set]:
         except ValueError as exc:
             raise UsageError(f"--{s.key}: {exc}") from None
         given.add(s.key)
-    return values, given
+    return values, frozenset(given)
 
 
-def _build_run_config(values: dict, out: Optional[str]) -> RunConfig:
+def _build_run_config(values: dict, out: str) -> RunConfig:
     parts: dict[str, dict] = {"grid": {}, "hyper": {}, "mode": {}, "": {}}
     for s in _SETTINGS:
         paths = s.paths()
@@ -213,7 +179,7 @@ def _build_run_config(values: dict, out: Optional[str]) -> RunConfig:
             grid=GridConfig(**parts["grid"]),
             mode=ControllerMode(**parts["mode"]),
             hyper=Hyperparams(**parts["hyper"]),
-            output_dir=Path(out) if out is not None else None,
+            output_dir=Path(out),
             **parts[""],
         )
     except ConfigError as exc:
@@ -236,62 +202,39 @@ def write_config_echo(cfg: RunConfig, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _build_parser():
-    import argparse
-
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bankworld",
         description="Multi-agent gem-collection gridworld: train and compare tabular learners.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "train": "train one method and save its tables",
-        "eval": "replay greedy episodes from saved tables",
-        "compare-methods": "random vs flat vs options under one seed",
-        "compare-planner": "options learning with planner on vs off",
-        "oracle": "solve one sub-task exactly and save its Q map",
-    }
-    for command, summary in commands.items():
-        p = sub.add_parser(command, help=summary)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="config file; flags override its values")
         for s in _SETTINGS:
-            if command == "oracle" and not s.oracle:
+            if s.key not in command.takes:
                 continue
             if s is _LAYOUT:
                 p.add_argument(f"--{s.key}", action="store_const", const="true", help=s.help)
             else:
                 p.add_argument(f"--{s.key}", help=s.help)
-        if command == "eval":
-            p.add_argument("--qtable", required=True, help="q-table file written by train")
-        if command == "oracle":
-            p.add_argument("--task", required=True, choices=["pickup", "drop"])
-        where = "file for the Q map" if command == "oracle" else "directory for run artifacts"
-        p.add_argument("--out", required=True, help=f"output {where}")
+        for flag, options in command.extra.items():
+            p.add_argument(flag, **options)
+        p.add_argument("--out", required=True, help=f"output {command.out}")
     return parser
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> CliCommand:
-    """Resolve argv (plus any config file) into a validated command."""
+class Parsed(NamedTuple):
+    args: argparse.Namespace  # as argparse parsed it; ``args.command`` keys `_COMMANDS`
+    run: RunConfig  # a setting the command does not take holds its default
+    given: frozenset  # the setting keys a flag or the config file set
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> Parsed:
+    """Resolve argv (plus any config file) into a validated run config."""
     args = _build_parser().parse_args(argv)
-    values, given = _resolve(args)
-    run = _build_run_config(values, None if args.command == "oracle" else args.out)
-    if args.command == "train":
-        return TrainCmd(run)
-    if args.command == "eval":
-        return EvalCmd(
-            Path(args.qtable),
-            run,
-            run.mode.method if "method" in given else None,
-            run.mode.planner_enabled if "planner" in given else None,
-            run.hyper.seed if "seed" in given else None,
-        )
-    if args.command == "compare-methods":
-        return CompareMethodsCmd(run)
-    if args.command == "compare-planner":
-        if run.mode.method is not Method.OPTIONS:
-            raise UsageError(f"{_FLAGS['method']}: planner comparison requires q-options")
-        return ComparePlannerCmd(run)
-    return OracleCmd(run.grid, args.task, run.hyper.gamma, Path(args.out))
+    values, given = _resolve(args, _COMMANDS[args.command].takes)
+    return Parsed(args, _build_run_config(values, args.out), given)
 
 
 def _final_mean(records, window=100) -> float:
@@ -299,28 +242,28 @@ def _final_mean(records, window=100) -> float:
     return statistics.fmean(r.total_reward for r in tail)
 
 
-def _run_train(cmd: TrainCmd) -> None:
-    out = Path(cmd.run.output_dir)
+def _run_train(args, run: RunConfig, given) -> None:
+    out = Path(run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_config_echo(cmd.run, out / "config.txt")
-    result = run_and_save(cmd.run)
+    write_config_echo(run, out / "config.txt")
+    result = run_and_save(run)
     print(
-        f"trained {cmd.run.mode.method.value} for {cmd.run.episodes} episodes;"
+        f"trained {run.mode.method.value} for {run.episodes} episodes;"
         f" trailing mean reward {_final_mean(result.records):.1f}; artifacts in {out}"
     )
 
 
-def _run_eval(cmd: EvalCmd) -> None:
-    mode, hyper, tables = read_qtable(cmd.qtable)
-    if cmd.method_flag is not None and cmd.method_flag is not mode.method:
+def _run_eval(args, run: RunConfig, given) -> None:
+    mode, hyper, tables = read_qtable(Path(args.qtable))
+    if "method" in given and run.mode.method is not mode.method:
         raise ConfigError(
-            f"q-table was trained with method {mode.method.value}, not {cmd.method_flag.value}"
+            f"q-table was trained with method {mode.method.value}, not {run.mode.method.value}"
         )
-    if cmd.planner_flag is not None and cmd.planner_flag != mode.planner_enabled:
+    if "planner" in given and run.mode.planner_enabled != mode.planner_enabled:
         raise ConfigError(f"q-table planner setting does not match {_FLAGS['planner_enabled']}")
-    if cmd.seed_flag is not None:
-        hyper = replace(hyper, seed=cmd.seed_flag)
-    cfg = replace(cmd.run, mode=mode, hyper=hyper)
+    if "seed" in given:
+        hyper = replace(hyper, seed=run.hyper.seed)
+    cfg = replace(run, mode=mode, hyper=hyper)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_config_echo(cfg, out / "config.txt")
@@ -345,41 +288,68 @@ def _print_summary(rows) -> None:
         )
 
 
-def _run_compare(cmd, compare) -> None:
-    out = Path(cmd.run.output_dir)
+def _run_compare(run: RunConfig, arms: list[tuple[str, ControllerMode]]) -> None:
+    out = Path(run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_config_echo(cmd.run, out / "config.txt")
-    rows = compare(cmd.run, out_dir=out)
+    write_config_echo(run, out / "config.txt")
+    rows = compare(run, arms, out_dir=out)
     write_summary(rows, out / "summary.csv")
     _print_summary(rows)
     print(f"summary written to {out / 'summary.csv'}")
 
 
-def _run_oracle(cmd: OracleCmd) -> None:
-    table = value_iteration_oracle(cmd.grid, cmd.task, cmd.gamma)
-    cmd.out.parent.mkdir(parents=True, exist_ok=True)
+def _run_compare_methods(args, run: RunConfig, given) -> None:
+    _run_compare(run, [(m.value, replace(run.mode, method=m)) for m in Method])
+
+
+def _run_compare_planner(args, run: RunConfig, given) -> None:
+    _run_compare(run, [("planner-on", ControllerMode(Method.OPTIONS, True)),
+                       ("planner-off", ControllerMode(Method.OPTIONS, False))])
+
+
+def _run_oracle(args, run: RunConfig, given) -> None:
+    table = value_iteration_oracle(run.grid, args.task, run.hyper.gamma)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_qtable(
-        {cmd.task: table},
-        cmd.out,
+        {args.task: table},
+        out,
         ControllerMode(Method.OPTIONS, planner_enabled=True),
-        Hyperparams(gamma=cmd.gamma),
+        Hyperparams(gamma=run.hyper.gamma),
     )
-    print(f"exact {cmd.task} Q map ({len(table)} entries) written to {cmd.out}")
+    print(f"exact {args.task} Q map ({len(table)} entries) written to {out}")
+
+
+class Command(NamedTuple):
+    help: str
+    runner: Callable[[argparse.Namespace, RunConfig, frozenset], None]
+    takes: frozenset  # the setting keys it has flags for and reads from a config file
+    extra: dict = {}  # flag -> add_argument keywords, beyond --config, the settings and --out
+    out: str = "directory for run artifacts"
+
+
+_EVERY = frozenset(_BY_KEY)
+_COMMANDS = {
+    "train": Command("train one method and save its tables", _run_train, _EVERY),
+    "eval": Command("replay greedy episodes from saved tables", _run_eval, _EVERY,
+                    {"--qtable": dict(required=True, help="q-table file written by train")}),
+    # A comparison fixes what it compares: the method, or the method and the planner.
+    "compare-methods": Command("random vs flat vs options under one seed",
+                               _run_compare_methods, _EVERY - {"method"}),
+    "compare-planner": Command("options learning with planner on vs off",
+                               _run_compare_planner, _EVERY - {"method", "planner"}),
+    # The exact Q map depends only on the grid size, the no-op reward and gamma.
+    "oracle": Command("solve one sub-task exactly and save its Q map", _run_oracle,
+                      frozenset({"grid", "noop-reward", "gamma"}),
+                      {"--task": dict(required=True, choices=(SubtaskMDP.PICKUP, SubtaskMDP.DROP))},
+                      "file for the Q map"),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        command = parse_args(argv)
-        if isinstance(command, TrainCmd):
-            _run_train(command)
-        elif isinstance(command, EvalCmd):
-            _run_eval(command)
-        elif isinstance(command, CompareMethodsCmd):
-            _run_compare(command, compare_methods)
-        elif isinstance(command, ComparePlannerCmd):
-            _run_compare(command, compare_planner)
-        else:
-            _run_oracle(command)
+        parsed = parse_args(argv)
+        _COMMANDS[parsed.args.command].runner(*parsed)
     except SystemExit as exc:  # argparse already reported the problem
         return int(exc.code or 0)
     except UsageError as exc:

@@ -246,13 +246,6 @@ def reset(config: GridConfig, seed: int) -> WorldState:
     )
 
 
-def is_legal(state: WorldState, config: GridConfig, agent: int, action: Action) -> bool:
-    """True iff the action keeps the agent on the grid. NoOp always is."""
-    r, c = state.agent_positions[agent]
-    dr, dc = _DELTAS[action]
-    return 0 <= r + dr < config.height and 0 <= c + dc < config.width
-
-
 def carried_gem(state: WorldState, agent: int) -> Optional[int]:
     """Index of the gem the agent carries, or None."""
     for j, status in enumerate(state.gems):

@@ -202,8 +202,8 @@ class SubtaskMDP:
     pickup or deposit, ends the sub-task, as it does for the options learner.
     """
 
-    PICKUP = "pickup"
-    DROP = "drop"
+    PICKUP = PICKUP_TABLE
+    DROP = DROP_TABLE
 
     def __init__(self, grid: GridConfig, task: str):
         if task not in (self.PICKUP, self.DROP):
@@ -230,9 +230,7 @@ class SubtaskMDP:
         return s_next, outcome.reward, False
 
 
-def value_iteration_oracle(
-    grid: GridConfig, task: str, gamma: float = 0.95, tol: float = 1e-9
-) -> QTable:
+def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
     """Exact action values for one sub-task by repeated Bellman sweeps.
 
     Refuses instances beyond `ORACLE_PAIR_LIMIT` state-action pairs.
@@ -260,7 +258,7 @@ def value_iteration_oracle(
                 if change > delta:
                     delta = change
                 row[a] = target
-        if delta < tol:
+        if delta < 1e-9:
             return q
 
 
@@ -293,11 +291,8 @@ def oracle_episode_return(grid: GridConfig, gamma: float = 0.95) -> int:
     This is the planner-mode optimum used as the basis for the
     learning-speed threshold.
     """
-    tables = {
-        PICKUP_TABLE: value_iteration_oracle(grid, SubtaskMDP.PICKUP, gamma),
-        DROP_TABLE: value_iteration_oracle(grid, SubtaskMDP.DROP, gamma),
-    }
     mode = ControllerMode(Method.OPTIONS, planner_enabled=True)
+    tables = {task: value_iteration_oracle(grid, task, gamma) for task in mode.table_keys()}
     record = _run_episode(
         grid, mode, tables, Hyperparams(gamma=gamma), 0.0, random.Random(0), 0, 0, learn=False
     )
@@ -339,17 +334,8 @@ def _arm_worker(cfg: RunConfig) -> tuple[list[EpisodeRecord], list[EpisodeRecord
     return result.records, eval_records, result.planner_calls
 
 
-def _pool_size(n_arms: int) -> int:
-    raw = os.environ.get("MACOPT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = n_arms
-    return max(1, min(n, n_arms))
-
-
 def _run_arms(configs: list[RunConfig]) -> list[tuple[list[EpisodeRecord], list[EpisodeRecord], int]]:
-    workers = _pool_size(len(configs))
+    workers = min(len(configs), os.cpu_count() or 1)
     if workers == 1:
         return [_arm_worker(cfg) for cfg in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -357,8 +343,7 @@ def _run_arms(configs: list[RunConfig]) -> list[tuple[list[EpisodeRecord], list[
 
 
 def _summary_row(
-    method: Method,
-    planner_enabled: bool,
+    mode: ControllerMode,
     train_records: Sequence[EpisodeRecord],
     eval_records: Sequence[EpisodeRecord],
     threshold: float,
@@ -367,8 +352,8 @@ def _summary_row(
     mean = statistics.fmean(rewards)
     std = statistics.stdev(rewards) if len(rewards) > 1 else 0.0
     return SummaryRow(
-        method=method.value,
-        planner="on" if planner_enabled else "off",
+        method=mode.method.value,
+        planner="on" if mode.planner_enabled else "off",
         mean_eval_reward=mean,
         std_eval_reward=std,
         episodes_to_threshold=episodes_to_threshold(train_records, threshold),
@@ -386,49 +371,29 @@ def _write_arm_artifacts(out_dir: Optional[Path], labels, results) -> None:
         write_plot_script(arm_dir / "metrics.csv")
 
 
-def compare_methods(
-    base: RunConfig, threshold: Optional[float] = None, out_dir: Optional[Path] = None
+def compare(
+    base: RunConfig,
+    arms: Sequence[tuple[str, ControllerMode]],
+    threshold: Optional[float] = None,
+    out_dir: Optional[Path] = None,
 ) -> list[SummaryRow]:
-    """Train and test random, flat, and options learning under one grid
-    and seed; returns one summary row per method."""
-    if threshold is None:
-        threshold = 0.8 * oracle_episode_return(base.grid, base.hyper.gamma)
-    methods = [Method.RANDOM, Method.FLAT, Method.OPTIONS]
-    configs = [
-        replace(base, mode=ControllerMode(m, base.mode.planner_enabled)) for m in methods
-    ]
-    results = _run_arms(configs)
-    _write_arm_artifacts(out_dir, [m.value for m in methods], results)
-    return [
-        _summary_row(m, base.mode.planner_enabled, train_recs, eval_recs, threshold)
-        for m, (train_recs, eval_recs, _) in zip(methods, results)
-    ]
+    """Train and test each (label, mode) arm under the grid, budget and seed
+    of ``base``; returns one summary row per arm, in order. Artifacts go to
+    ``out_dir/label``.
 
-
-def compare_planner(
-    base: RunConfig, threshold: Optional[float] = None, out_dir: Optional[Path] = None
-) -> list[SummaryRow]:
-    """Options learning with the planner on versus off, same budget.
-
-    The planner-off arm must never consult the planner; that is checked
-    here rather than trusted.
+    A planner-off arm must never consult the planner; that is checked here
+    rather than trusted.
     """
-    if base.mode.method is not Method.OPTIONS:
-        raise ConfigError("planner comparison runs options mode only")
     if threshold is None:
         threshold = 0.8 * oracle_episode_return(base.grid, base.hyper.gamma)
-    configs = [
-        replace(base, mode=ControllerMode(Method.OPTIONS, planner_enabled=True)),
-        replace(base, mode=ControllerMode(Method.OPTIONS, planner_enabled=False)),
-    ]
-    results = _run_arms(configs)
-    off_calls = results[1][2]
-    if off_calls != 0:
-        raise AssertionError(f"planner consulted {off_calls} times with planner off")
-    _write_arm_artifacts(out_dir, ["planner-on", "planner-off"], results)
+    results = _run_arms([replace(base, mode=mode) for _, mode in arms])
+    for (label, mode), (_, _, calls) in zip(arms, results):
+        if not mode.planner_enabled and calls != 0:
+            raise AssertionError(f"{label}: planner consulted {calls} times with planner off")
+    _write_arm_artifacts(out_dir, [label for label, _ in arms], results)
     return [
-        _summary_row(Method.OPTIONS, enabled, train_recs, eval_recs, threshold)
-        for enabled, (train_recs, eval_recs, _) in zip((True, False), results)
+        _summary_row(mode, train_recs, eval_recs, threshold)
+        for (_, mode), (train_recs, eval_recs, _) in zip(arms, results)
     ]
 
 

@@ -164,12 +164,6 @@ class QTable:
             for a, value in enumerate(row):
                 yield s, a, value
 
-    def copy(self) -> "QTable":
-        dup = QTable(self.default)
-        dup.rows = {s: list(row) for s, row in self.rows.items()}
-        dup.visits = {s: list(v) for s, v in self.visits.items()}
-        return dup
-
     def __len__(self) -> int:
         return 5 * len(self.rows)
 

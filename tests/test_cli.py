@@ -1,13 +1,9 @@
+import os
 from pathlib import Path
 
 import pytest
 
 from bankworld.cli import (
-    CompareMethodsCmd,
-    ComparePlannerCmd,
-    EvalCmd,
-    OracleCmd,
-    TrainCmd,
     _build_parser,
     main,
     parse_args,
@@ -25,7 +21,7 @@ class TestParsing:
             "train --method q-options --planner on --grid 11x11 --agents 2 --gems 3"
             " --episodes 6000 --steps 1000 --seed 42 --out runs/a".split()
         )
-        assert isinstance(cmd, TrainCmd)
+        assert cmd.args.command == "train"
         run = cmd.run
         assert (run.grid.width, run.grid.height) == (11, 11)
         assert run.grid.num_agents == 2 and run.grid.num_gems == 3
@@ -37,10 +33,10 @@ class TestParsing:
 
     def test_eval_command(self):
         cmd = parse_args("eval --qtable runs/a/q.csv --runs 10 --seed 7 --out runs/e".split())
-        assert isinstance(cmd, EvalCmd)
-        assert cmd.qtable == Path("runs/a/q.csv")
+        assert cmd.args.command == "eval"
+        assert Path(cmd.args.qtable) == Path("runs/a/q.csv")
         assert cmd.run.eval_runs == 10
-        assert cmd.seed_flag == 7
+        assert "seed" in cmd.given and cmd.run.hyper.seed == 7
 
     def test_defaults_reproduce_full_scale(self):
         cmd = parse_args("train --out runs/x".split())
@@ -53,14 +49,14 @@ class TestParsing:
         assert run.grid.noop_reward == 0
 
     def test_compare_subcommands(self):
-        assert isinstance(parse_args("compare-methods --out r".split()), CompareMethodsCmd)
-        assert isinstance(parse_args("compare-planner --out r".split()), ComparePlannerCmd)
+        assert parse_args("compare-methods --out r".split()).args.command == "compare-methods"
+        assert parse_args("compare-planner --out r".split()).args.command == "compare-planner"
 
     def test_oracle_command(self):
         cmd = parse_args("oracle --grid 5x5 --task drop --gamma 0.9 --out q.csv".split())
-        assert isinstance(cmd, OracleCmd)
-        assert cmd.task == "drop" and cmd.gamma == 0.9
-        assert (cmd.grid.width, cmd.grid.height) == (5, 5)
+        assert cmd.args.command == "oracle"
+        assert cmd.args.task == "drop" and cmd.run.hyper.gamma == 0.9
+        assert (cmd.run.grid.width, cmd.run.grid.height) == (5, 5)
 
     def test_random_layout_flag(self):
         cmd = parse_args("train --random-layout --out r".split())
@@ -207,7 +203,7 @@ class TestEndToEnd:
         assert "method" in capsys.readouterr().err
 
     def test_compare_methods_writes_summary_and_arms(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MACOPT_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         out = tmp_path / "cmp"
         code = main(
             f"compare-methods --grid 5x5 --agents 1 --gems 1 --episodes 10"
@@ -344,6 +340,9 @@ class TestSettingsTable:
         "--eps-decay-frac", "--seed", "--runs", "--random-layout", "--out",
     }
 
+    # A comparison has no flag for what it compares.
+    FIXED = {"compare-methods": {"--method"}, "compare-planner": {"--method", "--planner"}}
+
     @pytest.mark.parametrize("command, extra", [
         ("train", set()),
         ("eval", {"--qtable"}),
@@ -351,7 +350,7 @@ class TestSettingsTable:
         ("compare-planner", set()),
     ])
     def test_learning_commands_keep_their_flags(self, command, extra):
-        assert option_strings(command) == self.SHARED | extra
+        assert option_strings(command) == self.SHARED - self.FIXED.get(command, set()) | extra
 
     def test_oracle_keeps_its_flags(self):
         assert option_strings("oracle") == {
@@ -412,3 +411,68 @@ def option_strings(command):
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
     actions = subparsers.choices[command]._actions
     return {o for a in actions for o in a.option_strings} - {"-h", "--help"}
+
+
+class TestCommandsReadOnlyWhatTheyTake:
+    """A command has no flag for a setting it does not take and ignores that
+    key in a --config file, so config.txt cannot report a setting that did
+    not act."""
+
+    ORACLE = ["oracle", "--grid", "3x3", "--task", "drop", "--out"]
+
+    @pytest.mark.parametrize("text", [
+        "agents = 0\n",
+        "steps = 0\n",
+        # A gem on the 3x3 bank, which GridConfig rejects.
+        "agents = 1\ngems = 1\n[layout]\nagent.0 = 0,0\ngem.0 = 1,1\n",
+    ], ids=["agents", "steps", "layout"])
+    def test_oracle_ignores_file_keys_it_does_not_take(self, tmp_path, capsys, text):
+        path = write_text(tmp_path, "oracle.cfg", text)
+        assert main([*self.ORACLE, str(tmp_path / "bare.csv")]) == 0
+        assert main([*self.ORACLE, str(tmp_path / "file.csv"), "--config", str(path)]) == 0
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "bare.csv").read_bytes()
+
+    def test_oracle_file_keys_it_takes_act_like_flags(self, tmp_path, capsys):
+        path = write_text(tmp_path, "oracle.cfg", "grid = 4x3\ngamma = 0.5\nnoop-reward = -1\n")
+        argv = ["oracle", "--task", "pickup", "--out"]
+        assert main([*argv, str(tmp_path / "file.csv"), "--config", str(path)]) == 0
+        flags = ["--grid", "4x3", "--gamma", "0.5", "--noop-reward", "-1"]
+        assert main([*argv, str(tmp_path / "flag.csv"), *flags]) == 0
+        assert main([*argv, str(tmp_path / "bare.csv")]) == 0
+        file = (tmp_path / "file.csv").read_bytes()
+        assert file == (tmp_path / "flag.csv").read_bytes() != (tmp_path / "bare.csv").read_bytes()
+
+    def test_oracle_unparsable_file_text_exits_1_naming_line(self, tmp_path, capsys):
+        path = write_text(tmp_path, "oracle.cfg", "gamma = 0.9\nagents = many\n")
+        assert main([*self.ORACLE, str(tmp_path / "q.csv"), "--config", str(path)]) == 1
+        assert "oracle.cfg:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("compare-methods --method random", "--method"),
+        ("compare-planner --planner off", "--planner"),
+    ])
+    def test_compare_rejects_a_flag_for_what_it_fixes(self, tmp_path, capsys, argv, flag):
+        small = "--grid 5x5 --agents 1 --gems 1 --episodes 2 --steps 5"
+        assert main([*argv.split(), *small.split(), "--out", str(tmp_path / "r")]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, arms", [
+        ("compare-methods", "method = random\n",
+         {"random": "random,on", "q": "q,on", "q-options": "q-options,on"}),
+        ("compare-planner", "method = q\nplanner = off\n",
+         {"planner-on": "q-options,on", "planner-off": "q-options,off"}),
+    ])
+    def test_compare_ignores_file_keys_for_what_it_fixes(
+        self, tmp_path, capsys, monkeypatch, command, text, arms
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        path = write_text(tmp_path, "run.cfg", text)
+        argv = f"{command} --grid 5x5 --agents 1 --gems 1 --episodes 10 --steps 40 --seed 2"
+        file, bare = tmp_path / "file", tmp_path / "bare"
+        assert main([*argv.split(), "--config", str(path), "--out", str(file)]) == 0
+        assert main([*argv.split(), "--out", str(bare)]) == 0
+        for name in ("config.txt", "summary.csv"):
+            assert (file / name).read_bytes() == (bare / name).read_bytes()
+        assert {p.name for p in file.iterdir() if p.is_dir()} == set(arms)
+        rows = (file / "summary.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 3)[0] for row in rows] == list(arms.values())

@@ -18,7 +18,6 @@ from bankworld.environment import (
     WorldState,
     advance_step,
     carried_gem,
-    is_legal,
     is_terminal,
     reset,
     step_agent,
@@ -88,27 +87,6 @@ class TestReset:
             GridConfig(3, 3, 5, 4, 100)
 
 
-class TestLegality:
-    def test_up_off_top_edge_illegal(self):
-        cfg = GridConfig(7, 7, 1, 1, 100,
-                         layout=FixedLayout(agents=((0, 3),), gems=((6, 6),)))
-        state = reset(cfg, 0)
-        assert not is_legal(state, cfg, 0, Action.UP)
-
-    def test_noop_always_legal(self):
-        cfg = GridConfig(7, 7, 1, 1, 100,
-                         layout=FixedLayout(agents=((0, 3),), gems=((6, 6),)))
-        state = reset(cfg, 0)
-        assert is_legal(state, cfg, 0, Action.NOOP)
-
-    def test_boundary_arithmetic(self):
-        cfg = GridConfig(5, 5, 1, 1, 100,
-                         layout=FixedLayout(agents=((4, 4),), gems=((0, 1),)))
-        state = reset(cfg, 0)
-        assert not is_legal(state, cfg, 0, Action.RIGHT)
-        assert is_legal(state, cfg, 0, Action.LEFT)
-
-
 def small_world(agents, gems, bank=(3, 3), width=7, height=7, noop_reward=0):
     cfg = GridConfig(width, height, len(agents), len(gems), 100, bank=bank,
                      layout=FixedLayout(agents=tuple(agents), gems=tuple(gems)),
@@ -131,6 +109,25 @@ class TestStepAgent:
         assert outcome.reward == -5
         assert outcome.event is Event.ILLEGAL
         assert next_state.agent_positions == ((0, 0),)
+
+    @pytest.mark.parametrize("size, start, action", [
+        (7, (0, 3), Action.UP),
+        (5, (4, 4), Action.RIGHT),
+    ], ids=["off-top-edge", "off-right-edge"])
+    def test_move_off_grid_is_illegal_and_changes_nothing(self, size, start, action):
+        cfg, state = small_world([start], [(0, 1)], bank=(2, 2), width=size, height=size)
+        next_state, outcome = step_agent(state, cfg, 0, action)
+        assert outcome == (-5, Event.ILLEGAL, None)
+        assert next_state == state
+
+    @pytest.mark.parametrize("size, start, action", [
+        (7, (0, 3), Action.NOOP),
+        (5, (4, 4), Action.LEFT),
+    ], ids=["noop", "left-from-right-edge"])
+    def test_noop_and_inward_move_are_legal(self, size, start, action):
+        cfg, state = small_world([start], [(0, 1)], bank=(2, 2), width=size, height=size)
+        _, outcome = step_agent(state, cfg, 0, action)
+        assert outcome.event is not Event.ILLEGAL
 
     def test_plain_move_pays_minus_1(self):
         cfg, state = small_world([(2, 2)], [(6, 6)])

@@ -1,4 +1,6 @@
+import os
 import statistics
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,7 @@ from bankworld.harness import (
     RunConfig,
     SubtaskMDP,
     SummaryRow,
-    compare_methods,
-    compare_planner,
+    compare,
     episodes_to_threshold,
     evaluate,
     greedy_subtask_return,
@@ -38,6 +39,7 @@ from bankworld.harness import (
     write_plot_script,
     write_summary,
 )
+from bankworld import harness
 from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
 
 
@@ -151,17 +153,26 @@ class TestEvaluate:
 
 
 class TestPoolSize:
-    def test_env_var_caps_workers(self, monkeypatch):
-        from bankworld.harness import _pool_size
+    @pytest.mark.parametrize("cpus, arms, workers", [
+        (1, 3, None),
+        (None, 3, None),
+        (2, 3, 2),
+        (8, 3, 3),
+        (8, 1, None),
+    ])
+    def test_one_worker_per_arm_up_to_the_cpu_count(self, monkeypatch, cpus, arms, workers):
+        """None means the arms run in this process, one after another."""
+        pools = []
 
-        monkeypatch.setenv("MACOPT_THREADS", "1")
-        assert _pool_size(3) == 1
-        monkeypatch.setenv("MACOPT_THREADS", "8")
-        assert _pool_size(3) == 3
-        monkeypatch.delenv("MACOPT_THREADS")
-        assert _pool_size(3) == 3
-        monkeypatch.setenv("MACOPT_THREADS", "junk")
-        assert _pool_size(2) == 2
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(harness, "_arm_worker", lambda cfg: cfg)
+        assert harness._run_arms(list(range(arms))) == list(range(arms))
+        assert pools == ([] if workers is None else [workers])
 
 
 class TestFlatWithoutPlanner:
@@ -309,28 +320,41 @@ class TestThreshold:
         assert episodes_to_threshold(records, 1.0) is None
 
 
+def method_arms(planner=True):
+    return [(m.value, ControllerMode(m, planner)) for m in Method]
+
+
+PLANNER_ARMS = [
+    ("planner-on", ControllerMode(Method.OPTIONS, True)),
+    ("planner-off", ControllerMode(Method.OPTIONS, False)),
+]
+
+
 class TestCompare:
     def test_three_rows_one_per_method(self):
-        rows = compare_methods(tiny_run(episodes=8), threshold=100.0)
+        rows = compare(tiny_run(episodes=8), method_arms(), threshold=100.0)
         assert [row.method for row in rows] == ["random", "q", "q-options"]
         assert all(row.planner == "on" for row in rows)
 
-    def test_planner_comparison_needs_options(self):
-        with pytest.raises(ConfigError):
-            compare_planner(tiny_run(Method.FLAT, episodes=5), threshold=100.0)
-
     def test_planner_rows_and_ablation_hygiene(self):
-        # compare_planner itself asserts the off arm made zero planner calls
-        rows = compare_planner(tiny_run(episodes=8, gems=2), threshold=1e9)
+        # compare itself asserts the off arm made zero planner calls
+        rows = compare(tiny_run(episodes=8, gems=2), PLANNER_ARMS, threshold=1e9)
         assert [row.planner for row in rows] == ["on", "off"]
         assert all(row.episodes_to_threshold is None for row in rows)
 
+    def test_every_planner_off_arm_is_checked(self, monkeypatch):
+        # A method comparison with the planner off gets the same check.
+        results = [([], [], 0), ([], [], 0), ([], [], 7)]
+        monkeypatch.setattr(harness, "_run_arms", lambda configs: results)
+        with pytest.raises(AssertionError, match="q-options: planner consulted 7 times"):
+            compare(tiny_run(), method_arms(planner=False), threshold=1.0)
+
     def test_parallel_and_serial_execution_agree(self, monkeypatch):
         cfg = tiny_run(episodes=8)
-        monkeypatch.setenv("MACOPT_THREADS", "1")
-        serial = compare_methods(cfg, threshold=100.0)
-        monkeypatch.setenv("MACOPT_THREADS", "3")
-        parallel = compare_methods(cfg, threshold=100.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = compare(cfg, method_arms(), threshold=100.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        parallel = compare(cfg, method_arms(), threshold=100.0)
         assert serial == parallel
 
     def test_arms_share_resets(self):

@@ -225,12 +225,12 @@ class TestControllerStep:
 
     def test_only_executing_option_table_changes(self):
         cfg, mode, tables, state = options_setup([(2, 3)], [(5, 5)])
-        drop_before = tables[DROP_TABLE].copy()
+        drop_before = {s: list(row) for s, row in tables[DROP_TABLE].rows.items()}
         controller_step(
             state, cfg, mode, tables, Assignment.empty(), 0.3, Hyperparams(),
             random.Random(1)
         )
-        assert tables[DROP_TABLE] == drop_before
+        assert tables[DROP_TABLE].rows == drop_before
         assert len(tables[PICKUP_TABLE].rows) == 1
 
     def test_learn_false_never_writes(self):
