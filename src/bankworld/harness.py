@@ -7,12 +7,13 @@ seeds (run seed + run index) and never writes to the tables.
 
 `value_iteration_oracle` solves a single sub-task (fetch or deposit)
 exactly over its enumerated projected state space. `SubtaskMDP` keeps no
-dynamics of its own: each transition is one `step_agent` call projected
-as the controller projects it. Transitions are deterministic, so sweeps
-converge to the literal fixed point and the sweep loop exits when
-nothing changes. The oracle doubles as the reference for "optimal
-episode return", obtained by rolling its greedy policy through a real
-episode.
+dynamics of its own: each state-action pair is one `step_agent` call
+projected as the controller projects it. Transitions are deterministic,
+so Bellman sweeps in goal-distance order (states nearer the goal first)
+settle nearly every value in the first pass, and the sweep loop exits
+when a sweep changes nothing: the literal fixed point. The oracle
+doubles as the reference for "optimal episode return", obtained by
+rolling its greedy policy through a real episode.
 """
 
 from __future__ import annotations
@@ -231,9 +232,13 @@ class SubtaskMDP:
 
 
 def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
-    """Exact action values for one sub-task by repeated Bellman sweeps.
+    """Exact action values for one sub-task by in-place Bellman sweeps in
+    goal-distance order, repeated until a sweep changes no value.
 
-    Refuses instances beyond `ORACLE_PAIR_LIMIT` state-action pairs.
+    Each state-action pair is stepped once, through `SubtaskMDP.step`.
+    The order only makes the sweeps few; the exit test alone certifies
+    the fixed point. Refuses instances beyond `ORACLE_PAIR_LIMIT`
+    state-action pairs.
     """
     mdp = SubtaskMDP(grid, task)
     states = mdp.states()
@@ -242,13 +247,34 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
             f"{len(states) * 5} state-action pairs exceed the oracle limit"
         )
     q = QTable()
-    rows = {s: q.row(s) for s in states}
+    position = {s: i for i, s in enumerate(states)}
+    rows = [q.row(s) for s in states]
     # Successors are held as rows, not as state keys re-hashed in every sweep.
-    transitions = []
-    for s in states:
-        outcomes = [mdp.step(s, a) for a in ACTIONS]
-        successors = [(None if t else rows[s_next], r, t) for s_next, r, t in outcomes]
-        transitions.append((rows[s], successors))
+    transitions, preds = [], [[] for _ in states]
+    for s, i in position.items():
+        successors = []
+        for s_next, r, t in (mdp.step(s, a) for a in ACTIONS):
+            j = None if t else position[s_next]
+            successors.append((None if t else rows[j], r, t))
+            if not t and j != i:
+                preds[j].append(i)
+        transitions.append((rows[i], successors))
+    del position  # the build alone needs it; freeing it keeps the peak down
+    # Breadth-first over predecessors from the states with a goal action (the
+    # loop visits what it appends), so each state is swept after the states
+    # one step nearer its goal. States that cannot reach the goal go last.
+    order = [i for i, (_, outcomes) in enumerate(transitions) if any(t for _, _, t in outcomes)]
+    reached = bytearray(len(states))
+    for i in order:
+        reached[i] = 1
+    for i in order:
+        for p in preds[i]:
+            if not reached[p]:
+                reached[p] = 1
+                order.append(p)
+    del preds
+    order += [i for i, seen in enumerate(reached) if not seen]
+    transitions = [transitions[i] for i in order]
     while True:
         delta = 0.0
         for row, outcomes in transitions:
@@ -258,7 +284,7 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
                 if change > delta:
                     delta = change
                 row[a] = target
-        if delta < 1e-9:
+        if delta == 0.0:
             return q
 
 

@@ -3,8 +3,15 @@
 The acceptance suite and a few harness tests train at the same desk
 scale (7x7, centered bank, 2 agents, 2 gems, 2000 episodes of up to 300
 steps, default hyperparameters). Runs are cached per (seed, method,
-planner) for the session so each combination trains exactly once.
+planner) for the session so each combination trains exactly once. At
+first use the fixture trains all of `DESK_KEYS` at once in worker
+processes, one per core; on one core it trains each run in-process when
+it is first asked for.
 """
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -28,17 +35,32 @@ def desk_config(seed: int, method: Method, planner: bool) -> RunConfig:
     )
 
 
+SEEDS = (1, 2, 3, 4, 5)
+# Every desk run the suite asks for: each method with the planner on, then
+# options with the planner off. The slowest arm, random, comes first.
+DESK_KEYS = [(seed, method, True) for method in Method for seed in SEEDS] + [
+    (seed, Method.OPTIONS, False) for seed in SEEDS
+]
+
+
+def desk_run(key):
+    cfg = desk_config(*key)
+    result = train(cfg)
+    return result, evaluate(result.tables, cfg), cfg
+
+
 @pytest.fixture(scope="session")
 def desk_runs():
     cache = {}
+    workers = min(len(DESK_KEYS), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            cache.update(zip(DESK_KEYS, pool.map(desk_run, DESK_KEYS)))
 
     def get(seed: int, method: Method, planner: bool = True):
         key = (seed, method, planner)
         if key not in cache:
-            cfg = desk_config(seed, method, planner)
-            result = train(cfg)
-            eval_records = evaluate(result.tables, cfg)
-            cache[key] = (result, eval_records, cfg)
+            cache[key] = desk_run(key)
         return cache[key]
 
     return get

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from pathlib import Path
 
@@ -10,9 +11,9 @@ from bankworld.cli import (
     read_config_file,
     write_config_echo,
 )
-from bankworld.environment import FixedLayout, RandomLayout
-from bankworld.harness import ParseError, read_qtable
-from bankworld.learner import Method
+from bankworld.environment import FixedLayout, GridConfig, RandomLayout
+from bankworld.harness import ParseError, read_qtable, value_iteration_oracle, write_qtable
+from bankworld.learner import ControllerMode, Hyperparams, Method
 
 
 class TestParsing:
@@ -476,3 +477,37 @@ class TestCommandsReadOnlyWhatTheyTake:
         assert {p.name for p in file.iterdir() if p.is_dir()} == set(arms)
         rows = (file / "summary.csv").read_text().splitlines()[1:]
         assert [row.rsplit(",", 3)[0] for row in rows] == list(arms.values())
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOracleGoldenBytes:
+    """The exact solver's Q maps, pinned to the byte. Any change to the
+    solver's order of work must leave every written value unchanged."""
+
+    @pytest.mark.parametrize("task, noop, digest", [
+        ("pickup", "0", "d9acb27d985c4e465837f9d27ce81a70fdbabffcc52c1df6347982f6436156d7"),
+        ("pickup", "-1", "fc839df081b6cbb0568baa04413e20318828ddd472e0ac7e95248884e2cb7980"),
+        ("drop", "0", "57ecefea2b3f3e288fe94696bfdb79fe582968d2e0fdfab034295e29bd58428e"),
+        ("drop", "-1", "6a6338e6cbb8010012bedd6fa91f9f6ffde3977658e08e1d698b3d22496ecc31"),
+    ])
+    def test_oracle_command_7x7(self, tmp_path, capsys, task, noop, digest):
+        path = tmp_path / "q.csv"
+        argv = ["oracle", "--grid", "7x7", "--task", task, "--noop-reward", noop]
+        assert main([*argv, "--out", str(path)]) == 0
+        assert sha256(path) == digest
+
+    @pytest.mark.parametrize("task, digest", [
+        ("pickup", "72b6d0af70e1424dc2d43105d195dc65ec52e8ff9b6cb002393ef49aac27ffa3"),
+        ("drop", "18f8a7fbe7b8888cf3164de0ce05a33b424fa2abe73584938e2e49f05c5434a0"),
+    ])
+    def test_off_centre_bank(self, tmp_path, task, digest):
+        grid = GridConfig(5, 7, 1, 1, 100, bank=(1, 2))
+        path = tmp_path / "q.csv"
+        write_qtable(
+            {task: value_iteration_oracle(grid, task, 0.95)}, path,
+            ControllerMode(Method.OPTIONS, planner_enabled=True), Hyperparams(gamma=0.95),
+        )
+        assert sha256(path) == digest

@@ -15,6 +15,8 @@ from bankworld.environment import (
     FixedLayout,
     GridConfig,
     OnGrid,
+    REWARD_DEPOSIT,
+    REWARD_PICKUP,
     WorldState,
     step_agent,
 )
@@ -41,6 +43,8 @@ from bankworld.harness import (
 )
 from bankworld import harness
 from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
+
+from conftest import desk_config
 
 
 def tiny_run(method=Method.OPTIONS, planner=True, episodes=30, seed=3, gems=1):
@@ -76,6 +80,19 @@ class TestTrain:
         a = train(tiny_run(seed=1, episodes=20))
         b = train(tiny_run(seed=2, episodes=20))
         assert a.records != b.records
+
+    def test_pooled_desk_run_matches_a_serial_run(self, desk_runs):
+        """The `desk_runs` fixture trains in worker processes when there is
+        more than one core; the same run trained and evaluated in this
+        process gives the same tables, records and planner calls."""
+        key = (1, Method.OPTIONS, True)
+        pooled, pooled_eval, _ = desk_runs(*key)
+        cfg = desk_config(*key)
+        serial = train(cfg)
+        assert pooled.tables == serial.tables
+        assert pooled.records == serial.records
+        assert pooled.planner_calls == serial.planner_calls > 0
+        assert pooled_eval == evaluate(serial.tables, cfg)
 
     def test_desk_scale_learning_progress(self, desk_runs):
         # 7x7, 2 agents, 2 gems, 2000 episodes x 300 steps
@@ -299,6 +316,33 @@ class TestOracle:
             assert terminal == (outcome.event is Event.DROPPED)
             if not terminal:
                 assert abstract_drop(ground_next, 0) == s_next
+
+    @given(
+        width=st.integers(3, 7),
+        height=st.integers(3, 7),
+        task=st.sampled_from([SubtaskMDP.PICKUP, SubtaskMDP.DROP]),
+        noop=st.sampled_from([0, -1]),
+        gamma=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+        pick=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_returned_table_is_an_exact_fixed_point(self, width, height, task, noop, gamma, pick):
+        """One more Bellman sweep over the returned table changes no float,
+        whatever the order the solver swept in, and every goal entry is the
+        int goal reward."""
+        inner = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
+        grid = GridConfig(width, height, 1, 1, 100, noop_reward=noop,
+                          bank=inner[pick % len(inner)])
+        mdp = SubtaskMDP(grid, task)
+        q = value_iteration_oracle(grid, task, gamma)
+        goal_reward = REWARD_PICKUP if task == SubtaskMDP.PICKUP else REWARD_DEPOSIT
+        assert len(q.rows) == len(mdp.states())
+        for s, a, value in q.items():
+            s_next, reward, terminal = mdp.step(s, ACTIONS[a])
+            if terminal:
+                assert type(value) is int and value == goal_reward == reward, (s, a)
+            else:
+                assert value == reward + gamma * max(q.rows[s_next]), (s, a)
 
 
 class TestThreshold:
