@@ -16,36 +16,40 @@ lands in shared table rows:
   agent carries rides along at its own position). Used by all planner-
   off variants, where nothing narrows attention to a single gem.
 
-States serialize to a canonical text form (`serialize_state` /
-`parse_state`) used by the Q-table files: a variant tag plus fields,
-e.g. ``P,1,2,4,4`` / ``D,7,3`` / ``F,0,0,3,3,0`` / ``N,1,1,0,0:2,_,_``.
-Absent positions render as ``_`` and the round trip is exact.
+Q-table files hold each state as canonical text, its tag then its fields
+(``P,1,2,4,4``, ``D,7,3``, ``F,0,0,_,_,0``, ``N,1,1,0,0:2,_,_``; ``_`` is
+an absent position); `parse_state` reads back only that text.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+import re
+from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
 from .environment import CarriedBy, OnGrid, Position, WorldState, carried_gem
 from .planner import Assignment
 
 
 class PickupState(NamedTuple):
+    tag = "P"
     agent_pos: Position
     gem_pos: Position
 
 
 class DropState(NamedTuple):
+    tag = "D"
     agent_pos: Position
 
 
 class FlatState(NamedTuple):
+    tag = "F"
     agent_pos: Position
     target_pos: Optional[Position]
     carrying: bool
 
 
 class NoPlannerState(NamedTuple):
+    tag = "N"
     agent_pos: Position
     carrying: bool
     gem_cells: tuple[Optional[Position], ...]
@@ -102,57 +106,52 @@ def abstract_no_planner(state: WorldState, agent: int) -> NoPlannerState:
     return NoPlannerState(pos, carrying, tuple(cells))
 
 
-def _cell(pos: Optional[Position]) -> str:
-    return "_" if pos is None else f"{pos[0]}:{pos[1]}"
+def _pair(text: str, sep: str = ",") -> Position:
+    return tuple(map(int, text.split(sep)))
 
 
-def _parse_cell(text: str) -> Optional[Position]:
-    if text == "_":
-        return None
-    r, c = text.split(":")
-    return (int(r), int(c))
+# Per field kind: (encoder, pattern of its canonical text, decoder of that
+# text). Canonical integers are ASCII digits with no sign or leading zero.
+_INT = "(?:0|[1-9][0-9]*)"
+_CELL = f"(?:_|{_INT}:{_INT})"
+_KINDS = {
+    Position: (lambda p: f"{p[0]},{p[1]}", f"{_INT},{_INT}", _pair),
+    Optional[Position]: (
+        lambda p: "_,_" if p is None else f"{p[0]},{p[1]}",
+        f"_,_|{_INT},{_INT}",
+        lambda t: None if t == "_,_" else _pair(t),
+    ),
+    bool: (lambda b: "1" if b else "0", "[01]", lambda t: t == "1"),
+    tuple[Optional[Position], ...]: (
+        lambda cells: ",".join("_" if p is None else f"{p[0]}:{p[1]}" for p in cells),
+        f"{_CELL}(?:,{_CELL})*",
+        lambda t: tuple(None if c == "_" else _pair(c, ":") for c in t.split(",")),
+    ),
+}
+
+
+def _codec(cls: type) -> tuple[tuple, re.Pattern, tuple]:
+    """Field encoders, whole-text pattern and field decoders of ``cls``."""
+    encoders, patterns, decoders = zip(*(_KINDS[k] for k in get_type_hints(cls).values()))
+    pattern = ",".join([cls.tag] + [f"({p})" for p in patterns])
+    return encoders, re.compile(pattern), decoders
+
+
+_CODECS = {cls: _codec(cls) for cls in get_args(AbstractState)}
+_TAGS = {cls.tag: cls for cls in _CODECS}
 
 
 def serialize_state(s: AbstractState) -> str:
-    kind = type(s)
-    if kind is PickupState:
-        (ar, ac), (gr, gc) = s.agent_pos, s.gem_pos
-        return f"P,{ar},{ac},{gr},{gc}"
-    if kind is DropState:
-        r, c = s.agent_pos
-        return f"D,{r},{c}"
-    if kind is FlatState:
-        ar, ac = s.agent_pos
-        if s.target_pos is None:
-            target = "_,_"
-        else:
-            target = f"{s.target_pos[0]},{s.target_pos[1]}"
-        return f"F,{ar},{ac},{target},{int(s.carrying)}"
-    if kind is NoPlannerState:
-        ar, ac = s.agent_pos
-        cells = ",".join(_cell(p) for p in s.gem_cells)
-        return f"N,{ar},{ac},{int(s.carrying)},{cells}"
-    raise TypeError(f"not an abstract state: {s!r}")
+    codec = _CODECS.get(type(s))
+    if codec is None:
+        raise TypeError(f"not an abstract state: {s!r}")
+    return ",".join([s.tag] + [encode(v) for encode, v in zip(codec[0], s)])
 
 
 def parse_state(text: str) -> AbstractState:
-    fields = text.split(",")
-    tag = fields[0]
-    if tag == "P" and len(fields) == 5:
-        return PickupState(
-            (int(fields[1]), int(fields[2])), (int(fields[3]), int(fields[4]))
-        )
-    if tag == "D" and len(fields) == 3:
-        return DropState((int(fields[1]), int(fields[2])))
-    if tag == "F" and len(fields) == 6:
-        if fields[3] == "_" and fields[4] == "_":
-            target = None
-        else:
-            target = (int(fields[3]), int(fields[4]))
-        return FlatState((int(fields[1]), int(fields[2])), target, bool(int(fields[5])))
-    if tag == "N" and len(fields) >= 4:
-        cells = tuple(_parse_cell(f) for f in fields[4:])
-        return NoPlannerState(
-            (int(fields[1]), int(fields[2])), bool(int(fields[3])), cells
-        )
-    raise ValueError(f"unparseable abstract state: {text!r}")
+    """Inverse of `serialize_state`; accepts only the text it writes."""
+    cls = _TAGS.get(text.partition(",")[0])
+    match = cls and _CODECS[cls][1].fullmatch(text)
+    if not match:
+        raise ValueError(f"unparseable abstract state: {text!r}")
+    return cls(*[decode(f) for decode, f in zip(_CODECS[cls][2], match.groups())])

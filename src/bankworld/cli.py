@@ -29,7 +29,6 @@ from .harness import (
     NOT_REACHED,
     ParseError,
     RunConfig,
-    SubtaskMDP,
     compare,
     evaluate,
     read_qtable,
@@ -40,7 +39,7 @@ from .harness import (
     write_qtable,
     write_summary,
 )
-from .learner import ControllerMode, Hyperparams, Method
+from .learner import DROP_TABLE, PICKUP_TABLE, ControllerMode, Hyperparams, Method
 
 
 class UsageError(ValueError):
@@ -341,7 +340,7 @@ _COMMANDS = {
     # The exact Q map depends only on the grid size, the no-op reward and gamma.
     "oracle": Command("solve one sub-task exactly and save its Q map", _run_oracle,
                       frozenset({"grid", "noop-reward", "gamma"}),
-                      {"--task": dict(required=True, choices=(SubtaskMDP.PICKUP, SubtaskMDP.DROP))},
+                      {"--task": dict(required=True, choices=(PICKUP_TABLE, DROP_TABLE))},
                       "file for the Q map"),
 }
 

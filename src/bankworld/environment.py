@@ -117,14 +117,15 @@ class StepOutcome(NamedTuple):
     gem: Optional[int] = None
 
 
-def default_layout(width: int, height: int, num_agents: int, num_gems: int) -> FixedLayout:
+def default_layout(
+    width: int, height: int, num_agents: int, num_gems: int, bank: Position
+) -> FixedLayout:
     """Deterministic placement: agents at corners, gems at the remaining
     corners and edge midpoints, skipping the bank and occupied cells.
 
     On 11x11 with 2 agents and 3 gems this yields agents (0,0),(10,10)
     and gems (0,10),(10,0),(5,0).
     """
-    bank = ((height - 1) // 2, (width - 1) // 2)
     mid_r, mid_c = (height - 1) // 2, (width - 1) // 2
     agent_candidates = [
         (0, 0), (height - 1, width - 1), (0, width - 1), (height - 1, 0),
@@ -193,7 +194,7 @@ class GridConfig:
             object.__setattr__(
                 self,
                 "layout",
-                default_layout(self.width, self.height, self.num_agents, self.num_gems),
+                default_layout(self.width, self.height, self.num_agents, self.num_gems, self.bank),
             )
         if isinstance(self.layout, FixedLayout):
             self._check_fixed(self.layout)

@@ -25,6 +25,7 @@ import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -203,26 +204,22 @@ class SubtaskMDP:
     pickup or deposit, ends the sub-task, as it does for the options learner.
     """
 
-    PICKUP = PICKUP_TABLE
-    DROP = DROP_TABLE
-
     def __init__(self, grid: GridConfig, task: str):
-        if task not in (self.PICKUP, self.DROP):
+        if task not in (PICKUP_TABLE, DROP_TABLE):
             raise ConfigError(f"unknown sub-task {task!r}")
         self.grid = grid
         self.task = task
 
     def states(self) -> list[AbstractState]:
+        """Each field over every cell, leftmost outermost; no gem on the bank."""
         g = self.grid
         cells = [(r, c) for r in range(g.height) for c in range(g.width)]
-        if self.task == self.DROP:
-            return [DropState(p) for p in cells]
-        return [
-            PickupState(p, q) for p in cells for q in cells if q != g.bank
-        ]
+        kind = PickupState if self.task == PICKUP_TABLE else DropState
+        states = map(kind._make, product(cells, repeat=len(kind._fields)))
+        return [s for s in states if getattr(s, "gem_pos", None) != g.bank]
 
     def step(self, s: AbstractState, a: Action) -> tuple[Optional[AbstractState], int, bool]:
-        pickup = self.task == self.PICKUP
+        pickup = self.task == PICKUP_TABLE
         gem = OnGrid(s.gem_pos) if pickup else CarriedBy(0)
         world, outcome = step_agent(WorldState((s.agent_pos,), (gem,), 0), self.grid, 0, a, 0)
         if outcome.event is Event.ACQUIRED or outcome.event is Event.DROPPED:
@@ -474,10 +471,9 @@ def write_qtable(
     lines = [_hyper_header(mode, hyper)]
     for key in sorted(tables):
         lines.append(f"# option={key}")
-        records = [
-            f"{serialize_state(s)},{a},{value!r}" for s, a, value in tables[key].items()
-        ]
-        lines.extend(sorted(records))
+        rows = tables[key].rows
+        heads = zip(map(serialize_state, rows), rows.values())  # one text per row
+        lines.extend(sorted(f"{h},{a},{v!r}" for h, row in heads for a, v in enumerate(row)))
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -514,6 +510,7 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
     mode, hyper = _parse_header(lines[0], path)
     tables: dict[str, QTable] = {}
     current: Optional[QTable] = None
+    rows: dict[str, list[float]] = {}  # the current section's rows by state text
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -521,19 +518,21 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
             key = line.partition("=")[2].strip()
             # NaN marks an entry not read yet, so a repeated record shows.
             current = tables.setdefault(key, QTable(math.nan))
+            rows = {}
             continue
         if current is None:
             raise ParseError(f"{path}:{lineno}: record before any option section")
         try:
             head, action_text, value_text = line.rsplit(",", 2)
-            state = parse_state(head)
+            row = rows.get(head)
+            if row is None:
+                row = rows[head] = current.row(parse_state(head))
             action = int(action_text)
             value = float(value_text)
             if not 0 <= action < 5:
                 raise ValueError(f"action index {action} out of range")
             if not math.isfinite(value):
                 raise ValueError(f"value {value_text} is not finite")
-            row = current.row(state)
             if not math.isnan(row[action]):
                 raise ValueError(f"repeated record for action {action} of {head}")
         except ValueError as exc:

@@ -122,9 +122,9 @@ def epsilon_at(episode: int, total_episodes: int, h: Hyperparams) -> float:
 class QTable:
     """Sparse state-action value table with a default for unseen rows.
 
-    Rows are 5-long lists indexed by action. ``visits`` counts updates
-    per entry and feeds the optional visit-count step-size decay; it is
-    bookkeeping, not part of value equality or persistence.
+    Rows are 5-long lists indexed by action. ``visits`` counts `td_update`
+    calls per entry and feeds the optional visit-count step-size decay; it
+    is bookkeeping, not part of value equality or persistence.
     """
 
     __slots__ = ("rows", "visits", "default")
@@ -156,7 +156,6 @@ class QTable:
         row = self.rows.get(s)
         if row is None:
             row = self.rows[s] = [self.default] * 5
-            self.visits[s] = [0] * 5
         return row
 
     def items(self):
@@ -200,7 +199,9 @@ def td_update(
     """
     target = r if terminal else r + h.gamma * q.best_value(s_next)
     row = q.row(s)
-    visits = q.visits[s]
+    visits = q.visits.get(s)
+    if visits is None:
+        visits = q.visits[s] = [0] * 5
     if h.alpha_visit_decay is not None:
         alpha = 1.0 / (1.0 + visits[a] / h.alpha_visit_decay)
     else:

@@ -15,7 +15,7 @@ from bankworld.abstraction import (
     serialize_state,
 )
 from bankworld.environment import CarriedBy, Dropped, GridConfig, OnGrid, WorldState
-from bankworld.harness import SubtaskMDP
+from bankworld.harness import DROP_TABLE, PICKUP_TABLE, SubtaskMDP
 from bankworld.planner import Assignment
 
 positions = st.tuples(st.integers(0, 10), st.integers(0, 10))
@@ -37,7 +37,7 @@ class TestPickupProjection:
 
     def test_space_bounded_by_grid_fourth_power(self):
         grid = GridConfig(11, 11, 1, 1, 100)
-        space = SubtaskMDP(grid, SubtaskMDP.PICKUP).states()
+        space = SubtaskMDP(grid, PICKUP_TABLE).states()
         assert len(set(space)) == len(space) <= 11**4
 
     def test_gem_off_grid_rejected(self):
@@ -63,7 +63,7 @@ class TestDropProjection:
 
     def test_space_bounded_by_grid_squared(self):
         grid = GridConfig(11, 11, 1, 1, 100)
-        space = SubtaskMDP(grid, SubtaskMDP.DROP).states()
+        space = SubtaskMDP(grid, DROP_TABLE).states()
         assert len(set(space)) == len(space) <= 11**2
 
     def test_empty_handed_agent_rejected(self):
@@ -197,6 +197,16 @@ abstract_states = st.one_of(
 )
 
 
+@st.composite
+def mutated_state_texts(draw):
+    """A canonical state text with a span of up to two characters replaced
+    by up to two others."""
+    text = serialize_state(draw(abstract_states))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 2)))
+    return text[:i] + draw(st.text("0123456789,:_+- PDFN\n\u0663", max_size=2)) + text[j:]
+
+
 class TestSerialization:
     def test_documented_forms(self):
         assert serialize_state(PickupState((1, 2), (4, 4))) == "P,1,2,4,4"
@@ -219,3 +229,17 @@ class TestSerialization:
         for text in ("", "X,1,2", "P,1,2", "D,a,b", "F,1,2,3"):
             with pytest.raises(ValueError):
                 parse_state(text)
+        # Non-canonical: a flag of 2, '_', '+', ' ' or a leading zero in an
+        # integer, and no gem cells. None is text that serialize_state writes.
+        for text in ("F,0,0,_,_,2", "P,1_0,2,4,4", "D,+1, 2", "D,01,2", "N,1,1,0"):
+            with pytest.raises(ValueError):
+                parse_state(text)
+
+    @given(text=mutated_state_texts())
+    @settings(max_examples=300)
+    def test_only_canonical_text_parses(self, text):
+        try:
+            s = parse_state(text)
+        except ValueError:
+            return
+        assert serialize_state(s) == text

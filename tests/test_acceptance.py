@@ -168,8 +168,8 @@ class TestOracleEquivalence:
         gamma = 0.95
         tables = train_subtasks_to_convergence(grid, total_steps=200_000)
         oracles = {
-            PICKUP_TABLE: value_iteration_oracle(grid, SubtaskMDP.PICKUP, gamma),
-            DROP_TABLE: value_iteration_oracle(grid, SubtaskMDP.DROP, gamma),
+            PICKUP_TABLE: value_iteration_oracle(grid, PICKUP_TABLE, gamma),
+            DROP_TABLE: value_iteration_oracle(grid, DROP_TABLE, gamma),
         }
 
         worst = 0.0
@@ -191,8 +191,8 @@ class TestOracleEquivalence:
         assert checked >= 300
 
         rollout_ok = True
-        for task, key in ((SubtaskMDP.PICKUP, PICKUP_TABLE), (SubtaskMDP.DROP, DROP_TABLE)):
-            mdp = SubtaskMDP(grid, task)
+        for key in (PICKUP_TABLE, DROP_TABLE):
+            mdp = SubtaskMDP(grid, key)
             for start in list(tables[key].rows)[:20]:
                 learned = greedy_subtask_return(tables[key], mdp, start, gamma)
                 rollout_ok = rollout_ok and learned == oracles[key].best_value(start)

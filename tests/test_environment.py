@@ -82,6 +82,11 @@ class TestReset:
         assert len(set(occupied)) == 10
         assert cfg.bank not in [g.pos for g in state.gems]
 
+    def test_default_layout_avoids_an_off_centre_bank(self):
+        cfg = GridConfig(5, 5, 1, 10, 50, bank=(1, 1))
+        assert cfg.bank not in cfg.layout.agents + cfg.layout.gems
+        assert len(set(cfg.layout.agents + cfg.layout.gems)) == 11
+
     def test_grid_too_small_for_entities_rejected(self):
         with pytest.raises(ConfigError):
             GridConfig(3, 3, 5, 4, 100)

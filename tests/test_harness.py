@@ -1,3 +1,4 @@
+import hashlib
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -145,8 +146,8 @@ class TestEvaluate:
         grid = GridConfig(5, 5, 1, 1, 100,
                           layout=FixedLayout(agents=((0, 0),), gems=((0, 2),)))
         tables = {
-            PICKUP_TABLE: value_iteration_oracle(grid, SubtaskMDP.PICKUP),
-            DROP_TABLE: value_iteration_oracle(grid, SubtaskMDP.DROP),
+            PICKUP_TABLE: value_iteration_oracle(grid, PICKUP_TABLE),
+            DROP_TABLE: value_iteration_oracle(grid, DROP_TABLE),
         }
         cfg = RunConfig(grid, ControllerMode(Method.OPTIONS, True), Hyperparams(),
                         episodes=1, eval_runs=3)
@@ -212,29 +213,33 @@ def three_by_three():
 
 class TestOracle:
     def test_one_step_drop_value(self):
-        q = value_iteration_oracle(three_by_three(), SubtaskMDP.DROP, gamma=0.95)
+        q = value_iteration_oracle(three_by_three(), DROP_TABLE, gamma=0.95)
         assert q.get(DropState((1, 0)), 3) == pytest.approx(500.0)  # Right into bank
 
     def test_two_step_drop_value(self):
-        q = value_iteration_oracle(three_by_three(), SubtaskMDP.DROP, gamma=0.95)
+        q = value_iteration_oracle(three_by_three(), DROP_TABLE, gamma=0.95)
         assert q.get(DropState((0, 0)), 3) == pytest.approx(-1 + 0.95 * 500)
 
     def test_reflection_symmetry_for_centered_bank(self):
         grid = three_by_three()
-        q = value_iteration_oracle(grid, SubtaskMDP.DROP, gamma=0.95)
+        q = value_iteration_oracle(grid, DROP_TABLE, gamma=0.95)
         flip = {0: 1, 1: 0, 2: 3, 3: 2, 4: 4}  # 180-degree rotation swaps actions
-        for s in SubtaskMDP(grid, SubtaskMDP.DROP).states():
+        for s in SubtaskMDP(grid, DROP_TABLE).states():
             mirrored = DropState((2 - s.agent_pos[0], 2 - s.agent_pos[1]))
             for a in range(5):
                 assert q.get(s, a) == pytest.approx(q.get(mirrored, flip[a]))
 
+    def test_solver_keeps_no_visit_counts(self):
+        q = value_iteration_oracle(three_by_three(), PICKUP_TABLE)
+        assert q.rows and q.visits == {}
+
     def test_refuses_oversized_spaces(self):
         with pytest.raises(ConfigError):
-            value_iteration_oracle(GridConfig(25, 25, 1, 1, 100), SubtaskMDP.PICKUP)
+            value_iteration_oracle(GridConfig(25, 25, 1, 1, 100), PICKUP_TABLE)
 
     def test_looping_greedy_rollout_reports_negative_infinity(self):
         grid = three_by_three()
-        mdp = SubtaskMDP(grid, SubtaskMDP.DROP)
+        mdp = SubtaskMDP(grid, DROP_TABLE)
         noop_forever = QTable()
         for s in mdp.states():
             noop_forever.row(s)[:] = [0.0, 0.0, 0.0, 0.0, 1.0]
@@ -243,14 +248,14 @@ class TestOracle:
 
     def test_greedy_rollout_matches_value_exactly(self):
         grid = three_by_three()
-        for task in (SubtaskMDP.PICKUP, SubtaskMDP.DROP):
+        for task in (PICKUP_TABLE, DROP_TABLE):
             mdp = SubtaskMDP(grid, task)
             q = value_iteration_oracle(grid, task, gamma=0.95)
             for start in mdp.states():
                 ret = greedy_subtask_return(q, mdp, start, gamma=0.95)
                 assert ret == q.best_value(start)
 
-    @pytest.mark.parametrize("task", [SubtaskMDP.PICKUP, SubtaskMDP.DROP])
+    @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
     def test_values_match_closed_form(self, task):
         """With no-op reward 0, a state's value depends only on the Manhattan
         distance d >= 1 to its goal: d - 1 steps at -1, then the goal reward,
@@ -258,7 +263,7 @@ class TestOracle:
         from the cell the action leads to."""
         gamma = 0.95
         grid = GridConfig(5, 7, 1, 1, 100, bank=(1, 2))
-        goal_reward = 50 if task == SubtaskMDP.PICKUP else 500
+        goal_reward = 50 if task == PICKUP_TABLE else 500
 
         def value(d):
             walk = sum(-(gamma ** k) for k in range(d - 1)) + gamma ** (d - 1) * goal_reward
@@ -268,7 +273,7 @@ class TestOracle:
         q = value_iteration_oracle(grid, task, gamma)
         assert len(q.rows) == len(SubtaskMDP(grid, task).states())
         for s, a, got in q.items():
-            goal = s.gem_pos if task == SubtaskMDP.PICKUP else grid.bank
+            goal = s.gem_pos if task == PICKUP_TABLE else grid.bank
             (r, c), (dr, dc) = s.agent_pos, moves[a]
             d = abs(r - goal[0]) + abs(c - goal[1])
             if d == 0:
@@ -286,7 +291,7 @@ class TestOracle:
     @given(
         width=st.integers(3, 6),
         height=st.integers(3, 6),
-        task=st.sampled_from([SubtaskMDP.PICKUP, SubtaskMDP.DROP]),
+        task=st.sampled_from([PICKUP_TABLE, DROP_TABLE]),
         noop=st.sampled_from([0, -1]),
         pick=st.integers(0, 10**6),
         action=st.sampled_from(list(ACTIONS)),
@@ -302,13 +307,13 @@ class TestOracle:
         s = states[pick % len(states)]
         s_next, reward, terminal = mdp.step(s, action)
 
-        if task == SubtaskMDP.PICKUP:
+        if task == PICKUP_TABLE:
             ground = WorldState((s.agent_pos,), (OnGrid(s.gem_pos),), 0)
         else:
             ground = WorldState((s.agent_pos,), (CarriedBy(0),), 0)
         ground_next, outcome = step_agent(ground, grid, 0, action, assigned_gem=0)
         assert outcome.reward == reward
-        if task == SubtaskMDP.PICKUP:
+        if task == PICKUP_TABLE:
             assert terminal == (outcome.event is Event.ACQUIRED)
             if not terminal:
                 assert abstract_pickup(ground_next, 0, 0) == s_next
@@ -320,7 +325,7 @@ class TestOracle:
     @given(
         width=st.integers(3, 7),
         height=st.integers(3, 7),
-        task=st.sampled_from([SubtaskMDP.PICKUP, SubtaskMDP.DROP]),
+        task=st.sampled_from([PICKUP_TABLE, DROP_TABLE]),
         noop=st.sampled_from([0, -1]),
         gamma=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
         pick=st.integers(0, 10**6),
@@ -335,7 +340,7 @@ class TestOracle:
                           bank=inner[pick % len(inner)])
         mdp = SubtaskMDP(grid, task)
         q = value_iteration_oracle(grid, task, gamma)
-        goal_reward = REWARD_PICKUP if task == SubtaskMDP.PICKUP else REWARD_DEPOSIT
+        goal_reward = REWARD_PICKUP if task == PICKUP_TABLE else REWARD_DEPOSIT
         assert len(q.rows) == len(mdp.states())
         for s, a, value in q.items():
             s_next, reward, terminal = mdp.step(s, ACTIONS[a])
@@ -434,6 +439,20 @@ class TestPersistence:
         assert mode == cfg.mode
         assert hyper == cfg.hyper
         assert tables == result.tables
+
+    @pytest.mark.parametrize("method, planner, digest", [
+        (Method.FLAT, True, "d9ab12ec57d3765dd5bbd3f27d015127417bec9fa888ff58be9695f3cfb64e51"),
+        (Method.OPTIONS, False, "abe15d29b8f2539779f3c575d01f81d68ce4972777934ef870645037aa00ccbd"),
+    ])
+    def test_trained_qtable_bytes_pinned(self, tmp_path, method, planner, digest):
+        """Trained tables of the flat (``F``) and planner-off (``N``) forms,
+        pinned to the byte, as `TestOracleGoldenBytes` pins ``P`` and ``D``."""
+        cfg = tiny_run(method, planner, episodes=40, gems=2)
+        result = train(cfg)
+        path = tmp_path / "qtable.csv"
+        write_qtable(result.tables, path, cfg.mode, cfg.hyper)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert read_qtable(path)[2] == result.tables
 
     def test_qtable_file_is_sorted_and_stable(self, tmp_path):
         cfg = tiny_run(episodes=10)
