@@ -7,8 +7,9 @@ flag, the config-file key and the config-echo label. Values resolve in three
 layers, each parsed from text by the row's converter: the row default, a
 ``--config`` file of ``key = value`` lines (plus an optional ``[layout]``
 section of ``agent.N = r,c`` and ``gem.N = r,c``, N counting from 0), then
-flags. `GridConfig`, `Hyperparams` and `RunConfig` check the ranges. Every
-run echoes its resolved settings to ``config.txt`` in the config format.
+flags. `GridConfig`, `Hyperparams` and `RunConfig` check the ranges. The
+runners alone create output directories and write a run's files; each but
+``oracle`` echoes its resolved settings to ``config.txt`` in the config format.
 
 Exit codes: 0 on success; 1 when a file cannot be read or parsed (the
 message names ``file:line``) or the run fails; 2 for usage errors, such as
@@ -32,7 +33,7 @@ from .harness import (
     compare,
     evaluate,
     read_qtable,
-    run_and_save,
+    train,
     value_iteration_oracle,
     write_metrics,
     write_plot_script,
@@ -166,7 +167,7 @@ def _resolve(args, takes: frozenset) -> tuple[dict, frozenset]:
     return values, frozenset(given)
 
 
-def _build_run_config(values: dict, out: str) -> RunConfig:
+def _build_run_config(values: dict) -> RunConfig:
     parts: dict[str, dict] = {"grid": {}, "hyper": {}, "mode": {}, "": {}}
     for s in _SETTINGS:
         paths = s.paths()
@@ -178,7 +179,6 @@ def _build_run_config(values: dict, out: str) -> RunConfig:
             grid=GridConfig(**parts["grid"]),
             mode=ControllerMode(**parts["mode"]),
             hyper=Hyperparams(**parts["hyper"]),
-            output_dir=Path(out),
             **parts[""],
         )
     except ConfigError as exc:
@@ -233,7 +233,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> Parsed:
     """Resolve argv (plus any config file) into a validated run config."""
     args = _build_parser().parse_args(argv)
     values, given = _resolve(args, _COMMANDS[args.command].takes)
-    return Parsed(args, _build_run_config(values, args.out), given)
+    return Parsed(args, _build_run_config(values), given)
 
 
 def _final_mean(records, window=100) -> float:
@@ -241,11 +241,25 @@ def _final_mean(records, window=100) -> float:
     return statistics.fmean(r.total_reward for r in tail)
 
 
+def _run_dir(out: str, run: RunConfig) -> Path:
+    """Create a run's output directory and echo its settings into it."""
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    write_config_echo(run, path / "config.txt")
+    return path
+
+
+def _write_curve(records, path: Path) -> None:
+    """A metrics file and the plot script that reads it."""
+    write_metrics(records, path)
+    write_plot_script(path)
+
+
 def _run_train(args, run: RunConfig, given) -> None:
-    out = Path(run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_config_echo(run, out / "config.txt")
-    result = run_and_save(run)
+    out = _run_dir(args.out, run)
+    result = train(run)
+    _write_curve(result.records, out / "metrics.csv")
+    write_qtable(result.tables, out / "qtable.csv", run.mode, run.hyper)
     print(
         f"trained {run.mode.method.value} for {run.episodes} episodes;"
         f" trailing mean reward {_final_mean(result.records):.1f}; artifacts in {out}"
@@ -263,12 +277,9 @@ def _run_eval(args, run: RunConfig, given) -> None:
     if "seed" in given:
         hyper = replace(hyper, seed=run.hyper.seed)
     cfg = replace(run, mode=mode, hyper=hyper)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_config_echo(cfg, out / "config.txt")
+    out = _run_dir(args.out, cfg)
     records = evaluate(tables, cfg)
-    write_metrics(records, out / "metrics.csv")
-    write_plot_script(out / "metrics.csv")
+    _write_curve(records, out / "metrics.csv")
     rewards = [r.total_reward for r in records]
     std = statistics.stdev(rewards) if len(rewards) > 1 else 0.0
     print(
@@ -287,23 +298,26 @@ def _print_summary(rows) -> None:
         )
 
 
-def _run_compare(run: RunConfig, arms: list[tuple[str, ControllerMode]]) -> None:
-    out = Path(run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_config_echo(run, out / "config.txt")
-    rows = compare(run, arms, out_dir=out)
+def _run_compare(args, run: RunConfig, arms: list[tuple[str, ControllerMode]]) -> None:
+    out = _run_dir(args.out, run)
+    results = compare(run, arms)
+    for (label, _), (_, train_records, eval_records) in zip(arms, results):
+        (out / label).mkdir(exist_ok=True)
+        _write_curve(train_records, out / label / "metrics.csv")
+        write_metrics(eval_records, out / label / "eval_metrics.csv")
+    rows = [row for row, _, _ in results]
     write_summary(rows, out / "summary.csv")
     _print_summary(rows)
     print(f"summary written to {out / 'summary.csv'}")
 
 
 def _run_compare_methods(args, run: RunConfig, given) -> None:
-    _run_compare(run, [(m.value, replace(run.mode, method=m)) for m in Method])
+    _run_compare(args, run, [(m.value, replace(run.mode, method=m)) for m in Method])
 
 
 def _run_compare_planner(args, run: RunConfig, given) -> None:
-    _run_compare(run, [("planner-on", ControllerMode(Method.OPTIONS, True)),
-                       ("planner-off", ControllerMode(Method.OPTIONS, False))])
+    _run_compare(args, run, [("planner-on", ControllerMode(Method.OPTIONS, True)),
+                             ("planner-off", ControllerMode(Method.OPTIONS, False))])
 
 
 def _run_oracle(args, run: RunConfig, given) -> None:
@@ -330,7 +344,10 @@ class Command(NamedTuple):
 _EVERY = frozenset(_BY_KEY)
 _COMMANDS = {
     "train": Command("train one method and save its tables", _run_train, _EVERY),
-    "eval": Command("replay greedy episodes from saved tables", _run_eval, _EVERY,
+    # Greedy replay trains nothing; the table's header holds how it was trained.
+    "eval": Command("replay greedy episodes from saved tables", _run_eval,
+                    _EVERY - {"alpha", "gamma", "eps-start", "eps-end", "eps-decay-frac",
+                              "episodes"},
                     {"--qtable": dict(required=True, help="q-table file written by train")}),
     # A comparison fixes what it compares: the method, or the method and the planner.
     "compare-methods": Command("random vs flat vs options under one seed",

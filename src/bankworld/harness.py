@@ -3,7 +3,8 @@
 A run is fully determined by its config: every random draw traces back
 to the single run seed. Training anneals exploration per the schedule in
 `learner.epsilon_at`; evaluation replays greedy episodes with derived
-seeds (run seed + run index) and never writes to the tables.
+seeds (run seed + run index) and never writes to the tables. The loops
+return records and tables: only the file codecs take a path.
 
 `value_iteration_oracle` solves a single sub-task (fetch or deposit)
 exactly over its enumerated projected state space. `SubtaskMDP` keeps no
@@ -81,7 +82,6 @@ class RunConfig:
     hyper: Hyperparams
     episodes: int
     eval_runs: int = 10
-    output_dir: Optional[Path] = None
 
     def __post_init__(self):
         if self.episodes < 1:
@@ -112,23 +112,21 @@ def _episode_seed(run_seed: int, episode: int) -> int:
 
 
 def _run_episode(
-    grid: GridConfig,
-    mode: ControllerMode,
+    cfg: RunConfig,
     tables: dict[str, QTable],
-    h: Hyperparams,
     epsilon: float,
     rng: random.Random,
     reset_seed: int,
     episode: int,
     learn: bool,
-    stats: Optional[dict] = None,
 ) -> EpisodeRecord:
+    grid, mode, h = cfg.grid, cfg.mode, cfg.hyper
     state = reset(grid, reset_seed)
     assignment = Assignment.empty()
     total = 0
     while not is_terminal(state, grid):
         state, assignment, outcomes = controller_step(
-            state, grid, mode, tables, assignment, epsilon, h, rng, learn, stats
+            state, grid, mode, tables, assignment, epsilon, h, rng, learn
         )
         for outcome in outcomes:
             total += outcome.reward
@@ -141,29 +139,18 @@ def train(cfg: RunConfig) -> TrainResult:
     """Run the full training budget and return tables plus the log.
 
     Random-policy runs learn nothing and return empty tables; their
-    records carry epsilon 1.0 (every action is a uniform draw).
+    records carry epsilon 1.0 (every action is a uniform draw). With the
+    planner on, the controller consults it once per agent per step.
     """
     tables = fresh_tables(cfg.mode)
     rng = random.Random(cfg.hyper.seed)
-    stats = {"planner_calls": 0}
     records = []
     for episode in range(cfg.episodes):
         eps = epsilon_at(episode, cfg.episodes, cfg.hyper)
-        records.append(
-            _run_episode(
-                cfg.grid,
-                cfg.mode,
-                tables,
-                cfg.hyper,
-                eps,
-                rng,
-                _episode_seed(cfg.hyper.seed, episode),
-                episode,
-                learn=True,
-                stats=stats,
-            )
-        )
-    return TrainResult(tables, records, stats["planner_calls"])
+        seed = _episode_seed(cfg.hyper.seed, episode)
+        records.append(_run_episode(cfg, tables, eps, rng, seed, episode, learn=True))
+    steps = sum(r.steps_used for r in records) if cfg.mode.planner_enabled else 0
+    return TrainResult(tables, records, cfg.grid.num_agents * steps)
 
 
 def evaluate(tables: dict[str, QTable], cfg: RunConfig) -> list[EpisodeRecord]:
@@ -178,19 +165,7 @@ def evaluate(tables: dict[str, QTable], cfg: RunConfig) -> list[EpisodeRecord]:
     records = []
     for run in range(cfg.eval_runs):
         seed = cfg.hyper.seed + run
-        records.append(
-            _run_episode(
-                cfg.grid,
-                cfg.mode,
-                tables,
-                cfg.hyper,
-                0.0,
-                random.Random(seed),
-                seed,
-                run,
-                learn=False,
-            )
-        )
+        records.append(_run_episode(cfg, tables, 0.0, random.Random(seed), seed, run, learn=False))
     return records
 
 
@@ -316,10 +291,8 @@ def oracle_episode_return(grid: GridConfig, gamma: float = 0.95) -> int:
     """
     mode = ControllerMode(Method.OPTIONS, planner_enabled=True)
     tables = {task: value_iteration_oracle(grid, task, gamma) for task in mode.table_keys()}
-    record = _run_episode(
-        grid, mode, tables, Hyperparams(gamma=gamma), 0.0, random.Random(0), 0, 0, learn=False
-    )
-    return record.total_reward
+    cfg = RunConfig(grid, mode, Hyperparams(gamma=gamma), episodes=1)
+    return _run_episode(cfg, tables, 0.0, random.Random(0), 0, 0, learn=False).total_reward
 
 
 # --------------------------- experiment suites ---------------------------
@@ -351,13 +324,15 @@ def episodes_to_threshold(
     return None
 
 
-def _arm_worker(cfg: RunConfig) -> tuple[list[EpisodeRecord], list[EpisodeRecord], int]:
+Records = list[EpisodeRecord]
+
+
+def _arm_worker(cfg: RunConfig) -> tuple[Records, Records]:
     result = train(cfg)
-    eval_records = evaluate(result.tables, cfg)
-    return result.records, eval_records, result.planner_calls
+    return result.records, evaluate(result.tables, cfg)
 
 
-def _run_arms(configs: list[RunConfig]) -> list[tuple[list[EpisodeRecord], list[EpisodeRecord], int]]:
+def _run_arms(configs: list[RunConfig]) -> list[tuple[Records, Records]]:
     workers = min(len(configs), os.cpu_count() or 1)
     if workers == 1:
         return [_arm_worker(cfg) for cfg in configs]
@@ -383,40 +358,21 @@ def _summary_row(
     )
 
 
-def _write_arm_artifacts(out_dir: Optional[Path], labels, results) -> None:
-    if out_dir is None:
-        return
-    for label, (train_recs, eval_recs, _) in zip(labels, results):
-        arm_dir = Path(out_dir) / label
-        arm_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics(train_recs, arm_dir / "metrics.csv")
-        write_metrics(eval_recs, arm_dir / "eval_metrics.csv")
-        write_plot_script(arm_dir / "metrics.csv")
-
-
 def compare(
     base: RunConfig,
     arms: Sequence[tuple[str, ControllerMode]],
     threshold: Optional[float] = None,
-    out_dir: Optional[Path] = None,
-) -> list[SummaryRow]:
+) -> list[tuple[SummaryRow, Records, Records]]:
     """Train and test each (label, mode) arm under the grid, budget and seed
-    of ``base``; returns one summary row per arm, in order. Artifacts go to
-    ``out_dir/label``.
-
-    A planner-off arm must never consult the planner; that is checked here
-    rather than trusted.
+    of ``base``. Returns, per arm in order, its summary row, its training
+    records and its greedy records; the labels are the caller's to use.
     """
     if threshold is None:
         threshold = 0.8 * oracle_episode_return(base.grid, base.hyper.gamma)
     results = _run_arms([replace(base, mode=mode) for _, mode in arms])
-    for (label, mode), (_, _, calls) in zip(arms, results):
-        if not mode.planner_enabled and calls != 0:
-            raise AssertionError(f"{label}: planner consulted {calls} times with planner off")
-    _write_arm_artifacts(out_dir, [label for label, _ in arms], results)
     return [
-        _summary_row(mode, train_recs, eval_recs, threshold)
-        for (_, mode), (train_recs, eval_recs, _) in zip(arms, results)
+        (_summary_row(mode, train_recs, eval_recs, threshold), train_recs, eval_recs)
+        for (_, mode), (train_recs, eval_recs) in zip(arms, results)
     ]
 
 
@@ -478,12 +434,23 @@ def write_qtable(
         f.write("\n".join(lines) + "\n")
 
 
+_HEADER_KEYS = frozenset(
+    "mode planner alpha gamma eps_start eps_end eps_decay_fraction alpha_visit_decay seed".split()
+)
+
+
 def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
+    """The settings `_hyper_header` writes, each once and no others; a header
+    without ``alpha_visit_decay`` reads it as none."""
     pairs = {}
-    for token in line.lstrip("#").split():
-        key, _, value = token.partition("=")
-        pairs[key] = value
     try:
+        for token in line.lstrip("#").split():
+            key, _, value = token.partition("=")
+            if key not in _HEADER_KEYS or key in pairs:
+                raise ValueError(f"unknown or repeated key {key!r}")
+            pairs[key] = value
+        if pairs["planner"] not in ("on", "off"):
+            raise ValueError(f"planner must be on or off, got {pairs['planner']!r}")
         mode = ControllerMode(Method(pairs["mode"]), pairs["planner"] == "on")
         decay = pairs.get("alpha_visit_decay", "none")
         hyper = Hyperparams(
@@ -501,8 +468,9 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
 
 
 def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
-    """Read a file written by `write_qtable`. Every value must be finite and
-    every (state, action) record unique; a row's missing actions read as 0.0."""
+    """Read a file written by `write_qtable`. Every section must name a table
+    of the header's mode, every value must be finite and every (state,
+    action) record unique; a row's missing actions read as 0.0."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("#"):
@@ -516,6 +484,8 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
             continue
         if line.startswith("# option="):
             key = line.partition("=")[2].strip()
+            if key not in mode.table_keys():
+                raise ParseError(f"{path}:{lineno}: no {key!r} table in mode {mode.method.value}")
             # NaN marks an entry not read yet, so a repeated record shows.
             current = tables.setdefault(key, QTable(math.nan))
             rows = {}
@@ -582,17 +552,3 @@ def write_plot_script(metrics_path: Path) -> Path:
     with open(script, "w", newline="") as f:
         f.write(_PLOT_TEMPLATE.format(csv_name=metrics_path.name))
     return script
-
-
-def run_and_save(cfg: RunConfig) -> TrainResult:
-    """Train, then write metrics, tables, and the plot script to the
-    run's output directory."""
-    if cfg.output_dir is None:
-        raise ConfigError("run config has no output directory")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result = train(cfg)
-    write_metrics(result.records, out / "metrics.csv")
-    write_qtable(result.tables, out / "qtable.csv", cfg.mode, cfg.hyper)
-    write_plot_script(out / "metrics.csv")
-    return result

@@ -52,16 +52,18 @@ class Method(Enum):
     OPTIONS = "q-options"
 
 
-class OptionId(Enum):
-    PICKUP = "pickup"
-    DROP = "drop"
-    IDLE = "idle"
-
-
 # Q-table keys: one per option in options mode, one in flat mode.
 PICKUP_TABLE = "pickup"
 DROP_TABLE = "drop"
 FLAT_TABLE = "flat"
+
+
+class OptionId(Enum):
+    """The task an agent runs this step; a learning option's value keys its table."""
+
+    PICKUP = PICKUP_TABLE
+    DROP = DROP_TABLE
+    IDLE = "idle"
 
 
 @dataclass(frozen=True)
@@ -250,21 +252,18 @@ def controller_step(
     h: Hyperparams,
     rng: random.Random,
     learn: bool = True,
-    stats: Optional[dict] = None,
 ) -> tuple[WorldState, Assignment, list[StepOutcome]]:
     """Advance every agent once, in ascending index, then bump the step.
 
     Returns the new world state, the updated allocation, and one outcome
     per agent. ``learn=False`` (evaluation) skips all table writes.
-    ``stats['planner_calls']`` counts planner consultations, one per agent.
+    With the planner on, `planner.assign` runs once per agent.
     """
     outcomes: list[StepOutcome] = []
     method = mode.method
     flat = method is Method.FLAT
     learning = learn and method is not Method.RANDOM
     alloc = assignment if mode.planner_enabled else None
-    if alloc is not None and stats is not None:
-        stats["planner_calls"] = stats.get("planner_calls", 0) + config.num_agents
 
     for agent in range(config.num_agents):
         if alloc is not None:
@@ -278,10 +277,7 @@ def controller_step(
         if method is Method.RANDOM:
             action = ACTIONS[rng.randrange(5)]
         else:
-            if flat:
-                table = tables[FLAT_TABLE]
-            else:
-                table = tables[PICKUP_TABLE if option is OptionId.PICKUP else DROP_TABLE]
+            table = tables[FLAT_TABLE if flat else option.value]
             s = _project(state, agent, option, alloc, flat, config)
             action = select_action(table, s, epsilon, rng)
         # A carrier's allocation is its carried gem until the deposit.

@@ -30,7 +30,7 @@ class TestParsing:
         assert run.episodes == 6000
         assert run.mode.method is Method.OPTIONS and run.mode.planner_enabled
         assert run.hyper.seed == 42
-        assert run.output_dir == Path("runs/a")
+        assert Path(cmd.args.out) == Path("runs/a")
 
     def test_eval_command(self):
         cmd = parse_args("eval --qtable runs/a/q.csv --runs 10 --seed 7 --out runs/e".split())
@@ -241,6 +241,76 @@ class TestEndToEnd:
         assert len(lines) == 4  # uniform-random actions, one row per run
 
 
+PLOT = "cd2458aaaead13d5e83a7b26c36f06feb8aca018ee9fee98e8c2d35b0e36678e"
+CONFIG = "6816ec5967cc44a63bcf65ece53dcb60e31b81f23c9b0d7da20589ec4b43a3cd"
+LEARNED = {  # with one agent and one gem, every learning arm trains and replays alike
+    "metrics.csv": "3fbaa751a41095f81b0a77de9376b3d63f0dcf5f9d5758be181e8d6ca09036e6",
+    "eval_metrics.csv": "07e9e36f89d7ba17b1b1fe89582205e925a1bf1139d3f2e34c78d43e3fa3d3f9",
+    "plot_metrics.py": PLOT,
+}
+RANDOM = {
+    "metrics.csv": "89860be66e590e898bdf5b5042759ef739f22fd2fcfe814e888411da9763c602",
+    "eval_metrics.csv": "e64d2210fee3ec495b6ee27d34705e6d5071543e72a63eccf6cbdadc1cbed5fe",
+    "plot_metrics.py": PLOT,
+}
+
+
+def arm_files(arms):
+    return {f"{label}/{name}": digest for label, files in arms.items()
+            for name, digest in files.items()}
+
+
+def tree(root):
+    """Every file under ``root`` by relative path, with its sha256."""
+    return {p.relative_to(root).as_posix(): sha256(p) for p in root.rglob("*") if p.is_file()}
+
+
+class TestOutputTreesPinned:
+    """Each command's whole output tree: the exact file set of every
+    directory and the sha256 of every file."""
+
+    SMALL = "--grid 5x5 --agents 1 --gems 1 --steps 40 --seed 5"
+
+    def run(self, command, out, extra="--episodes 10"):
+        assert main(f"{command} {self.SMALL} {extra} --out {out}".split()) == 0
+
+    def test_train(self, tmp_path, capsys):
+        self.run("train", tmp_path)
+        assert tree(tmp_path) == {
+            "config.txt": CONFIG,
+            "metrics.csv": LEARNED["metrics.csv"],
+            "qtable.csv": "71bd278a93a5605d8ca21eda6f017fcc53144e25d4a895065589b47edf870529",
+            "plot_metrics.py": PLOT,
+        }
+
+    def test_eval(self, tmp_path, capsys):
+        self.run("train", tmp_path / "train")
+        self.run("eval", tmp_path / "eval", f"--qtable {tmp_path / 'train' / 'qtable.csv'} --runs 3")
+        assert tree(tmp_path / "eval") == {
+            "config.txt": "937e65904be81105cdc7504e5a58849f5142669a6c799637eb67993390dcfda2",
+            "metrics.csv": "272202b8e6b3d7d44e58f60f82a6a83d8503781c6ba69c59e632b8a0b3e22230",
+            "plot_metrics.py": PLOT,
+        }
+
+    def test_compare_methods(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self.run("compare-methods", tmp_path)
+        assert tree(tmp_path) == {
+            "config.txt": CONFIG,
+            "summary.csv": "25150377e6ae61fd895debc3e3f37cd6dac5114f58c1f581ec4e35edf02fff31",
+            **arm_files({"random": RANDOM, "q": LEARNED, "q-options": LEARNED}),
+        }
+
+    def test_compare_planner(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self.run("compare-planner", tmp_path)
+        assert tree(tmp_path) == {
+            "config.txt": CONFIG,
+            "summary.csv": "343c07702538648bd0e720d41f30edf7d051f7383b06455caada36e5cae616d7",
+            **arm_files({"planner-on": LEARNED, "planner-off": LEARNED}),
+        }
+
+
 def write_text(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -341,8 +411,14 @@ class TestSettingsTable:
         "--eps-decay-frac", "--seed", "--runs", "--random-layout", "--out",
     }
 
-    # A comparison has no flag for what it compares.
-    FIXED = {"compare-methods": {"--method"}, "compare-planner": {"--method", "--planner"}}
+    # A comparison has no flag for what it compares, and eval none for how
+    # the saved table was trained.
+    FIXED = {
+        "compare-methods": {"--method"},
+        "compare-planner": {"--method", "--planner"},
+        "eval": {"--alpha", "--gamma", "--eps-start", "--eps-end", "--eps-decay-frac",
+                 "--episodes"},
+    }
 
     @pytest.mark.parametrize("command, extra", [
         ("train", set()),
@@ -406,6 +482,31 @@ class TestEvalConfigFile:
             assert (file / name).read_bytes() == (flag / name).read_bytes()
         assert "seed = 9" in (file / "config.txt").read_text().splitlines()
         assert (file / "metrics.csv").read_bytes() != (header / "metrics.csv").read_bytes()
+
+
+class TestEvalTakesNoTrainingSettings:
+    """Greedy replay trains nothing, so eval has no flag for a training
+    setting and ignores its key in a --config file."""
+
+    TRAINING = ["--alpha 0.7", "--gamma 0.2", "--eps-start 0.5", "--eps-end 0.01",
+                "--eps-decay-frac 0.3", "--episodes 99"]
+
+    @pytest.mark.parametrize("flag", TRAINING)
+    def test_flag_exits_2(self, tmp_path, capsys, flag):
+        argv = ["eval", "--qtable", str(tmp_path / "q.csv"), *flag.split(), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert flag.split()[0] in capsys.readouterr().err
+
+    def test_file_keys_leave_the_run_unchanged(self, tmp_path, capsys):
+        runs = TestEvalConfigFile()
+        table = runs.trained(tmp_path, "q")
+        text = "".join(f"{flag[2:]} = {value}\n" for flag, value in map(str.split, self.TRAINING))
+        path = write_text(tmp_path, "eval.cfg", text)
+        file, bare = tmp_path / "file", tmp_path / "bare"
+        assert runs.evaluate(table, file, "--config", str(path)) == 0
+        assert runs.evaluate(table, bare) == 0
+        for name in ("config.txt", "metrics.csv"):
+            assert (file / name).read_bytes() == (bare / name).read_bytes()
 
 
 def option_strings(command):

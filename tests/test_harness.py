@@ -42,7 +42,7 @@ from bankworld.harness import (
     write_plot_script,
     write_summary,
 )
-from bankworld import harness
+from bankworld import harness, planner
 from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
 
 from conftest import desk_config
@@ -381,22 +381,15 @@ PLANNER_ARMS = [
 
 class TestCompare:
     def test_three_rows_one_per_method(self):
-        rows = compare(tiny_run(episodes=8), method_arms(), threshold=100.0)
+        rows = [row for row, _, _ in compare(tiny_run(episodes=8), method_arms(), threshold=100.0)]
         assert [row.method for row in rows] == ["random", "q", "q-options"]
         assert all(row.planner == "on" for row in rows)
 
     def test_planner_rows_and_ablation_hygiene(self):
-        # compare itself asserts the off arm made zero planner calls
-        rows = compare(tiny_run(episodes=8, gems=2), PLANNER_ARMS, threshold=1e9)
+        results = compare(tiny_run(episodes=8, gems=2), PLANNER_ARMS, threshold=1e9)
+        rows = [row for row, _, _ in results]
         assert [row.planner for row in rows] == ["on", "off"]
         assert all(row.episodes_to_threshold is None for row in rows)
-
-    def test_every_planner_off_arm_is_checked(self, monkeypatch):
-        # A method comparison with the planner off gets the same check.
-        results = [([], [], 0), ([], [], 0), ([], [], 7)]
-        monkeypatch.setattr(harness, "_run_arms", lambda configs: results)
-        with pytest.raises(AssertionError, match="q-options: planner consulted 7 times"):
-            compare(tiny_run(), method_arms(planner=False), threshold=1.0)
 
     def test_parallel_and_serial_execution_agree(self, monkeypatch):
         cfg = tiny_run(episodes=8)
@@ -413,6 +406,36 @@ class TestCompare:
         # same (seed, episode) derivation: fixed layouts trivially agree;
         # the point is the record stream length and indices line up
         assert [r.episode for r in flat.records] == [r.episode for r in rand.records]
+
+
+class TestPlannerCalls:
+    """The planner is consulted once per agent per step when it is on, as
+    `TrainResult.planner_calls` reports, and never when it is off."""
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_spy_counts_the_reported_calls(self, monkeypatch, method):
+        calls = []
+        assign = planner.assign
+
+        def spy(*args):
+            calls.append(args)
+            return assign(*args)
+
+        monkeypatch.setattr(planner, "assign", spy)
+        result = train(tiny_run(method, episodes=10, gems=2))
+        assert len(calls) == result.planner_calls > 0
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_planner_off_never_calls_the_planner(self, monkeypatch, method):
+        def refuse(*args):
+            raise AssertionError("planner called with the planner off")
+
+        monkeypatch.setattr(planner, "assign", refuse)
+        monkeypatch.setattr(planner, "release", refuse)
+        cfg = tiny_run(method, planner=False, episodes=10, gems=2)
+        result = train(cfg)
+        assert len(evaluate(result.tables, cfg)) == cfg.eval_runs
+        assert result.planner_calls == 0
 
 
 class TestPersistence:
@@ -511,6 +534,40 @@ class TestPersistence:
         path.write_text("P,0,0,1,1,0,3.5\n")
         with pytest.raises(ParseError, match=":1"):
             read_qtable(path)
+
+    HEADER = (
+        "# mode=q-options planner=on alpha=0.1 gamma=0.95 eps_start=1.0"
+        " eps_end=0.05 eps_decay_fraction=0.8 alpha_visit_decay=none seed=0"
+    )
+
+    @pytest.mark.parametrize("header", [
+        HEADER.replace("planner=on", "planner=maybe"),
+        HEADER + " alpha=0.5",
+        HEADER + " colour=blue",
+    ], ids=["planner-word", "repeated-key", "unknown-key"])
+    def test_malformed_header_names_line_1(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n# option=pickup\nP,0,0,1,1,0,3.5\n")
+        with pytest.raises(ParseError, match=r"bad.csv:1:"):
+            read_qtable(path)
+
+    @pytest.mark.parametrize("section", ["bogus", "flat"])
+    def test_section_must_name_a_table_of_the_mode(self, tmp_path, section):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"{self.HEADER}\n# option=pickup\nP,0,0,1,1,0,3.5\n# option={section}\nD,0,0,0,1.0\n"
+        )
+        with pytest.raises(ParseError, match=rf"bad.csv:4: no '{section}' table"):
+            read_qtable(path)
+
+    def test_header_without_visit_decay_and_a_lone_section(self, tmp_path):
+        # The form an older file takes, holding one table as the oracle writes it.
+        path = tmp_path / "old.csv"
+        header = self.HEADER.replace(" alpha_visit_decay=none", "")
+        path.write_text(header + "\n# option=drop\nD,0,0,0,1.0\n")
+        mode, hyper, tables = read_qtable(path)
+        assert hyper == Hyperparams() and mode == ControllerMode(Method.OPTIONS, True)
+        assert set(tables) == {"drop"}
 
     def test_summary_not_reached_sentinel(self, tmp_path):
         rows = [SummaryRow("q-options", "off", 12.5, 3.25, None)]

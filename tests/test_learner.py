@@ -31,6 +31,7 @@ from bankworld.learner import (
     select_action,
     td_update,
 )
+from bankworld import planner
 from bankworld.planner import Assignment
 
 
@@ -241,26 +242,26 @@ class TestControllerStep:
         )
         assert len(tables[PICKUP_TABLE].rows) == 0
 
-    def test_planner_calls_counted(self):
+    def test_planner_calls_counted(self, monkeypatch):
         cfg, mode, tables, state = options_setup([(2, 3), (6, 6)], [(1, 3)])
-        stats = {}
+        calls = []
+        assign = planner.assign
+        monkeypatch.setattr(planner, "assign", lambda *args: calls.append(args) or assign(*args))
         controller_step(
             state, cfg, mode, tables, Assignment.empty(), 0.0, Hyperparams(),
-            random.Random(0), stats=stats,
+            random.Random(0),
         )
-        assert stats["planner_calls"] == 2
+        assert len(calls) == 2
 
     def test_no_planner_mode_everyone_acts(self):
         cfg = GridConfig(7, 7, 2, 1, 50,
                          layout=FixedLayout(agents=((2, 3), (6, 6)), gems=((1, 3),)))
         mode = ControllerMode(Method.OPTIONS, planner_enabled=False)
         tables = fresh_tables(mode)
-        stats = {}
         _, assignment, outcomes = controller_step(
             reset(cfg, 0), cfg, mode, tables, Assignment.empty(), 0.0,
-            Hyperparams(), random.Random(0), stats=stats,
+            Hyperparams(), random.Random(0),
         )
-        assert stats.get("planner_calls", 0) == 0
         assert assignment == Assignment.empty()
         assert all(o.event is not Event.IDLE or o.reward == 0 for o in outcomes)
         # both agents acted from the all-gems projection
