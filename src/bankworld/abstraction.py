@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
-from .environment import CarriedBy, OnGrid, Position, WorldState, carried_gem
+from .environment import CarriedBy, OnGrid, Position, WorldState
 from .planner import Assignment
 
 
@@ -58,35 +58,44 @@ class NoPlannerState(NamedTuple):
 AbstractState = Union[PickupState, DropState, FlatState, NoPlannerState]
 
 
+# Projections are built through tuple.__new__, skipping the Python-level
+# __new__ that NamedTuple generates.
+_new = tuple.__new__
+
+
 def abstract_pickup(state: WorldState, agent: int, gem: int) -> PickupState:
     """Fetch-task view: (own position, allocated gem position)."""
     status = state.gems[gem]
     if type(status) is not OnGrid:
         raise ValueError(f"gem {gem} is not on the grid")
-    if carried_gem(state, agent) is not None:
-        raise ValueError(f"agent {agent} is already carrying a gem")
-    return PickupState(state.agent_positions[agent], status.pos)
+    for other in state.gems:
+        if type(other) is CarriedBy and other.agent == agent:
+            raise ValueError(f"agent {agent} is already carrying a gem")
+    return _new(PickupState, (state.agent_positions[agent], status.pos))
 
 
 def abstract_drop(state: WorldState, agent: int) -> DropState:
     """Deposit-task view: own position only."""
-    if carried_gem(state, agent) is None:
-        raise ValueError(f"agent {agent} is not carrying a gem")
-    return DropState(state.agent_positions[agent])
+    for status in state.gems:
+        if type(status) is CarriedBy and status.agent == agent:
+            return _new(DropState, (state.agent_positions[agent],))
+    raise ValueError(f"agent {agent} is not carrying a gem")
 
 
 def abstract_flat(
     state: WorldState, agent: int, assignment: Assignment, bank: Position
 ) -> FlatState:
     """Single-table view: position plus a pointer at the current goal."""
-    if carried_gem(state, agent) is not None:
-        return FlatState(state.agent_positions[agent], bank, True)
+    pos = state.agent_positions[agent]
+    for status in state.gems:
+        if type(status) is CarriedBy and status.agent == agent:
+            return _new(FlatState, (pos, bank, True))
     gem = assignment.agent_to_gem.get(agent)
     if gem is not None:
         status = state.gems[gem]
         if type(status) is OnGrid:
-            return FlatState(state.agent_positions[agent], status.pos, False)
-    return FlatState(state.agent_positions[agent], None, False)
+            return _new(FlatState, (pos, status.pos, False))
+    return _new(FlatState, (pos, None, False))
 
 
 def abstract_no_planner(state: WorldState, agent: int) -> NoPlannerState:
@@ -103,7 +112,7 @@ def abstract_no_planner(state: WorldState, agent: int) -> NoPlannerState:
             carrying = True
         else:
             cells.append(None)
-    return NoPlannerState(pos, carrying, tuple(cells))
+    return _new(NoPlannerState, (pos, carrying, tuple(cells)))
 
 
 def _pair(text: str, sep: str = ",") -> Position:

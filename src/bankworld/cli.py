@@ -300,7 +300,7 @@ def _print_summary(rows) -> None:
 
 def _run_compare(args, run: RunConfig, arms: list[tuple[str, ControllerMode]]) -> None:
     out = _run_dir(args.out, run)
-    results = compare(run, arms)
+    results = compare(run, [mode for _, mode in arms])
     for (label, _), (_, train_records, eval_records) in zip(arms, results):
         (out / label).mkdir(exist_ok=True)
         _write_curve(train_records, out / label / "metrics.csv")

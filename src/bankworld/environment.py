@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 Position = tuple[int, int]
@@ -38,6 +39,7 @@ REWARD_ILLEGAL = -5
 REWARD_STEP = -1
 REWARD_PICKUP = 50
 REWARD_DEPOSIT = 500
+NOOP_REWARDS = (0, -1)
 
 
 class ConfigError(ValueError):
@@ -117,6 +119,18 @@ class StepOutcome(NamedTuple):
     gem: Optional[int] = None
 
 
+# Hot paths build tuples through tuple.__new__, skipping the Python-level
+# __new__ that NamedTuple generates.
+_new = tuple.__new__
+_ACQUIRED, _DROPPED, _MOVED = Event.ACQUIRED, Event.DROPPED, Event.MOVED
+_DEPOSITED = Dropped()
+
+# The outcomes that name no gem are shared: one per kind and no-op reward.
+_ILLEGAL_OUTCOME = StepOutcome(REWARD_ILLEGAL, Event.ILLEGAL)
+_MOVED_OUTCOME = StepOutcome(REWARD_STEP, _MOVED)
+IDLE_OUTCOMES = {reward: StepOutcome(reward, Event.IDLE) for reward in NOOP_REWARDS}
+
+
 def default_layout(
     width: int, height: int, num_agents: int, num_gems: int, bank: Position
 ) -> FixedLayout:
@@ -183,7 +197,7 @@ class GridConfig:
             raise ConfigError("need at least one gem", "num_gems")
         if self.step_limit < 1:
             raise ConfigError("step limit must be positive", "step_limit")
-        if self.noop_reward not in (0, -1):
+        if self.noop_reward not in NOOP_REWARDS:
             raise ConfigError(f"noop reward must be 0 or -1, got {self.noop_reward}", "noop_reward")
         if self.bank is None:
             object.__setattr__(self, "bank", ((self.height - 1) // 2, (self.width - 1) // 2))
@@ -201,6 +215,27 @@ class GridConfig:
         elif isinstance(self.layout, RandomLayout):
             if self.width * self.height - 1 < self.num_agents + self.num_gems:
                 raise ConfigError("grid too small for random placement")
+
+    @cached_property
+    def moves(self) -> dict[Position, tuple[tuple[Position, StepOutcome], ...]]:
+        """Per cell, per action index: the cell the agent ends in and the
+        outcome unless the move picks up or deposits. An illegal move or a
+        NoOp leaves the agent where it is. Built at first use."""
+        idle = IDLE_OUTCOMES[self.noop_reward]
+        table = {}
+        for r in range(self.height):
+            for c in range(self.width):
+                entries = []
+                for dr, dc in _DELTAS:
+                    nr, nc = r + dr, c + dc
+                    if not (0 <= nr < self.height and 0 <= nc < self.width):
+                        entries.append(((r, c), _ILLEGAL_OUTCOME))
+                    elif dr == dc == 0:
+                        entries.append(((r, c), idle))
+                    else:
+                        entries.append(((nr, nc), _MOVED_OUTCOME))
+                table[(r, c)] = tuple(entries)
+        return table
 
     def _check_fixed(self, layout: FixedLayout) -> None:
         if len(layout.agents) != self.num_agents:
@@ -268,54 +303,56 @@ def step_agent(
     planner-off mode where any on-grid gem on the entered cell counts.
     The step counter is untouched; callers advance it once per timestep.
     """
-    if assigned_gem is not None and type(state.gems[assigned_gem]) is Dropped:
+    gems = state.gems
+    if assigned_gem is not None and type(gems[assigned_gem]) is Dropped:
         raise ValueError(f"gem {assigned_gem} is already deposited")
-    r, c = state.agent_positions[agent]
-    dr, dc = _DELTAS[action]
-    nr, nc = r + dr, c + dc
-    if not (0 <= nr < config.height and 0 <= nc < config.width):
-        return state, StepOutcome(REWARD_ILLEGAL, Event.ILLEGAL)
-    if dr == 0 and dc == 0:
-        return state, StepOutcome(config.noop_reward, Event.IDLE)
+    positions = state.agent_positions
+    new_pos, outcome = config.moves[positions[agent]][action]
+    # By event, not identity: a config sent to a worker process holds copies.
+    if outcome.event is not _MOVED:
+        return state, outcome
+    moved = list(positions)
+    moved[agent] = new_pos
+    positions = tuple(moved)
 
-    new_pos = (nr, nc)
-    positions = state.agent_positions[:agent] + (new_pos,) + state.agent_positions[agent + 1:]
-    holding = carried_gem(state, agent)
+    holding = None
+    for j, status in enumerate(gems):
+        if type(status) is CarriedBy and status.agent == agent:
+            holding = j
+            break
 
     if holding is None:
-        target = None
-        if assigned_gem is not None:
-            status = state.gems[assigned_gem]
-            if type(status) is OnGrid and status.pos == new_pos:
-                target = assigned_gem
-        else:
-            for j, status in enumerate(state.gems):
-                if type(status) is OnGrid and status.pos == new_pos:
-                    target = j
-                    break
-        if target is not None:
-            gems = state.gems[:target] + (CarriedBy(agent),) + state.gems[target + 1:]
-            return (
-                WorldState(positions, gems, state.step),
-                StepOutcome(REWARD_PICKUP, Event.ACQUIRED, target),
-            )
+        for target, status in enumerate(gems):
+            if (
+                type(status) is OnGrid
+                and status.pos == new_pos
+                and (assigned_gem is None or assigned_gem == target)
+            ):
+                gems = gems[:target] + (CarriedBy(agent),) + gems[target + 1:]
+                return (
+                    _new(WorldState, (positions, gems, state.step)),
+                    _new(StepOutcome, (REWARD_PICKUP, _ACQUIRED, target)),
+                )
     elif new_pos == config.bank:
-        gems = state.gems[:holding] + (Dropped(),) + state.gems[holding + 1:]
+        gems = gems[:holding] + (_DEPOSITED,) + gems[holding + 1:]
         return (
-            WorldState(positions, gems, state.step),
-            StepOutcome(REWARD_DEPOSIT, Event.DROPPED, holding),
+            _new(WorldState, (positions, gems, state.step)),
+            _new(StepOutcome, (REWARD_DEPOSIT, _DROPPED, holding)),
         )
 
-    return WorldState(positions, state.gems, state.step), StepOutcome(REWARD_STEP, Event.MOVED)
+    return _new(WorldState, (positions, gems, state.step)), _MOVED_OUTCOME
 
 
 def advance_step(state: WorldState) -> WorldState:
     """Bump the episode step counter by one."""
-    return state._replace(step=state.step + 1)
+    return _new(WorldState, (state.agent_positions, state.gems, state.step + 1))
 
 
 def is_terminal(state: WorldState, config: GridConfig) -> bool:
     """True iff every gem is deposited or the step limit is reached."""
     if state.step >= config.step_limit:
         return True
-    return all(type(g) is Dropped for g in state.gems)
+    for status in state.gems:
+        if type(status) is not Dropped:
+            return False
+    return True

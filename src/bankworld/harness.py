@@ -360,19 +360,19 @@ def _summary_row(
 
 def compare(
     base: RunConfig,
-    arms: Sequence[tuple[str, ControllerMode]],
+    modes: Sequence[ControllerMode],
     threshold: Optional[float] = None,
 ) -> list[tuple[SummaryRow, Records, Records]]:
-    """Train and test each (label, mode) arm under the grid, budget and seed
-    of ``base``. Returns, per arm in order, its summary row, its training
-    records and its greedy records; the labels are the caller's to use.
+    """Train and test each mode under the grid, budget and seed of ``base``.
+    Returns, per mode in order, its summary row, its training records and
+    its greedy records.
     """
     if threshold is None:
         threshold = 0.8 * oracle_episode_return(base.grid, base.hyper.gamma)
-    results = _run_arms([replace(base, mode=mode) for _, mode in arms])
+    results = _run_arms([replace(base, mode=mode) for mode in modes])
     return [
         (_summary_row(mode, train_recs, eval_recs, threshold), train_recs, eval_recs)
-        for (_, mode), (train_recs, eval_recs) in zip(arms, results)
+        for mode, (train_recs, eval_recs) in zip(modes, results)
     ]
 
 
@@ -469,8 +469,9 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
 
 def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
     """Read a file written by `write_qtable`. Every section must name a table
-    of the header's mode, every value must be finite and every (state,
-    action) record unique; a row's missing actions read as 0.0."""
+    of the header's mode, every state must be of that table's projection
+    (`ControllerMode.projection`), every value must be finite and every
+    (state, action) record unique; a row's missing actions read as 0.0."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("#"):
@@ -488,6 +489,7 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
                 raise ParseError(f"{path}:{lineno}: no {key!r} table in mode {mode.method.value}")
             # NaN marks an entry not read yet, so a repeated record shows.
             current = tables.setdefault(key, QTable(math.nan))
+            kind = mode.projection(key)
             rows = {}
             continue
         if current is None:
@@ -496,7 +498,10 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
             head, action_text, value_text = line.rsplit(",", 2)
             row = rows.get(head)
             if row is None:
-                row = rows[head] = current.row(parse_state(head))
+                state = parse_state(head)
+                if type(state) is not kind:
+                    raise ValueError(f"{head} is not a {kind.__name__}, the rows of {key!r}")
+                row = rows[head] = current.row(state)
             action = int(action_text)
             value = float(value_text)
             if not 0 <= action < 5:

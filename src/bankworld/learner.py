@@ -17,6 +17,7 @@ nothing to learn. With the planner off every agent always acts.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +26,10 @@ from typing import Optional
 from . import planner as plan
 from .abstraction import (
     AbstractState,
+    DropState,
+    FlatState,
+    NoPlannerState,
+    PickupState,
     abstract_drop,
     abstract_flat,
     abstract_no_planner,
@@ -32,7 +37,9 @@ from .abstraction import (
 )
 from .environment import (
     ACTIONS,
+    IDLE_OUTCOMES,
     Action,
+    CarriedBy,
     ConfigError,
     Dropped,
     Event,
@@ -40,7 +47,6 @@ from .environment import (
     StepOutcome,
     WorldState,
     advance_step,
-    carried_gem,
     step_agent,
 )
 from .planner import Assignment
@@ -66,6 +72,12 @@ class OptionId(Enum):
     IDLE = "idle"
 
 
+# Enum members read once here: each read through the class costs a lookup.
+_RANDOM, _FLAT, _OPTIONS = Method.RANDOM, Method.FLAT, Method.OPTIONS
+_PICKUP, _DROP, _IDLE = OptionId.PICKUP, OptionId.DROP, OptionId.IDLE
+_ACQUIRED, _DROPPED = Event.ACQUIRED, Event.DROPPED
+
+
 @dataclass(frozen=True)
 class ControllerMode:
     method: Method
@@ -77,6 +89,13 @@ class ControllerMode:
         if self.method is Method.FLAT:
             return (FLAT_TABLE,)
         return ()
+
+    def projection(self, key: str) -> type:
+        """The abstract state kind of the rows of table ``key``: the planner-
+        off view for every table, else the view of that table's task."""
+        if not self.planner_enabled:
+            return NoPlannerState
+        return {PICKUP_TABLE: PickupState, DROP_TABLE: DropState, FLAT_TABLE: FlatState}[key]
 
 
 @dataclass(frozen=True)
@@ -111,6 +130,11 @@ class Hyperparams:
             )
         if not (0.0 <= self.eps_decay_fraction <= 1.0):
             raise ConfigError("eps_decay_fraction must be in [0, 1]", "eps_decay_fraction")
+        decay = self.alpha_visit_decay
+        if decay is not None and not (0.0 < decay < math.inf):
+            raise ConfigError(
+                f"alpha_visit_decay must be finite and > 0, got {decay}", "alpha_visit_decay"
+            )
 
 
 def epsilon_at(episode: int, total_episodes: int, h: Hyperparams) -> float:
@@ -177,11 +201,20 @@ class QTable:
         return f"QTable({len(self.rows)} states)"
 
 
+def _uniform_action(rng: random.Random) -> Action:
+    """``ACTIONS[rng.randrange(5)]``, drawn the way `randrange` draws: three
+    bits at a time until they name an action, so the stream is the same."""
+    a = rng.getrandbits(3)
+    while a >= 5:
+        a = rng.getrandbits(3)
+    return ACTIONS[a]
+
+
 def select_action(q: QTable, s: AbstractState, epsilon: float, rng: random.Random) -> Action:
     """Epsilon-greedy: uniform with probability epsilon, else the argmax
     with ties broken toward the lowest action index."""
     if epsilon > 0.0 and rng.random() < epsilon:
-        return ACTIONS[rng.randrange(5)]
+        return _uniform_action(rng)
     return q.best_action(s)
 
 
@@ -216,11 +249,12 @@ def td_update(
 def option_for_agent(state: WorldState, agent: int, assignment: Optional[Assignment]) -> OptionId:
     """The one dispatch: deposit while carrying, else fetch while allocated
     or always with the planner off (``assignment=None``), else idle."""
-    if carried_gem(state, agent) is not None:
-        return OptionId.DROP
+    for status in state.gems:
+        if type(status) is CarriedBy and status.agent == agent:
+            return _DROP
     if assignment is None or agent in assignment.agent_to_gem:
-        return OptionId.PICKUP
-    return OptionId.IDLE
+        return _PICKUP
+    return _IDLE
 
 
 def _project(
@@ -237,7 +271,7 @@ def _project(
         return abstract_no_planner(state, agent)
     if flat:
         return abstract_flat(state, agent, assignment, config.bank)
-    if option is OptionId.PICKUP:
+    if option is _PICKUP:
         return abstract_pickup(state, agent, assignment.agent_to_gem[agent])
     return abstract_drop(state, agent)
 
@@ -261,35 +295,43 @@ def controller_step(
     """
     outcomes: list[StepOutcome] = []
     method = mode.method
-    flat = method is Method.FLAT
-    learning = learn and method is not Method.RANDOM
+    flat = method is _FLAT
+    random_policy = method is _RANDOM
+    learning = learn and not random_policy
     alloc = assignment if mode.planner_enabled else None
+    parked = IDLE_OUTCOMES[config.noop_reward]
+    # The executing table of each learning option; the flat table serves both.
+    if method is _OPTIONS:
+        pickup_table, drop_table = tables[PICKUP_TABLE], tables[DROP_TABLE]
+    elif flat:
+        pickup_table = drop_table = tables[FLAT_TABLE]
 
     for agent in range(config.num_agents):
         if alloc is not None:
             alloc = plan.assign(state, alloc)
         option = option_for_agent(state, agent, alloc)
-        if option is OptionId.IDLE:
+        if option is _IDLE:
             # Parked: no gem to fetch. Forced NoOp, no learning.
-            outcomes.append(StepOutcome(config.noop_reward, Event.IDLE))
+            outcomes.append(parked)
             continue
 
-        if method is Method.RANDOM:
-            action = ACTIONS[rng.randrange(5)]
+        if random_policy:
+            action = _uniform_action(rng)
         else:
-            table = tables[FLAT_TABLE if flat else option.value]
+            table = drop_table if option is _DROP else pickup_table
             s = _project(state, agent, option, alloc, flat, config)
             action = select_action(table, s, epsilon, rng)
         # A carrier's allocation is its carried gem until the deposit.
         gem = None if alloc is None else alloc.agent_to_gem[agent]
         next_state, outcome = step_agent(state, config, agent, action, gem)
+        event = outcome.event
 
-        if outcome.event is Event.DROPPED and alloc is not None:
+        if event is _DROPPED and alloc is not None:
             alloc = plan.release(alloc, outcome.gem)
 
         if learning:
-            if method is Method.OPTIONS:
-                terminal = outcome.event is Event.ACQUIRED or outcome.event is Event.DROPPED
+            if method is _OPTIONS:
+                terminal = event is _ACQUIRED or event is _DROPPED
             else:
                 terminal = all(type(g) is Dropped for g in next_state.gems)
             s_next = None if terminal else _project(next_state, agent, option, alloc, flat, config)

@@ -310,6 +310,50 @@ class TestOutputTreesPinned:
             **arm_files({"planner-on": LEARNED, "planner-off": LEARNED}),
         }
 
+    # Two agents and two gems: after the first deposit the planner releases
+    # that agent's allocation and, with no gem left to fetch, parks it.
+    PAIR = "--grid 7x7 --agents 2 --gems 2 --steps 80 --seed 5 --episodes 150"
+    PAIR_CONFIG = "d97781d71c9aeccbedb3ad6ce98c86ff25cd0c01340719e9ea7803524d0f1059"
+    PAIR_LEARNED = {  # at this budget flat and options train and replay alike
+        "metrics.csv": "5ea41d505183ed5a13429e77d7720a6965d49edbf4d70fcf141794c813135a13",
+        "eval_metrics.csv": "4ec07bba4b696a77ae4bf1b872c16b40f832179589d33c5f062c123617c923e2",
+        "plot_metrics.py": PLOT,
+    }
+
+    def test_two_agent_compare_methods(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(f"compare-methods {self.PAIR} --out {tmp_path}".split()) == 0
+        assert tree(tmp_path) == {
+            "config.txt": self.PAIR_CONFIG,
+            "summary.csv": "b57263313f21d656a2cbaa83b899d9840e6175d632a299f1d7260dd7afce0aae",
+            **arm_files({
+                "random": {
+                    "metrics.csv": "5897bf42e6f3ce2de0fca649ebb8e4262b4a7dfe93c712368a9ac61422be2186",
+                    "eval_metrics.csv":
+                        "8c7624e3efe31f9003d408d502638cc27112d7ebe17474df0323101818c42b00",
+                    "plot_metrics.py": PLOT,
+                },
+                "q": self.PAIR_LEARNED,
+                "q-options": self.PAIR_LEARNED,
+            }),
+        }
+
+    def test_two_agent_compare_planner(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(f"compare-planner {self.PAIR} --out {tmp_path}".split()) == 0
+        assert tree(tmp_path) == {
+            "config.txt": self.PAIR_CONFIG,
+            "summary.csv": "34515f8582293f828a54c45189de5528d6482408c5e80363fcbc13e8a3160f8e",
+            **arm_files({
+                "planner-on": self.PAIR_LEARNED,
+                "planner-off": {
+                    "metrics.csv": "dd70365b6224ec311993f147bcff385a429163ee9eafbed0c9e46b3e62538813",
+                    "eval_metrics.csv": self.PAIR_LEARNED["eval_metrics.csv"],
+                    "plot_metrics.py": PLOT,
+                },
+            }),
+        }
+
 
 def write_text(tmp_path, name, text):
     path = tmp_path / name

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -188,6 +189,18 @@ class TestStepAgent:
         next_state, outcome = step_agent(carrying, cfg, 0, Action.RIGHT, assigned_gem=1)
         assert outcome.event is Event.MOVED
         assert next_state.gems[0] == OnGrid((1, 2))
+
+    def test_pickled_config_steps_alike(self):
+        # Worker processes receive the config by pickle, with its move table
+        # once a step has built it.
+        cfg, state = small_world([(0, 0)], [(0, 1)])
+        step_agent(state, cfg, 0, Action.RIGHT)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert "moves" in vars(copy) and "moves" not in repr(cfg)
+        assert copy == cfg and hash(copy) == hash(cfg)
+        for action in ACTIONS:
+            for gem in (None, 0):
+                assert step_agent(state, copy, 0, action, gem) == step_agent(state, cfg, 0, action, gem)
 
 
 class TestEpisodeAccounting:

@@ -42,14 +42,14 @@ from bankworld.harness import (
     write_plot_script,
     write_summary,
 )
-from bankworld import harness, planner
+from bankworld import harness, learner, planner
 from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
 
 from conftest import desk_config
 
 
-def tiny_run(method=Method.OPTIONS, planner=True, episodes=30, seed=3, gems=1):
-    grid = GridConfig(5, 5, 1, gems, 60)
+def tiny_run(method=Method.OPTIONS, planner=True, episodes=30, seed=3, gems=1, agents=1):
+    grid = GridConfig(5, 5, agents, gems, 60)
     return RunConfig(
         grid=grid,
         mode=ControllerMode(method, planner),
@@ -370,13 +370,10 @@ class TestThreshold:
 
 
 def method_arms(planner=True):
-    return [(m.value, ControllerMode(m, planner)) for m in Method]
+    return [ControllerMode(m, planner) for m in Method]
 
 
-PLANNER_ARMS = [
-    ("planner-on", ControllerMode(Method.OPTIONS, True)),
-    ("planner-off", ControllerMode(Method.OPTIONS, False)),
-]
+PLANNER_ARMS = [ControllerMode(Method.OPTIONS, True), ControllerMode(Method.OPTIONS, False)]
 
 
 class TestCompare:
@@ -410,7 +407,41 @@ class TestCompare:
 
 class TestPlannerCalls:
     """The planner is consulted once per agent per step when it is on, as
-    `TrainResult.planner_calls` reports, and never when it is off."""
+    `TrainResult.planner_calls` reports, and never when it is off. Each
+    acting agent-step is one `step_agent` call and, for a learner, one
+    `td_update`."""
+
+    @pytest.mark.parametrize("agents", [1, 2])
+    @pytest.mark.parametrize("planner_on", [True, False])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_full_call_contract(self, monkeypatch, method, planner_on, agents):
+        calls = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+            calls[name] = 0
+
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        spy(planner, "assign")
+        spy(learner, "step_agent")
+        spy(learner, "td_update")
+        result = train(tiny_run(method, planner_on, episodes=10, gems=2, agents=agents))
+        steps = sum(r.steps_used for r in result.records) * agents
+        assert calls["assign"] == result.planner_calls == (steps if planner_on else 0)
+        if method is Method.RANDOM:
+            assert calls["td_update"] == 0
+        else:
+            assert calls["td_update"] == calls["step_agent"] > 0
+        if planner_on and agents == 2:
+            # The agent whose gem is deposited first parks and takes no step.
+            assert 0 < calls["step_agent"] < steps
+        else:
+            assert calls["step_agent"] == steps
 
     @pytest.mark.parametrize("method", list(Method))
     def test_spy_counts_the_reported_calls(self, monkeypatch, method):
@@ -550,6 +581,37 @@ class TestPersistence:
         path.write_text(header + "\n# option=pickup\nP,0,0,1,1,0,3.5\n")
         with pytest.raises(ParseError, match=r"bad.csv:1:"):
             read_qtable(path)
+
+    @pytest.mark.parametrize("decay", ["0.0", "-1.0", "nan"])
+    def test_bad_visit_decay_names_line_1(self, tmp_path, decay):
+        path = tmp_path / "bad.csv"
+        header = self.HEADER.replace("alpha_visit_decay=none", f"alpha_visit_decay={decay}")
+        path.write_text(header + "\n# option=pickup\nP,0,0,1,1,0,3.5\n")
+        with pytest.raises(ParseError, match=r"bad.csv:1: bad header .*alpha_visit_decay"):
+            read_qtable(path)
+
+    @pytest.mark.parametrize("header, section, record", [
+        (HEADER, "drop", "P,0,0,1,1"),
+        (HEADER, "pickup", "D,0,0"),
+        (HEADER, "pickup", "F,0,0,_,_,0"),
+        (HEADER, "pickup", "N,0,0,0,1:1"),
+        (HEADER.replace("planner=on", "planner=off"), "pickup", "P,0,0,1,1"),
+        (HEADER.replace("mode=q-options", "mode=q"), "flat", "P,0,0,1,1"),
+    ])
+    def test_record_must_hold_its_tables_projection(self, tmp_path, header, section, record):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n# option={section}\n{record},0,1.0\n")
+        with pytest.raises(ParseError, match=rf"bad.csv:3: {record} is not a"):
+            read_qtable(path)
+
+    @pytest.mark.parametrize("planner_on", [True, False])
+    @pytest.mark.parametrize("method", [Method.FLAT, Method.OPTIONS])
+    def test_projection_names_the_kind_the_controller_writes(self, method, planner_on):
+        cfg = tiny_run(method, planner_on, episodes=10, gems=2, agents=2)
+        tables = train(cfg).tables
+        assert tables and all(
+            type(s) is cfg.mode.projection(key) for key, t in tables.items() for s in t.rows
+        )
 
     @pytest.mark.parametrize("section", ["bogus", "flat"])
     def test_section_must_name_a_table_of_the_mode(self, tmp_path, section):

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bankworld.abstraction import DropState, FlatState, NoPlannerState, PickupState
 from bankworld.environment import (
+    ACTIONS,
     Action,
     ConfigError,
     Event,
@@ -31,7 +34,7 @@ from bankworld.learner import (
     select_action,
     td_update,
 )
-from bankworld import planner
+from bankworld import learner, planner
 from bankworld.planner import Assignment
 
 
@@ -133,9 +136,26 @@ class TestEpsilonSchedule:
             Hyperparams(**kwargs)
         assert info.value.field == field
 
+    @pytest.mark.parametrize("decay", [0.0, -1.0, math.nan, math.inf])
+    def test_visit_decay_must_be_finite_and_positive(self, decay):
+        # 0 and negative values divided by zero in `td_update`; NaN wrote NaN values.
+        with pytest.raises(ConfigError) as info:
+            Hyperparams(alpha_visit_decay=decay)
+        assert info.value.field == "alpha_visit_decay"
+
 
 def world(agent_positions, gem_statuses):
     return WorldState(tuple(agent_positions), tuple(gem_statuses), step=0)
+
+
+class TestUniformAction:
+    @given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=1, max_value=200))
+    def test_draws_the_stream_of_randrange(self, seed, draws):
+        fast, reference = random.Random(seed), random.Random(seed)
+        assert [learner._uniform_action(fast) for _ in range(draws)] == [
+            ACTIONS[reference.randrange(5)] for _ in range(draws)
+        ]
+        assert fast.getstate() == reference.getstate()
 
 
 class TestOptionDispatch:
