@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
-from .environment import CarriedBy, OnGrid, Position, WorldState
+from .environment import Position, WorldState
 from .planner import Assignment
 
 
@@ -65,21 +65,19 @@ _new = tuple.__new__
 
 def abstract_pickup(state: WorldState, agent: int, gem: int) -> PickupState:
     """Fetch-task view: (own position, allocated gem position)."""
-    status = state.gems[gem]
-    if type(status) is not OnGrid:
+    cell = state.gem_cells[gem]
+    if cell is None:
         raise ValueError(f"gem {gem} is not on the grid")
-    for other in state.gems:
-        if type(other) is CarriedBy and other.agent == agent:
-            raise ValueError(f"agent {agent} is already carrying a gem")
-    return _new(PickupState, (state.agent_positions[agent], status.pos))
+    if state.held[agent] is not None:
+        raise ValueError(f"agent {agent} is already carrying a gem")
+    return _new(PickupState, (state.agent_positions[agent], cell))
 
 
 def abstract_drop(state: WorldState, agent: int) -> DropState:
     """Deposit-task view: own position only."""
-    for status in state.gems:
-        if type(status) is CarriedBy and status.agent == agent:
-            return _new(DropState, (state.agent_positions[agent],))
-    raise ValueError(f"agent {agent} is not carrying a gem")
+    if state.held[agent] is None:
+        raise ValueError(f"agent {agent} is not carrying a gem")
+    return _new(DropState, (state.agent_positions[agent],))
 
 
 def abstract_flat(
@@ -87,32 +85,20 @@ def abstract_flat(
 ) -> FlatState:
     """Single-table view: position plus a pointer at the current goal."""
     pos = state.agent_positions[agent]
-    for status in state.gems:
-        if type(status) is CarriedBy and status.agent == agent:
-            return _new(FlatState, (pos, bank, True))
+    if state.held[agent] is not None:
+        return _new(FlatState, (pos, bank, True))
     gem = assignment.agent_to_gem.get(agent)
-    if gem is not None:
-        status = state.gems[gem]
-        if type(status) is OnGrid:
-            return _new(FlatState, (pos, status.pos, False))
-    return _new(FlatState, (pos, None, False))
+    target = None if gem is None else state.gem_cells[gem]
+    return _new(FlatState, (pos, target, False))
 
 
 def abstract_no_planner(state: WorldState, agent: int) -> NoPlannerState:
     """Planner-off view: position, carrying flag, and all gem cells."""
     pos = state.agent_positions[agent]
-    cells: list[Optional[Position]] = []
-    carrying = False
-    for status in state.gems:
-        kind = type(status)
-        if kind is OnGrid:
-            cells.append(status.pos)
-        elif kind is CarriedBy and status.agent == agent:
-            cells.append(pos)
-            carrying = True
-        else:
-            cells.append(None)
-    return _new(NoPlannerState, (pos, carrying, tuple(cells)))
+    cells, gem = state.gem_cells, state.held[agent]
+    if gem is None:
+        return _new(NoPlannerState, (pos, False, cells))
+    return _new(NoPlannerState, (pos, True, cells[:gem] + (pos,) + cells[gem + 1:]))
 
 
 def _pair(text: str, sep: str = ",") -> Position:

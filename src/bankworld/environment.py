@@ -23,6 +23,14 @@ Eligibility: when a planner allocation is in effect, `step_agent` is
 called with ``assigned_gem`` and only that gem can be picked up. With
 ``assigned_gem=None`` (planner-off mode) any on-grid gem on the entered
 cell is eligible, lowest gem index first.
+
+World state
+-----------
+`WorldState` records each agent's load on the agent side: ``held[i]`` is
+the index of the gem agent ``i`` carries, or None. ``gem_cells[j]`` is
+gem ``j``'s cell while it lies on the grid, else None. A gem is in exactly
+one place: on its cell, in one agent's ``held``, or deposited, which is
+the gem with no cell that no agent holds (`gems_deposited` counts them).
 """
 
 from __future__ import annotations
@@ -74,24 +82,6 @@ class Event(Enum):
 
 
 @dataclass(frozen=True)
-class OnGrid:
-    pos: Position
-
-
-@dataclass(frozen=True)
-class CarriedBy:
-    agent: int
-
-
-@dataclass(frozen=True)
-class Dropped:
-    pass
-
-
-GemStatus = Union[OnGrid, CarriedBy, Dropped]
-
-
-@dataclass(frozen=True)
 class FixedLayout:
     """Explicit agent and gem start positions, reused every episode."""
 
@@ -109,7 +99,8 @@ Layout = Union[FixedLayout, RandomLayout]
 
 class WorldState(NamedTuple):
     agent_positions: tuple[Position, ...]
-    gems: tuple[GemStatus, ...]
+    held: tuple[Optional[int], ...]
+    gem_cells: tuple[Optional[Position], ...]
     step: int
 
 
@@ -123,7 +114,6 @@ class StepOutcome(NamedTuple):
 # __new__ that NamedTuple generates.
 _new = tuple.__new__
 _ACQUIRED, _DROPPED, _MOVED = Event.ACQUIRED, Event.DROPPED, Event.MOVED
-_DEPOSITED = Dropped()
 
 # The outcomes that name no gem are shared: one per kind and no-op reward.
 _ILLEGAL_OUTCOME = StepOutcome(REWARD_ILLEGAL, Event.ILLEGAL)
@@ -275,19 +265,15 @@ def reset(config: GridConfig, seed: int) -> WorldState:
         picked = random.Random(seed).sample(cells, config.num_agents + config.num_gems)
         agents = tuple(picked[: config.num_agents])
         gem_positions = tuple(picked[config.num_agents:])
-    return WorldState(
-        agent_positions=tuple(agents),
-        gems=tuple(OnGrid(pos) for pos in gem_positions),
-        step=0,
-    )
+    return WorldState(tuple(agents), held=(None,) * config.num_agents,
+                      gem_cells=tuple(gem_positions), step=0)
 
 
-def carried_gem(state: WorldState, agent: int) -> Optional[int]:
-    """Index of the gem the agent carries, or None."""
-    for j, status in enumerate(state.gems):
-        if type(status) is CarriedBy and status.agent == agent:
-            return j
-    return None
+def gems_deposited(state: WorldState) -> int:
+    """How many gems are deposited: without a cell and held by no agent.
+    A held gem has no cell, so that is the cell-less gems less the holders."""
+    held = state.held
+    return state.gem_cells.count(None) - (len(held) - held.count(None))
 
 
 def step_agent(
@@ -303,8 +289,8 @@ def step_agent(
     planner-off mode where any on-grid gem on the entered cell counts.
     The step counter is untouched; callers advance it once per timestep.
     """
-    gems = state.gems
-    if assigned_gem is not None and type(gems[assigned_gem]) is Dropped:
+    cells, held = state.gem_cells, state.held
+    if assigned_gem is not None and cells[assigned_gem] is None and assigned_gem not in held:
         raise ValueError(f"gem {assigned_gem} is already deposited")
     positions = state.agent_positions
     new_pos, outcome = config.moves[positions[agent]][action]
@@ -315,44 +301,32 @@ def step_agent(
     moved[agent] = new_pos
     positions = tuple(moved)
 
-    holding = None
-    for j, status in enumerate(gems):
-        if type(status) is CarriedBy and status.agent == agent:
-            holding = j
-            break
-
+    holding = held[agent]
     if holding is None:
-        for target, status in enumerate(gems):
-            if (
-                type(status) is OnGrid
-                and status.pos == new_pos
-                and (assigned_gem is None or assigned_gem == target)
-            ):
-                gems = gems[:target] + (CarriedBy(agent),) + gems[target + 1:]
-                return (
-                    _new(WorldState, (positions, gems, state.step)),
-                    _new(StepOutcome, (REWARD_PICKUP, _ACQUIRED, target)),
-                )
+        # The eligible gem: the allocated one, else the lowest-indexed gem on the cell.
+        target = cells.index(new_pos) if assigned_gem is None and new_pos in cells else assigned_gem
+        if target is not None and cells[target] == new_pos:
+            held = held[:agent] + (target,) + held[agent + 1:]
+            cells = cells[:target] + (None,) + cells[target + 1:]
+            return (
+                _new(WorldState, (positions, held, cells, state.step)),
+                _new(StepOutcome, (REWARD_PICKUP, _ACQUIRED, target)),
+            )
     elif new_pos == config.bank:
-        gems = gems[:holding] + (_DEPOSITED,) + gems[holding + 1:]
+        held = held[:agent] + (None,) + held[agent + 1:]
         return (
-            _new(WorldState, (positions, gems, state.step)),
+            _new(WorldState, (positions, held, cells, state.step)),
             _new(StepOutcome, (REWARD_DEPOSIT, _DROPPED, holding)),
         )
 
-    return _new(WorldState, (positions, gems, state.step)), _MOVED_OUTCOME
+    return _new(WorldState, (positions, held, cells, state.step)), _MOVED_OUTCOME
 
 
 def advance_step(state: WorldState) -> WorldState:
     """Bump the episode step counter by one."""
-    return _new(WorldState, (state.agent_positions, state.gems, state.step + 1))
+    return _new(WorldState, (state.agent_positions, state.held, state.gem_cells, state.step + 1))
 
 
 def is_terminal(state: WorldState, config: GridConfig) -> bool:
     """True iff every gem is deposited or the step limit is reached."""
-    if state.step >= config.step_limit:
-        return True
-    for status in state.gems:
-        if type(status) is not Dropped:
-            return False
-    return True
+    return state.step >= config.step_limit or gems_deposited(state) == len(state.gem_cells)

@@ -42,13 +42,11 @@ from .abstraction import (
 from .environment import (
     ACTIONS,
     Action,
-    CarriedBy,
     ConfigError,
-    Dropped,
     Event,
     GridConfig,
-    OnGrid,
     WorldState,
+    gems_deposited,
     is_terminal,
     reset,
     step_agent,
@@ -130,9 +128,8 @@ def _run_episode(
         )
         for outcome in outcomes:
             total += outcome.reward
-    dropped = sum(1 for g in state.gems if type(g) is Dropped)
     recorded_eps = 1.0 if mode.method is Method.RANDOM else epsilon
-    return EpisodeRecord(episode, total, state.step, dropped, recorded_eps)
+    return EpisodeRecord(episode, total, state.step, gems_deposited(state), recorded_eps)
 
 
 def train(cfg: RunConfig) -> TrainResult:
@@ -195,8 +192,9 @@ class SubtaskMDP:
 
     def step(self, s: AbstractState, a: Action) -> tuple[Optional[AbstractState], int, bool]:
         pickup = self.task == PICKUP_TABLE
-        gem = OnGrid(s.gem_pos) if pickup else CarriedBy(0)
-        world, outcome = step_agent(WorldState((s.agent_pos,), (gem,), 0), self.grid, 0, a, 0)
+        # One agent and one gem: on its cell to fetch, in the agent's hands to deposit.
+        held, cells = ((None,), (s.gem_pos,)) if pickup else ((0,), (None,))
+        world, outcome = step_agent(WorldState((s.agent_pos,), held, cells, 0), self.grid, 0, a, 0)
         if outcome.event is Event.ACQUIRED or outcome.event is Event.DROPPED:
             return None, outcome.reward, True
         s_next = abstract_pickup(world, 0, 0) if pickup else abstract_drop(world, 0)

@@ -39,14 +39,13 @@ from .environment import (
     ACTIONS,
     IDLE_OUTCOMES,
     Action,
-    CarriedBy,
     ConfigError,
-    Dropped,
     Event,
     GridConfig,
     StepOutcome,
     WorldState,
     advance_step,
+    gems_deposited,
     step_agent,
 )
 from .planner import Assignment
@@ -130,6 +129,9 @@ class Hyperparams:
             )
         if not (0.0 <= self.eps_decay_fraction <= 1.0):
             raise ConfigError("eps_decay_fraction must be in [0, 1]", "eps_decay_fraction")
+        if self.seed < 0:
+            # random.Random seeds with abs(seed): -5 would replay the run of 5.
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
         decay = self.alpha_visit_decay
         if decay is not None and not (0.0 < decay < math.inf):
             raise ConfigError(
@@ -249,9 +251,8 @@ def td_update(
 def option_for_agent(state: WorldState, agent: int, assignment: Optional[Assignment]) -> OptionId:
     """The one dispatch: deposit while carrying, else fetch while allocated
     or always with the planner off (``assignment=None``), else idle."""
-    for status in state.gems:
-        if type(status) is CarriedBy and status.agent == agent:
-            return _DROP
+    if state.held[agent] is not None:
+        return _DROP
     if assignment is None or agent in assignment.agent_to_gem:
         return _PICKUP
     return _IDLE
@@ -333,7 +334,7 @@ def controller_step(
             if method is _OPTIONS:
                 terminal = event is _ACQUIRED or event is _DROPPED
             else:
-                terminal = all(type(g) is Dropped for g in next_state.gems)
+                terminal = gems_deposited(next_state) == config.num_gems
             s_next = None if terminal else _project(next_state, agent, option, alloc, flat, config)
             td_update(table, s, action, outcome.reward, s_next, terminal, h)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .environment import OnGrid, Position, WorldState
+from .environment import Position, WorldState
 
 
 def manhattan(a: Position, b: Position) -> int:
@@ -41,9 +41,9 @@ def assign(state: WorldState, current: Assignment) -> Assignment:
         return current
     free = [i for i in range(len(state.agent_positions)) if i not in current.agent_to_gem]
     open_gems = [
-        (j, status.pos)
-        for j, status in enumerate(state.gems)
-        if type(status) is OnGrid and j not in current.gem_to_agent
+        (j, cell)
+        for j, cell in enumerate(state.gem_cells)
+        if cell is not None and j not in current.gem_to_agent
     ]
     if not open_gems:
         return current

@@ -7,6 +7,9 @@ planner) for the session so each combination trains exactly once. At
 first use the fixture trains all of `DESK_KEYS` at once in worker
 processes, one per core; on one core it trains each run in-process when
 it is first asked for.
+
+`gem_places` is the shared check of the world state's invariant: every
+gem in exactly one place.
 """
 
 import multiprocessing
@@ -15,9 +18,23 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from bankworld.environment import GridConfig
+from bankworld.environment import GridConfig, WorldState, gems_deposited
 from bankworld.harness import RunConfig, evaluate, train
 from bankworld.learner import ControllerMode, Hyperparams, Method
+
+
+def gem_places(state: WorldState, num_gems: int) -> tuple[int, int, int]:
+    """How many gems are on the grid, held and deposited, after asserting
+    that each gem is in exactly one of those places: a held gem is held by
+    one agent and has no cell, and a deposited gem has neither."""
+    cells, held = state.gem_cells, [g for g in state.held if g is not None]
+    assert len(cells) == num_gems
+    assert len(held) == len(set(held)), f"a gem held twice: {state.held}"
+    assert all(0 <= g < num_gems and cells[g] is None for g in held), f"held gem on a cell: {state}"
+    on_grid = num_gems - cells.count(None)
+    deposited = sum(1 for j in range(num_gems) if cells[j] is None and j not in held)
+    assert gems_deposited(state) == deposited
+    return on_grid, len(held), deposited
 
 
 def desk_grid() -> GridConfig:

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,25 +17,38 @@ from bankworld.abstraction import (
     parse_state,
     serialize_state,
 )
-from bankworld.environment import CarriedBy, Dropped, GridConfig, OnGrid, WorldState
+from bankworld.environment import GridConfig, WorldState
+from bankworld.environment import RandomLayout, is_terminal, reset
 from bankworld.harness import DROP_TABLE, PICKUP_TABLE, SubtaskMDP
+from bankworld.learner import (
+    ControllerMode,
+    Hyperparams,
+    Method,
+    OptionId,
+    controller_step,
+    option_for_agent,
+)
 from bankworld.planner import Assignment
 
 positions = st.tuples(st.integers(0, 10), st.integers(0, 10))
 
 
-def world(agent_positions, gem_statuses, step=0):
-    return WorldState(tuple(agent_positions), tuple(gem_statuses), step)
+def world(agent_positions, gem_cells, held=None, step=0):
+    """Agents at ``agent_positions``, each empty-handed unless ``held`` says
+    which gem it carries; a gem without a cell is carried or deposited."""
+    if held is None:
+        held = [None] * len(agent_positions)
+    return WorldState(tuple(agent_positions), tuple(held), tuple(gem_cells), step)
 
 
 class TestPickupProjection:
     def test_reads_the_two_positions(self):
-        state = world([(1, 2)], [OnGrid((4, 4))])
+        state = world([(1, 2)], [(4, 4)])
         assert abstract_pickup(state, 0, 0) == PickupState((1, 2), (4, 4))
 
     def test_everything_else_invisible(self):
-        a = world([(1, 2), (9, 9)], [OnGrid((4, 4)), OnGrid((0, 0))], step=3)
-        b = world([(1, 2), (5, 5)], [OnGrid((4, 4)), Dropped()], step=77)
+        a = world([(1, 2), (9, 9)], [(4, 4), (0, 0)], step=3)
+        b = world([(1, 2), (5, 5)], [(4, 4), None], step=77)
         assert abstract_pickup(a, 0, 0) == abstract_pickup(b, 0, 0)
 
     def test_space_bounded_by_grid_fourth_power(self):
@@ -41,24 +57,24 @@ class TestPickupProjection:
         assert len(set(space)) == len(space) <= 11**4
 
     def test_gem_off_grid_rejected(self):
-        state = world([(1, 2)], [CarriedBy(0)])
+        state = world([(1, 2)], [None], held=[0])
         with pytest.raises(ValueError):
             abstract_pickup(state, 0, 0)
 
     def test_carrying_agent_rejected(self):
-        state = world([(1, 2)], [CarriedBy(0), OnGrid((4, 4))])
+        state = world([(1, 2)], [None, (4, 4)], held=[0])
         with pytest.raises(ValueError):
             abstract_pickup(state, 0, 1)
 
 
 class TestDropProjection:
     def test_reads_own_position_only(self):
-        state = world([(7, 3)], [OnGrid((1, 1)), OnGrid((2, 2)), CarriedBy(0)])
+        state = world([(7, 3)], [(1, 1), (2, 2), None], held=[2])
         assert abstract_drop(state, 0) == DropState((7, 3))
 
     def test_carried_gem_identity_irrelevant(self):
-        carrying_g0 = world([(7, 3)], [CarriedBy(0), OnGrid((2, 2)), OnGrid((1, 1))])
-        carrying_g2 = world([(7, 3)], [OnGrid((2, 2)), OnGrid((1, 1)), CarriedBy(0)])
+        carrying_g0 = world([(7, 3)], [None, (2, 2), (1, 1)], held=[0])
+        carrying_g2 = world([(7, 3)], [(2, 2), (1, 1), None], held=[2])
         assert abstract_drop(carrying_g0, 0) == abstract_drop(carrying_g2, 0)
 
     def test_space_bounded_by_grid_squared(self):
@@ -67,28 +83,28 @@ class TestDropProjection:
         assert len(set(space)) == len(space) <= 11**2
 
     def test_empty_handed_agent_rejected(self):
-        state = world([(7, 3)], [OnGrid((1, 1))])
+        state = world([(7, 3)], [(1, 1)])
         with pytest.raises(ValueError):
             abstract_drop(state, 0)
 
 
 class TestFlatProjection:
     def test_fetching_points_at_assigned_gem(self):
-        state = world([(0, 0)], [OnGrid((9, 9)), OnGrid((3, 3))])
+        state = world([(0, 0)], [(9, 9), (3, 3)])
         assignment = Assignment({0: 1}, {1: 0})
         assert abstract_flat(state, 0, assignment, bank=(5, 5)) == FlatState(
             (0, 0), (3, 3), False
         )
 
     def test_carrying_points_at_bank(self):
-        state = world([(2, 2)], [CarriedBy(0)])
+        state = world([(2, 2)], [None], held=[0])
         assignment = Assignment({0: 0}, {0: 0})
         assert abstract_flat(state, 0, assignment, bank=(5, 5)) == FlatState(
             (2, 2), (5, 5), True
         )
 
     def test_unassigned_agent_has_no_target(self):
-        state = world([(9, 9)], [Dropped()])
+        state = world([(9, 9)], [None])
         assert abstract_flat(state, 0, Assignment.empty(), bank=(5, 5)) == FlatState(
             (9, 9), None, False
         )
@@ -96,22 +112,22 @@ class TestFlatProjection:
 
 class TestNoPlannerProjection:
     def test_all_gem_cells_listed(self):
-        state = world([(1, 1), (4, 4)], [OnGrid((0, 2)), CarriedBy(1), Dropped()])
+        state = world([(1, 1), (4, 4)], [(0, 2), None, None], held=[None, 1])
         assert abstract_no_planner(state, 0) == NoPlannerState(
             (1, 1), False, ((0, 2), None, None)
         )
 
     def test_all_dropped_all_absent(self):
-        state = world([(1, 1)], [Dropped(), Dropped()])
+        state = world([(1, 1)], [None, None])
         assert abstract_no_planner(state, 0) == NoPlannerState((1, 1), False, (None, None))
 
     def test_other_agent_positions_invisible(self):
-        a = world([(1, 1), (0, 0)], [OnGrid((0, 2))])
-        b = world([(1, 1), (9, 9)], [OnGrid((0, 2))])
+        a = world([(1, 1), (0, 0)], [(0, 2)])
+        b = world([(1, 1), (9, 9)], [(0, 2)])
         assert abstract_no_planner(a, 0) == abstract_no_planner(b, 0)
 
     def test_own_carried_gem_rides_along(self):
-        state = world([(4, 2)], [CarriedBy(0), OnGrid((0, 2))])
+        state = world([(4, 2)], [None, (0, 2)], held=[0])
         assert abstract_no_planner(state, 0) == NoPlannerState(
             (4, 2), True, ((4, 2), (0, 2))
         )
@@ -121,18 +137,18 @@ class TestRelevance:
     """Changing a projected fact must change the projection."""
 
     def test_pickup_tracks_gem_cell(self):
-        a = world([(1, 2)], [OnGrid((4, 4))])
-        b = world([(1, 2)], [OnGrid((4, 5))])
+        a = world([(1, 2)], [(4, 4)])
+        b = world([(1, 2)], [(4, 5)])
         assert abstract_pickup(a, 0, 0) != abstract_pickup(b, 0, 0)
 
     def test_drop_tracks_agent_cell(self):
-        a = world([(7, 3)], [CarriedBy(0)])
-        b = world([(7, 4)], [CarriedBy(0)])
+        a = world([(7, 3)], [None], held=[0])
+        b = world([(7, 4)], [None], held=[0])
         assert abstract_drop(a, 0) != abstract_drop(b, 0)
 
     def test_no_planner_tracks_gem_departure(self):
-        a = world([(1, 1), (2, 2)], [OnGrid((0, 2))])
-        b = world([(1, 1), (2, 2)], [CarriedBy(1)])
+        a = world([(1, 1), (2, 2)], [(0, 2)])
+        b = world([(1, 1), (2, 2)], [None], held=[None, 0])
         assert abstract_no_planner(a, 0) != abstract_no_planner(b, 0)
 
 
@@ -144,24 +160,17 @@ def world_pairs_agreeing_on_agent0_and_gem0(draw):
     worlds = []
     for _ in range(2):
         others = draw(st.lists(positions, min_size=0, max_size=3))
-        # carriers other than agent 0, so the projected facts stay fixed
-        extra_gems = draw(
-            st.lists(
-                st.one_of(
-                    positions.map(OnGrid),
-                    st.integers(1, 3).map(CarriedBy),
-                    st.just(Dropped()),
-                ),
-                min_size=0,
-                max_size=3,
-            )
-        )
+        held = [None] * (1 + len(others))
+        cells = [gem0]
+        for _ in range(draw(st.integers(0, 3))):
+            # carriers other than agent 0, so the projected facts stay fixed
+            free = [i for i in range(1, len(held)) if held[i] is None]
+            place = draw(st.sampled_from(["cell", "deposited"] + (["held"] if free else [])))
+            if place == "held":
+                held[draw(st.sampled_from(free))] = len(cells)
+            cells.append(draw(positions) if place == "cell" else None)
         step = draw(st.integers(0, 500))
-        worlds.append(
-            WorldState(
-                (agent0, *others), (OnGrid(gem0), *extra_gems), step
-            )
-        )
+        worlds.append(WorldState((agent0, *others), tuple(held), tuple(cells), step))
     return worlds[0], worlds[1]
 
 
@@ -243,3 +252,53 @@ class TestSerialization:
         except ValueError:
             return
         assert serialize_state(s) == text
+
+
+def projection_lines(size: int, planner: bool, seed: int) -> list[str]:
+    """Every projection of every agent at every step of one random-policy
+    episode on a ``size`` x ``size`` random layout with 2 agents and 3 gems:
+    the planner-off and flat views, plus the fetch view of each gem the
+    option allows and the deposit view while carrying."""
+    grid = GridConfig(size, size, 2, 3, 12 * size, layout=RandomLayout())
+    mode = ControllerMode(Method.RANDOM, planner_enabled=planner)
+    h, rng = Hyperparams(seed=seed), random.Random(seed)
+    state, assignment = reset(grid, seed), Assignment.empty()
+    lines = []
+    while True:
+        alloc = assignment if planner else None
+        for agent in range(grid.num_agents):
+            view = abstract_no_planner(state, agent)
+            texts = [serialize_state(view),
+                     serialize_state(abstract_flat(state, agent, assignment, grid.bank))]
+            option = option_for_agent(state, agent, alloc)
+            if option is OptionId.DROP:
+                texts.append(serialize_state(abstract_drop(state, agent)))
+            elif option is OptionId.PICKUP:
+                gems = ([alloc.agent_to_gem[agent]] if planner else
+                        [j for j, cell in enumerate(view.gem_cells) if cell is not None])
+                texts += [serialize_state(abstract_pickup(state, agent, j)) for j in gems]
+            lines.append(f"{state.step} {agent} {option.value} " + " ".join(texts))
+        if is_terminal(state, grid):
+            return lines
+        state, assignment, _ = controller_step(state, grid, mode, {}, assignment, 1.0, h, rng)
+
+
+class TestProjectionsPinned:
+    """The projections the learners see along seeded episodes, pinned by
+    digest: a change to how the world state is stored must not change a
+    single projected byte."""
+
+    DIGEST = "2d1e52a0064113a76159dc73f3b76b1b024b88f841d7808d3bfe532b4ae22ee6"
+
+    def test_projection_text_pinned(self):
+        lines = [f"{size} {planner} {seed} {line}"
+                 for size in (7, 11) for planner in (True, False) for seed in range(4)
+                 for line in projection_lines(size, planner, seed)]
+        text = "\n".join(lines)
+        # The episodes reach the cases a rewrite could break: a deposit view,
+        # a gem held by the other agent, and a deposited gem.
+        assert " D," in text
+        assert any(" drop " in a and " pickup " in b for a, b in zip(lines[::2], lines[1::2]))
+        views = [parse_state(t) for t in text.split() if t.startswith("N,")]
+        assert any(None in view.gem_cells for view in views)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

@@ -13,14 +13,10 @@ from bankworld.abstraction import NoPlannerState, PickupState
 from bankworld.environment import (
     ACTIONS,
     Action,
-    CarriedBy,
-    Dropped,
     Event,
     GridConfig,
-    OnGrid,
     RandomLayout,
     advance_step,
-    carried_gem,
     is_terminal,
     reset,
     step_agent,
@@ -46,7 +42,7 @@ from bankworld.learner import (
 )
 from bankworld.planner import Assignment
 
-from conftest import SEEDS, desk_grid
+from conftest import SEEDS, desk_grid, gem_places
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -268,16 +264,15 @@ def run_checked_training(cfg: RunConfig):
                 state, cfg.grid, cfg.mode, tables, assignment, 0.5,
                 cfg.hyper, rng,
             )
-            kinds = [type(g) for g in state.gems]
-            assert kinds.count(OnGrid) + kinds.count(CarriedBy) + kinds.count(Dropped) == cfg.grid.num_gems
-            carriers = [g.agent for g in state.gems if type(g) is CarriedBy]
+            assert sum(gem_places(state, cfg.grid.num_gems)) == cfg.grid.num_gems
+            carriers = [g for g in state.held if g is not None]
             assert len(carriers) == len(set(carriers))
             assert len(set(assignment.agent_to_gem.values())) == len(assignment.agent_to_gem)
             assert {g: a for a, g in assignment.agent_to_gem.items()} == dict(assignment.gem_to_agent)
             for gem, agent in assignment.gem_to_agent.items():
-                assert type(state.gems[gem]) is not Dropped
-                if type(state.gems[gem]) is CarriedBy:
-                    assert state.gems[gem].agent == agent
+                if state.gem_cells[gem] is None:
+                    # off the grid: carried by its agent, never deposited
+                    assert state.held[agent] == gem
             trace.append((state, tuple(outcomes)))
     return trace, tables
 
@@ -315,7 +310,7 @@ class TestNoOpEconomics:
             before = state
             idle_agents = [
                 i for i in range(grid.num_agents)
-                if carried_gem(before, i) is None and i not in assignment.agent_to_gem
+                if before.held[i] is None and i not in assignment.agent_to_gem
             ]
             state, assignment, outcomes = controller_step(
                 state, grid, cfg.mode, result.tables, assignment, 0.0,
@@ -323,7 +318,7 @@ class TestNoOpEconomics:
             )
             # agents idle *after* the in-step allocation refresh
             still_idle = [i for i in idle_agents if i not in assignment.agent_to_gem
-                          and carried_gem(state, i) is None]
+                          and state.held[i] is None]
             for i in still_idle:
                 idle_steps += 1
                 if (outcomes[i].event is Event.IDLE

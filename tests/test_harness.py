@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from bankworld.abstraction import DropState, PickupState, abstract_drop, abstract_pickup
 from bankworld.environment import (
     ACTIONS,
-    CarriedBy,
     ConfigError,
     Event,
     FixedLayout,
     GridConfig,
-    OnGrid,
     REWARD_DEPOSIT,
     REWARD_PICKUP,
     WorldState,
@@ -308,9 +306,9 @@ class TestOracle:
         s_next, reward, terminal = mdp.step(s, action)
 
         if task == PICKUP_TABLE:
-            ground = WorldState((s.agent_pos,), (OnGrid(s.gem_pos),), 0)
+            ground = WorldState((s.agent_pos,), (None,), (s.gem_pos,), 0)
         else:
-            ground = WorldState((s.agent_pos,), (CarriedBy(0),), 0)
+            ground = WorldState((s.agent_pos,), (0,), (None,), 0)
         ground_next, outcome = step_agent(ground, grid, 0, action, assigned_gem=0)
         assert outcome.reward == reward
         if task == PICKUP_TABLE:
@@ -588,6 +586,13 @@ class TestPersistence:
         header = self.HEADER.replace("alpha_visit_decay=none", f"alpha_visit_decay={decay}")
         path.write_text(header + "\n# option=pickup\nP,0,0,1,1,0,3.5\n")
         with pytest.raises(ParseError, match=r"bad.csv:1: bad header .*alpha_visit_decay"):
+            read_qtable(path)
+
+    def test_negative_seed_names_line_1(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = self.HEADER.replace("seed=0", "seed=-5")
+        path.write_text(header + "\n# option=pickup\nP,0,0,1,1,0,3.5\n")
+        with pytest.raises(ParseError, match=r"bad.csv:1: bad header .*seed"):
             read_qtable(path)
 
     @pytest.mark.parametrize("header, section, record", [

@@ -13,9 +13,6 @@ from bankworld.environment import (
     Event,
     FixedLayout,
     GridConfig,
-    OnGrid,
-    CarriedBy,
-    Dropped,
     WorldState,
     reset,
 )
@@ -35,6 +32,7 @@ from bankworld.learner import (
     td_update,
 )
 from bankworld import learner, planner
+from bankworld.cli import main
 from bankworld.planner import Assignment
 
 
@@ -143,9 +141,24 @@ class TestEpsilonSchedule:
             Hyperparams(alpha_visit_decay=decay)
         assert info.value.field == "alpha_visit_decay"
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with abs(seed), so -5 would train the run of 5.
+        with pytest.raises(ConfigError) as info:
+            Hyperparams(seed=-5)
+        assert info.value.field == "seed"
+        assert Hyperparams(seed=0).seed == 0
 
-def world(agent_positions, gem_statuses):
-    return WorldState(tuple(agent_positions), tuple(gem_statuses), step=0)
+    @pytest.mark.parametrize("argv", [["--seed", "-5"], ["--seed=-5"]])
+    def test_negative_seed_flag_exits_2_naming_it(self, argv, tmp_path, capsys):
+        assert main(["train", *argv, "--out", str(tmp_path / "r")]) == 2
+        assert "error: --seed:" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+def world(agent_positions, gem_cells, held=None):
+    if held is None:
+        held = [None] * len(agent_positions)
+    return WorldState(tuple(agent_positions), tuple(held), tuple(gem_cells), step=0)
 
 
 class TestUniformAction:
@@ -160,26 +173,26 @@ class TestUniformAction:
 
 class TestOptionDispatch:
     def test_carrying_means_drop(self):
-        state = world([(1, 1)], [CarriedBy(0)])
+        state = world([(1, 1)], [None], held=[0])
         assert option_for_agent(state, 0, Assignment({0: 0}, {0: 0})) is OptionId.DROP
 
     def test_assigned_means_pickup(self):
-        state = world([(1, 1)], [OnGrid((4, 4))])
+        state = world([(1, 1)], [(4, 4)])
         assert option_for_agent(state, 0, Assignment({0: 0}, {0: 0})) is OptionId.PICKUP
 
     def test_unassigned_means_idle(self):
-        state = world([(1, 1), (2, 2)], [OnGrid((4, 4))])
+        state = world([(1, 1), (2, 2)], [(4, 4)])
         assert option_for_agent(state, 1, Assignment({0: 0}, {0: 0})) is OptionId.IDLE
 
     def test_planner_off_carrying_means_drop(self):
-        state = world([(1, 1), (2, 2)], [OnGrid((4, 4)), CarriedBy(1)])
+        state = world([(1, 1), (2, 2)], [(4, 4), None], held=[None, 1])
         assert option_for_agent(state, 1, None) is OptionId.DROP
 
     def test_planner_off_empty_handed_means_pickup(self):
         # No allocation exists, yet nobody idles: every free agent fetches.
-        state = world([(1, 1), (2, 2)], [OnGrid((4, 4)), CarriedBy(1)])
+        state = world([(1, 1), (2, 2)], [(4, 4), None], held=[None, 1])
         assert option_for_agent(state, 0, None) is OptionId.PICKUP
-        assert option_for_agent(world([(1, 1)], [Dropped()]), 0, None) is OptionId.PICKUP
+        assert option_for_agent(world([(1, 1)], [None]), 0, None) is OptionId.PICKUP
 
 
 def options_setup(agents, gems, bank=(3, 3)):
@@ -198,14 +211,14 @@ class TestControllerStep:
             state, cfg, mode, tables, Assignment.empty(), 0.0, h, random.Random(0)
         )
         assert outcomes[0].event is Event.ACQUIRED
-        assert next_state.gems == (CarriedBy(0),)
+        assert (next_state.held, next_state.gem_cells) == ((0,), (None,))
         s = PickupState((2, 3), (1, 3))
         assert tables[PICKUP_TABLE].get(s, Action.UP) == pytest.approx(0.1 * 50)
         assert assignment.agent_to_gem == {0: 0}  # kept while carrying
 
     def test_drop_releases_assignment(self):
         cfg, mode, tables, state = options_setup([(2, 3)], [(5, 5)], bank=(1, 3))
-        carrying = state._replace(gems=(CarriedBy(0),))
+        carrying = state._replace(held=(0,), gem_cells=(None,))
         next_state, assignment, outcomes = controller_step(
             carrying, cfg, mode, tables, Assignment({0: 0}, {0: 0}), 0.0,
             Hyperparams(), random.Random(0)
@@ -294,7 +307,7 @@ class TestControllerStep:
                          layout=FixedLayout(agents=((5, 5), (6, 6)), gems=((0, 6), (0, 0))))
         mode = ControllerMode(Method.OPTIONS, planner_enabled=False)
         tables = fresh_tables(mode)
-        carrying = reset(cfg, 0)._replace(gems=(CarriedBy(0), OnGrid((0, 0))))
+        carrying = reset(cfg, 0)._replace(held=(0, None), gem_cells=(None, (0, 0)))
         controller_step(carrying, cfg, mode, tables, Assignment.empty(), 0.0,
                         Hyperparams(), random.Random(0))
         # agent 0 carries gem 0, which rides along at its cell; agent 1 sees

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankworld.environment import CarriedBy, Dropped, OnGrid, WorldState
+from bankworld.environment import WorldState
 from bankworld.planner import Assignment, assign, manhattan, release
 
 positions = st.tuples(st.integers(0, 10), st.integers(0, 10))
@@ -22,8 +22,10 @@ class TestManhattan:
         assert manhattan(a, b) == manhattan(b, a)
 
 
-def world(agent_positions, gem_statuses):
-    return WorldState(tuple(agent_positions), tuple(gem_statuses), step=0)
+def world(agent_positions, gem_cells, held=None):
+    if held is None:
+        held = [None] * len(agent_positions)
+    return WorldState(tuple(agent_positions), tuple(held), tuple(gem_cells), step=0)
 
 
 def brute_force_nearest(agent_pos, open_gems):
@@ -35,7 +37,7 @@ class TestAssign:
     def test_each_agent_takes_nearest_open_gem(self):
         state = world(
             [(0, 0), (4, 4)],
-            [OnGrid((0, 2)), OnGrid((4, 3)), OnGrid((2, 2))],
+            [(0, 2), (4, 3), (2, 2)],
         )
         result = assign(state, Assignment.empty())
         # cross-check by brute-force distance enumeration
@@ -45,18 +47,18 @@ class TestAssign:
         assert result.gem_to_agent == {0: 0, 1: 1}
 
     def test_distance_tie_takes_lowest_gem_index(self):
-        state = world([(2, 2)], [OnGrid((0, 2)), OnGrid((2, 0))])
+        state = world([(2, 2)], [(0, 2), (2, 0)])
         result = assign(state, Assignment.empty())
         assert result.agent_to_gem == {0: 0}
 
     def test_agents_beyond_gems_stay_free(self):
-        state = world([(0, 0), (1, 1), (2, 2)], [OnGrid((5, 5))])
+        state = world([(0, 0), (1, 1), (2, 2)], [(5, 5)])
         result = assign(state, Assignment.empty())
         assert len(result.agent_to_gem) == 1
         assert set(result.agent_to_gem.values()) == {0}
 
     def test_existing_pairs_never_revoked(self):
-        state = world([(0, 0), (4, 4)], [OnGrid((4, 4)), OnGrid((0, 1))])
+        state = world([(0, 0), (4, 4)], [(4, 4), (0, 1)])
         # agent 0 already holds gem 0 even though gem 1 is now closer
         current = Assignment({0: 0}, {0: 0})
         result = assign(state, current)
@@ -64,13 +66,13 @@ class TestAssign:
         assert result.agent_to_gem[1] == 1
 
     def test_idempotent_without_state_change(self):
-        state = world([(0, 0), (4, 4)], [OnGrid((1, 1)), OnGrid((3, 3))])
+        state = world([(0, 0), (4, 4)], [(1, 1), (3, 3)])
         once = assign(state, Assignment.empty())
         twice = assign(state, once)
         assert once == twice
 
     def test_carried_and_dropped_gems_not_assignable(self):
-        state = world([(0, 0), (4, 4)], [CarriedBy(1), Dropped(), OnGrid((2, 2))])
+        state = world([(0, 0), (4, 4)], [None, None, (2, 2)], held=[None, 0])
         result = assign(state, Assignment({1: 0}, {0: 1}))
         assert result.agent_to_gem == {1: 0, 0: 2}
 
@@ -90,7 +92,7 @@ class TestRelease:
             release(Assignment.empty(), gem=2)
 
     def test_freed_agent_gets_next_gem(self):
-        state = world([(0, 0), (4, 4)], [OnGrid((1, 0)), OnGrid((4, 3))])
+        state = world([(0, 0), (4, 4)], [(1, 0), (4, 3)])
         freed = release(Assignment({0: 0, 1: 1}, {0: 0, 1: 1}), gem=0)
         result = assign(state, freed)
         assert result.agent_to_gem[0] == 0
@@ -116,7 +118,7 @@ class TestProperties:
     def test_injectivity_under_assign_release_sequences(self, scenario, seed):
         agent_pos, gem_pos, ops = scenario
         rng = random.Random(seed)
-        state = world(agent_pos, [OnGrid(p) for p in gem_pos])
+        state = world(agent_pos, gem_pos)
         current = Assignment.empty()
         for op in ops:
             if op in (0, 1):
@@ -133,7 +135,7 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     def test_first_free_agent_gets_brute_force_minimum(self, scenario):
         agent_pos, gem_pos, _ = scenario
-        state = world(agent_pos, [OnGrid(p) for p in gem_pos])
+        state = world(agent_pos, gem_pos)
         result = assign(state, Assignment.empty())
         open_gems = list(enumerate(gem_pos))
         assert result.agent_to_gem[0] == brute_force_nearest(agent_pos[0], open_gems)
