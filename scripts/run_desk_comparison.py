@@ -2,7 +2,7 @@
 """Desk-scale experiment suite: method comparison and planner ablation.
 
 7x7 grid, centered bank, 2 agents, 2 gems, 2000 episodes of up to 300
-steps. Runs in about 8 seconds on 2 cores with Python 3.11 and writes
+steps. Runs in about 5 seconds on 2 cores with Python 3.11 and writes
 summaries, per-arm metrics, and plot scripts under runs/.
 """
 

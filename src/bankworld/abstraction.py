@@ -27,7 +27,6 @@ import re
 from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
 from .environment import Position, WorldState
-from .planner import Assignment
 
 
 class PickupState(NamedTuple):
@@ -81,13 +80,13 @@ def abstract_drop(state: WorldState, agent: int) -> DropState:
 
 
 def abstract_flat(
-    state: WorldState, agent: int, assignment: Assignment, bank: Position
+    state: WorldState, agent: int, alloc: tuple[Optional[int], ...], bank: Position
 ) -> FlatState:
     """Single-table view: position plus a pointer at the current goal."""
     pos = state.agent_positions[agent]
     if state.held[agent] is not None:
         return _new(FlatState, (pos, bank, True))
-    gem = assignment.agent_to_gem.get(agent)
+    gem = alloc[agent]
     target = None if gem is None else state.gem_cells[gem]
     return _new(FlatState, (pos, target, False))
 

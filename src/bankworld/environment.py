@@ -20,9 +20,10 @@ Dynamics
   via `advance_step`.
 
 Eligibility: when a planner allocation is in effect, `step_agent` is
-called with ``assigned_gem`` and only that gem can be picked up. With
-``assigned_gem=None`` (planner-off mode) any on-grid gem on the entered
-cell is eligible, lowest gem index first.
+called with ``assigned_gem=alloc[i]``, the one gem the planner's
+per-agent tuple gives agent ``i``, and only that gem can be picked up.
+With ``assigned_gem=None`` (planner-off mode) any on-grid gem on the
+entered cell is eligible, lowest gem index first.
 
 World state
 -----------

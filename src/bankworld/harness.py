@@ -62,7 +62,6 @@ from .learner import (
     epsilon_at,
     fresh_tables,
 )
-from .planner import Assignment
 
 ORACLE_PAIR_LIMIT = 1_000_000
 THRESHOLD_WINDOW = 50
@@ -120,11 +119,11 @@ def _run_episode(
 ) -> EpisodeRecord:
     grid, mode, h = cfg.grid, cfg.mode, cfg.hyper
     state = reset(grid, reset_seed)
-    assignment = Assignment.empty()
+    alloc = (None,) * grid.num_agents
     total = 0
     while not is_terminal(state, grid):
-        state, assignment, outcomes = controller_step(
-            state, grid, mode, tables, assignment, epsilon, h, rng, learn
+        state, alloc, outcomes = controller_step(
+            state, grid, mode, tables, alloc, epsilon, h, rng, learn
         )
         for outcome in outcomes:
             total += outcome.reward
@@ -285,7 +284,9 @@ def oracle_episode_return(grid: GridConfig, gamma: float = 0.95) -> int:
     """Total reward of one greedy episode driven by the exact solver.
 
     This is the planner-mode optimum used as the basis for the
-    learning-speed threshold.
+    learning-speed threshold. It is optimal under the greedy allocation
+    only: a joint search over which agent takes which gem, and in what
+    order, may beat it on some layouts.
     """
     mode = ControllerMode(Method.OPTIONS, planner_enabled=True)
     tables = {task: value_iteration_oracle(grid, task, gamma) for task in mode.table_keys()}

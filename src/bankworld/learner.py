@@ -3,16 +3,18 @@
 All agents read and write the same tables: one per sub-task (fetch,
 deposit) in options mode, a single one in flat mode. Each timestep the
 controller walks agents in ascending index: refresh the planner
-allocation, pick the agent's task with `option_for_agent`, choose an
+allocation ``alloc``, where ``alloc[i]`` is the gem allocated to agent
+``i`` or None, pick the agent's task with `option_for_agent`, choose an
 action (uniformly for the random baseline, else epsilon-greedily from
 the projected state), apply it, and update the executing table. A
 sub-task ends the moment its goal event fires (pickup for fetch, deposit
 for drop); that transition is updated with a terminal bootstrap, and a
-deposit also releases the planner allocation.
+deposit also frees the depositing agent's slot of ``alloc``.
 
 Unallocated agents under the planner are parked: the controller emits
 NoOp for them directly and learns nothing, since a one-action policy has
-nothing to learn. With the planner off every agent always acts.
+nothing to learn. With the planner off (``alloc=None``) every agent
+always acts.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .environment import (
     gems_deposited,
     step_agent,
 )
-from .planner import Assignment
 
 
 class Method(Enum):
@@ -248,12 +249,14 @@ def td_update(
     return q
 
 
-def option_for_agent(state: WorldState, agent: int, assignment: Optional[Assignment]) -> OptionId:
+def option_for_agent(
+    state: WorldState, agent: int, alloc: Optional[tuple[Optional[int], ...]]
+) -> OptionId:
     """The one dispatch: deposit while carrying, else fetch while allocated
-    or always with the planner off (``assignment=None``), else idle."""
+    or always with the planner off (``alloc=None``), else idle."""
     if state.held[agent] is not None:
         return _DROP
-    if assignment is None or agent in assignment.agent_to_gem:
+    if alloc is None or alloc[agent] is not None:
         return _PICKUP
     return _IDLE
 
@@ -262,18 +265,18 @@ def _project(
     state: WorldState,
     agent: int,
     option: OptionId,
-    assignment: Optional[Assignment],
+    alloc: Optional[tuple[Optional[int], ...]],
     flat: bool,
     config: GridConfig,
 ) -> AbstractState:
     """The state the executing table sees: the planner-off view, the flat
     view, or the fetch or deposit view of ``option``."""
-    if assignment is None:
+    if alloc is None:
         return abstract_no_planner(state, agent)
     if flat:
-        return abstract_flat(state, agent, assignment, config.bank)
+        return abstract_flat(state, agent, alloc, config.bank)
     if option is _PICKUP:
-        return abstract_pickup(state, agent, assignment.agent_to_gem[agent])
+        return abstract_pickup(state, agent, alloc[agent])
     return abstract_drop(state, agent)
 
 
@@ -282,12 +285,12 @@ def controller_step(
     config: GridConfig,
     mode: ControllerMode,
     tables: dict[str, QTable],
-    assignment: Assignment,
+    assignment: tuple[Optional[int], ...],
     epsilon: float,
     h: Hyperparams,
     rng: random.Random,
     learn: bool = True,
-) -> tuple[WorldState, Assignment, list[StepOutcome]]:
+) -> tuple[WorldState, tuple[Optional[int], ...], list[StepOutcome]]:
     """Advance every agent once, in ascending index, then bump the step.
 
     Returns the new world state, the updated allocation, and one outcome
@@ -323,7 +326,7 @@ def controller_step(
             s = _project(state, agent, option, alloc, flat, config)
             action = select_action(table, s, epsilon, rng)
         # A carrier's allocation is its carried gem until the deposit.
-        gem = None if alloc is None else alloc.agent_to_gem[agent]
+        gem = None if alloc is None else alloc[agent]
         next_state, outcome = step_agent(state, config, agent, action, gem)
         event = outcome.event
 

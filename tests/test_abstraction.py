@@ -28,7 +28,6 @@ from bankworld.learner import (
     controller_step,
     option_for_agent,
 )
-from bankworld.planner import Assignment
 
 positions = st.tuples(st.integers(0, 10), st.integers(0, 10))
 
@@ -91,21 +90,21 @@ class TestDropProjection:
 class TestFlatProjection:
     def test_fetching_points_at_assigned_gem(self):
         state = world([(0, 0)], [(9, 9), (3, 3)])
-        assignment = Assignment({0: 1}, {1: 0})
+        assignment = (1,)
         assert abstract_flat(state, 0, assignment, bank=(5, 5)) == FlatState(
             (0, 0), (3, 3), False
         )
 
     def test_carrying_points_at_bank(self):
         state = world([(2, 2)], [None], held=[0])
-        assignment = Assignment({0: 0}, {0: 0})
+        assignment = (0,)
         assert abstract_flat(state, 0, assignment, bank=(5, 5)) == FlatState(
             (2, 2), (5, 5), True
         )
 
     def test_unassigned_agent_has_no_target(self):
         state = world([(9, 9)], [None])
-        assert abstract_flat(state, 0, Assignment.empty(), bank=(5, 5)) == FlatState(
+        assert abstract_flat(state, 0, (None,), bank=(5, 5)) == FlatState(
             (9, 9), None, False
         )
 
@@ -187,7 +186,7 @@ class TestSoundnessFuzz:
     @settings(max_examples=120, deadline=None)
     def test_flat_projection_ignores_everything_else(self, pair):
         a, b = pair
-        assignment = Assignment({0: 0}, {0: 0})
+        assignment = (0,)  # only agent 0's slot is read
         assert abstract_flat(a, 0, assignment, (5, 5)) == abstract_flat(
             b, 0, assignment, (5, 5)
         )
@@ -262,7 +261,7 @@ def projection_lines(size: int, planner: bool, seed: int) -> list[str]:
     grid = GridConfig(size, size, 2, 3, 12 * size, layout=RandomLayout())
     mode = ControllerMode(Method.RANDOM, planner_enabled=planner)
     h, rng = Hyperparams(seed=seed), random.Random(seed)
-    state, assignment = reset(grid, seed), Assignment.empty()
+    state, assignment = reset(grid, seed), (None,) * grid.num_agents
     lines = []
     while True:
         alloc = assignment if planner else None
@@ -274,7 +273,7 @@ def projection_lines(size: int, planner: bool, seed: int) -> list[str]:
             if option is OptionId.DROP:
                 texts.append(serialize_state(abstract_drop(state, agent)))
             elif option is OptionId.PICKUP:
-                gems = ([alloc.agent_to_gem[agent]] if planner else
+                gems = ([alloc[agent]] if planner else
                         [j for j, cell in enumerate(view.gem_cells) if cell is not None])
                 texts += [serialize_state(abstract_pickup(state, agent, j)) for j in gems]
             lines.append(f"{state.step} {agent} {option.value} " + " ".join(texts))

@@ -40,7 +40,6 @@ from bankworld.learner import (
     controller_step,
     fresh_tables,
 )
-from bankworld.planner import Assignment
 
 from conftest import SEEDS, desk_grid, gem_places
 
@@ -58,7 +57,7 @@ def ordering_failures(opts: float, flat: float, rand: float, optimum: int) -> li
     fail, empty when the seed passes."""
     failures = []
     if opts != optimum:
-        failures.append(f"options {opts:.1f} is not the exact optimum {optimum}")
+        failures.append(f"options {opts:.1f} is not the planner optimum {optimum}")
     if not rand < flat <= opts:
         failures.append(
             f"expected random < flat <= options,"
@@ -71,7 +70,7 @@ def ordering_failures(opts: float, flat: float, rand: float, optimum: int) -> li
 
 class TestMethodOrdering:
     def test_options_beat_flat_beat_random(self, desk_runs):
-        """Options reach the exact optimum, flat does no better, and both
+        """Options reach the planner optimum, flat does no better, and both
         beat random.
 
         The top of the ordering is non-strict on purpose. Options change
@@ -148,7 +147,7 @@ def train_subtasks_to_convergence(grid: GridConfig, total_steps: int):
     episode = 0
     while steps < total_steps:
         state = reset(grid, episode)
-        assignment = Assignment.empty()
+        assignment = (None,) * grid.num_agents
         while not is_terminal(state, grid) and steps < total_steps:
             state, assignment, _ = controller_step(
                 state, grid, mode, tables, assignment, 0.2, h, rng
@@ -258,7 +257,7 @@ def run_checked_training(cfg: RunConfig):
     trace = []
     for episode in range(cfg.episodes):
         state = reset(cfg.grid, cfg.hyper.seed * 1_000_003 + episode)
-        assignment = Assignment.empty()
+        assignment = (None,) * cfg.grid.num_agents
         while not is_terminal(state, cfg.grid):
             state, assignment, outcomes = controller_step(
                 state, cfg.grid, cfg.mode, tables, assignment, 0.5,
@@ -267,12 +266,17 @@ def run_checked_training(cfg: RunConfig):
             assert sum(gem_places(state, cfg.grid.num_gems)) == cfg.grid.num_gems
             carriers = [g for g in state.held if g is not None]
             assert len(carriers) == len(set(carriers))
-            assert len(set(assignment.agent_to_gem.values())) == len(assignment.agent_to_gem)
-            assert {g: a for a, g in assignment.agent_to_gem.items()} == dict(assignment.gem_to_agent)
-            for gem, agent in assignment.gem_to_agent.items():
-                if state.gem_cells[gem] is None:
-                    # off the grid: carried by its agent, never deposited
-                    assert state.held[agent] == gem
+            allocated = [g for g in assignment if g is not None]
+            assert len(set(allocated)) == len(allocated)
+            if cfg.mode.planner_enabled:
+                # a carrier's allocation is the gem it carries
+                assert all(g is None or assignment[i] == g for i, g in enumerate(state.held))
+            else:
+                assert assignment == (None,) * cfg.grid.num_agents
+            for agent, gem in enumerate(assignment):
+                if gem is not None:
+                    # never deposited: on its cell or carried by its own agent
+                    assert state.gem_cells[gem] is not None or state.held[agent] == gem
             trace.append((state, tuple(outcomes)))
     return trace, tables
 
@@ -302,7 +306,7 @@ class TestNoOpEconomics:
         result = train(cfg)
 
         state = reset(grid, 0)
-        assignment = Assignment.empty()
+        assignment = (None,) * grid.num_agents
         rng = random.Random(0)
         idle_steps = 0
         forced_noops = 0
@@ -310,14 +314,14 @@ class TestNoOpEconomics:
             before = state
             idle_agents = [
                 i for i in range(grid.num_agents)
-                if before.held[i] is None and i not in assignment.agent_to_gem
+                if before.held[i] is None and assignment[i] is None
             ]
             state, assignment, outcomes = controller_step(
                 state, grid, cfg.mode, result.tables, assignment, 0.0,
                 cfg.hyper, rng, learn=False,
             )
             # agents idle *after* the in-step allocation refresh
-            still_idle = [i for i in idle_agents if i not in assignment.agent_to_gem
+            still_idle = [i for i in idle_agents if assignment[i] is None
                           and state.held[i] is None]
             for i in still_idle:
                 idle_steps += 1

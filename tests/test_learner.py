@@ -33,7 +33,6 @@ from bankworld.learner import (
 )
 from bankworld import learner, planner
 from bankworld.cli import main
-from bankworld.planner import Assignment
 
 
 def table_with(s, values):
@@ -174,15 +173,15 @@ class TestUniformAction:
 class TestOptionDispatch:
     def test_carrying_means_drop(self):
         state = world([(1, 1)], [None], held=[0])
-        assert option_for_agent(state, 0, Assignment({0: 0}, {0: 0})) is OptionId.DROP
+        assert option_for_agent(state, 0, (0,)) is OptionId.DROP
 
     def test_assigned_means_pickup(self):
         state = world([(1, 1)], [(4, 4)])
-        assert option_for_agent(state, 0, Assignment({0: 0}, {0: 0})) is OptionId.PICKUP
+        assert option_for_agent(state, 0, (0,)) is OptionId.PICKUP
 
     def test_unassigned_means_idle(self):
         state = world([(1, 1), (2, 2)], [(4, 4)])
-        assert option_for_agent(state, 1, Assignment({0: 0}, {0: 0})) is OptionId.IDLE
+        assert option_for_agent(state, 1, (0, None)) is OptionId.IDLE
 
     def test_planner_off_carrying_means_drop(self):
         state = world([(1, 1), (2, 2)], [(4, 4), None], held=[None, 1])
@@ -208,23 +207,23 @@ class TestControllerStep:
         cfg, mode, tables, state = options_setup([(2, 3)], [(1, 3)])
         h = Hyperparams(alpha=0.1)
         next_state, assignment, outcomes = controller_step(
-            state, cfg, mode, tables, Assignment.empty(), 0.0, h, random.Random(0)
+            state, cfg, mode, tables, (None,), 0.0, h, random.Random(0)
         )
         assert outcomes[0].event is Event.ACQUIRED
         assert (next_state.held, next_state.gem_cells) == ((0,), (None,))
         s = PickupState((2, 3), (1, 3))
         assert tables[PICKUP_TABLE].get(s, Action.UP) == pytest.approx(0.1 * 50)
-        assert assignment.agent_to_gem == {0: 0}  # kept while carrying
+        assert assignment == (0,)  # kept while carrying
 
     def test_drop_releases_assignment(self):
         cfg, mode, tables, state = options_setup([(2, 3)], [(5, 5)], bank=(1, 3))
         carrying = state._replace(held=(0,), gem_cells=(None,))
         next_state, assignment, outcomes = controller_step(
-            carrying, cfg, mode, tables, Assignment({0: 0}, {0: 0}), 0.0,
+            carrying, cfg, mode, tables, (0,), 0.0,
             Hyperparams(), random.Random(0)
         )
         assert outcomes[0].event is Event.DROPPED
-        assert assignment == Assignment.empty()
+        assert assignment == (None,)
         s = DropState((2, 3))
         assert tables[DROP_TABLE].get(s, Action.UP) == pytest.approx(0.1 * 500)
 
@@ -234,7 +233,7 @@ class TestControllerStep:
         runs = []
         for _ in range(2):
             rng = random.Random(42)
-            state, assignment = reset(cfg, 0), Assignment.empty()
+            state, assignment = reset(cfg, 0), (None, None)
             trace = []
             for _ in range(20):
                 state, assignment, outcomes = controller_step(
@@ -248,7 +247,7 @@ class TestControllerStep:
         cfg, mode, tables, state = options_setup([(2, 3), (6, 6)], [(1, 3)])
         h = Hyperparams()
         next_state, _, outcomes = controller_step(
-            state, cfg, mode, tables, Assignment.empty(), 0.0, h, random.Random(0)
+            state, cfg, mode, tables, (None, None), 0.0, h, random.Random(0)
         )
         assert outcomes[0].event is Event.ACQUIRED
         assert outcomes[1] == (0, Event.IDLE, None)
@@ -261,7 +260,7 @@ class TestControllerStep:
         cfg, mode, tables, state = options_setup([(2, 3)], [(5, 5)])
         drop_before = {s: list(row) for s, row in tables[DROP_TABLE].rows.items()}
         controller_step(
-            state, cfg, mode, tables, Assignment.empty(), 0.3, Hyperparams(),
+            state, cfg, mode, tables, (None,), 0.3, Hyperparams(),
             random.Random(1)
         )
         assert tables[DROP_TABLE].rows == drop_before
@@ -270,7 +269,7 @@ class TestControllerStep:
     def test_learn_false_never_writes(self):
         cfg, mode, tables, state = options_setup([(2, 3)], [(5, 5)])
         controller_step(
-            state, cfg, mode, tables, Assignment.empty(), 0.0, Hyperparams(),
+            state, cfg, mode, tables, (None,), 0.0, Hyperparams(),
             random.Random(1), learn=False,
         )
         assert len(tables[PICKUP_TABLE].rows) == 0
@@ -281,7 +280,7 @@ class TestControllerStep:
         assign = planner.assign
         monkeypatch.setattr(planner, "assign", lambda *args: calls.append(args) or assign(*args))
         controller_step(
-            state, cfg, mode, tables, Assignment.empty(), 0.0, Hyperparams(),
+            state, cfg, mode, tables, (None, None), 0.0, Hyperparams(),
             random.Random(0),
         )
         assert len(calls) == 2
@@ -292,10 +291,10 @@ class TestControllerStep:
         mode = ControllerMode(Method.OPTIONS, planner_enabled=False)
         tables = fresh_tables(mode)
         _, assignment, outcomes = controller_step(
-            reset(cfg, 0), cfg, mode, tables, Assignment.empty(), 0.0,
+            reset(cfg, 0), cfg, mode, tables, (None, None), 0.0,
             Hyperparams(), random.Random(0),
         )
-        assert assignment == Assignment.empty()
+        assert assignment == (None, None)
         assert all(o.event is not Event.IDLE or o.reward == 0 for o in outcomes)
         # both agents acted from the all-gems projection
         keys = list(tables[PICKUP_TABLE].rows)
@@ -308,7 +307,7 @@ class TestControllerStep:
         mode = ControllerMode(Method.OPTIONS, planner_enabled=False)
         tables = fresh_tables(mode)
         carrying = reset(cfg, 0)._replace(held=(0, None), gem_cells=(None, (0, 0)))
-        controller_step(carrying, cfg, mode, tables, Assignment.empty(), 0.0,
+        controller_step(carrying, cfg, mode, tables, (None, None), 0.0,
                         Hyperparams(), random.Random(0))
         # agent 0 carries gem 0, which rides along at its cell; agent 1 sees
         # gem 0 as absent because someone else holds it
@@ -329,7 +328,7 @@ class TestQTableBounds:
         rng = random.Random(7)
         lo, hi = -5 / (1 - h.gamma), 500 / (1 - h.gamma)
         for episode in range(30):
-            state, assignment = reset(cfg, episode), Assignment.empty()
+            state, assignment = reset(cfg, episode), (None, None)
             from bankworld.environment import is_terminal
             while not is_terminal(state, cfg):
                 state, assignment, _ = controller_step(
