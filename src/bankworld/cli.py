@@ -28,6 +28,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from .environment import ConfigError, FixedLayout, GridConfig, Position, RandomLayout
 from .harness import (
     NOT_REACHED,
+    OPTIONS_MODE,
     ParseError,
     RunConfig,
     compare,
@@ -40,7 +41,7 @@ from .harness import (
     write_qtable,
     write_summary,
 )
-from .learner import DROP_TABLE, PICKUP_TABLE, ControllerMode, Hyperparams, Method
+from .learner import ControllerMode, Hyperparams, Method
 
 
 class UsageError(ValueError):
@@ -167,7 +168,7 @@ def _resolve(args, takes: frozenset) -> tuple[dict, frozenset]:
     return values, frozenset(given)
 
 
-def _build_run_config(values: dict) -> RunConfig:
+def _build_run_config(values: dict, config: Optional[str]) -> RunConfig:
     parts: dict[str, dict] = {"grid": {}, "hyper": {}, "mode": {}, "": {}}
     for s in _SETTINGS:
         paths = s.paths()
@@ -182,8 +183,9 @@ def _build_run_config(values: dict) -> RunConfig:
             **parts[""],
         )
     except ConfigError as exc:
-        flag = _FLAGS.get(exc.field)
-        raise UsageError(str(exc) if flag is None else f"{flag}: {exc}") from None
+        # A fixed layout comes only from the [layout] section of the config file.
+        where = f"{config} [layout]" if exc.field == "layout" else _FLAGS.get(exc.field)
+        raise UsageError(str(exc) if where is None else f"{where}: {exc}") from None
 
 
 def write_config_echo(cfg: RunConfig, path: Path) -> None:
@@ -233,7 +235,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> Parsed:
     """Resolve argv (plus any config file) into a validated run config."""
     args = _build_parser().parse_args(argv)
     values, given = _resolve(args, _COMMANDS[args.command].takes)
-    return Parsed(args, _build_run_config(values), given)
+    return Parsed(args, _build_run_config(values, args.config), given)
 
 
 def _final_mean(records, window=100) -> float:
@@ -324,12 +326,7 @@ def _run_oracle(args, run: RunConfig, given) -> None:
     table = value_iteration_oracle(run.grid, args.task, run.hyper.gamma)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_qtable(
-        {args.task: table},
-        out,
-        ControllerMode(Method.OPTIONS, planner_enabled=True),
-        Hyperparams(gamma=run.hyper.gamma),
-    )
+    write_qtable({args.task: table}, out, OPTIONS_MODE, Hyperparams(gamma=run.hyper.gamma))
     print(f"exact {args.task} Q map ({len(table)} entries) written to {out}")
 
 
@@ -357,7 +354,7 @@ _COMMANDS = {
     # The exact Q map depends only on the grid size, the no-op reward and gamma.
     "oracle": Command("solve one sub-task exactly and save its Q map", _run_oracle,
                       frozenset({"grid", "noop-reward", "gamma"}),
-                      {"--task": dict(required=True, choices=(PICKUP_TABLE, DROP_TABLE))},
+                      {"--task": dict(required=True, choices=OPTIONS_MODE.table_keys())},
                       "file for the Q map"),
 }
 

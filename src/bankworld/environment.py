@@ -139,24 +139,19 @@ def default_layout(
         (0, width - 1), (height - 1, 0), (mid_r, 0), (0, mid_c),
         (height - 1, mid_c), (mid_r, width - 1),
     ]
+    every = [(r, c) for r in range(height) for c in range(width)]
     used: set[Position] = {bank}
-    agents: list[Position] = []
-    for pos in agent_candidates + [(r, c) for r in range(height) for c in range(width)]:
-        if len(agents) == num_agents:
-            break
-        if pos not in used:
-            agents.append(pos)
-            used.add(pos)
-    gems: list[Position] = []
-    for pos in gem_candidates + [(r, c) for r in range(height) for c in range(width)]:
-        if len(gems) == num_gems:
-            break
-        if pos not in used:
-            gems.append(pos)
-            used.add(pos)
-    if len(agents) < num_agents or len(gems) < num_gems:
-        raise ConfigError("grid too small for the requested agents and gems")
-    return FixedLayout(agents=tuple(agents), gems=tuple(gems))
+
+    def place(count: int, preferred: list[Position]) -> tuple[Position, ...]:
+        """The first ``count`` free cells, preferred cells first."""
+        free = [pos for pos in dict.fromkeys(preferred + every) if pos not in used][:count]
+        if len(free) < count:
+            raise ConfigError("grid too small for the requested agents and gems")
+        used.update(free)
+        return tuple(free)
+
+    agents = place(num_agents, agent_candidates)
+    return FixedLayout(agents=agents, gems=place(num_gems, gem_candidates))
 
 
 @dataclass(frozen=True)
@@ -229,22 +224,25 @@ class GridConfig:
         return table
 
     def _check_fixed(self, layout: FixedLayout) -> None:
-        if len(layout.agents) != self.num_agents:
-            raise ConfigError(
-                f"layout has {len(layout.agents)} agents, config wants {self.num_agents}"
-            )
-        if len(layout.gems) != self.num_gems:
-            raise ConfigError(
-                f"layout has {len(layout.gems)} gems, config wants {self.num_gems}"
-            )
-        for pos in layout.agents + layout.gems:
-            r, c = pos
-            if not (0 <= r < self.height and 0 <= c < self.width):
-                raise ConfigError(f"layout position {pos} out of bounds")
-        if len(set(layout.gems)) != len(layout.gems):
-            raise ConfigError("gem positions must be distinct")
-        if self.bank in layout.gems:
-            raise ConfigError(f"gem may not start on the bank {self.bank}")
+        """Each error names the entries at fault as a ``[layout]`` section
+        does: ``agent.N`` and ``gem.N``."""
+        for kind, cells, want in (("agent", layout.agents, self.num_agents),
+                                  ("gem", layout.gems, self.num_gems)):
+            if len(cells) != want:
+                fault = "missing" if len(cells) < want else "extra"
+                raise ConfigError(
+                    f"{kind}.{min(len(cells), want)} is {fault}: {kind}s = {want}", "layout"
+                )
+            for i, (r, c) in enumerate(cells):
+                if not (0 <= r < self.height and 0 <= c < self.width):
+                    grid = f"{self.width}x{self.height}"
+                    raise ConfigError(f"{kind}.{i} = {r},{c} is off the {grid} grid", "layout")
+        for j, (r, c) in enumerate(layout.gems):
+            if (r, c) == self.bank:
+                raise ConfigError(f"gem.{j} = {r},{c} is on the bank", "layout")
+            if (r, c) in layout.gems[:j]:
+                i = layout.gems.index((r, c))
+                raise ConfigError(f"gem.{i} and gem.{j} share the cell {r},{c}", "layout")
 
 
 def reset(config: GridConfig, seed: int) -> WorldState:

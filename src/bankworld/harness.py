@@ -8,13 +8,13 @@ return records and tables: only the file codecs take a path.
 
 `value_iteration_oracle` solves a single sub-task (fetch or deposit)
 exactly over its enumerated projected state space. `SubtaskMDP` keeps no
-dynamics of its own: each state-action pair is one `step_agent` call
-projected as the controller projects it. Transitions are deterministic,
-so Bellman sweeps in goal-distance order (states nearer the goal first)
-settle nearly every value in the first pass, and the sweep loop exits
-when a sweep changes nothing: the literal fixed point. The oracle
-doubles as the reference for "optimal episode return", obtained by
-rolling its greedy policy through a real episode.
+dynamics or views of its own: each state-action pair is one `step_agent`
+call projected by the controller's `learner.project`. Transitions are
+deterministic, so Bellman sweeps in goal-distance order (states nearer
+the goal first) settle nearly every value in the first pass, and the
+sweep loop exits when a sweep changes nothing: the literal fixed point.
+The oracle doubles as the reference for "optimal episode return",
+obtained by rolling its greedy policy through a real episode.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import csv
 import math
 import os
 import random
+import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -30,15 +31,7 @@ from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .abstraction import (
-    AbstractState,
-    DropState,
-    PickupState,
-    abstract_drop,
-    abstract_pickup,
-    parse_state,
-    serialize_state,
-)
+from .abstraction import AbstractState, parse_state, serialize_state
 from .environment import (
     ACTIONS,
     Action,
@@ -52,7 +45,6 @@ from .environment import (
     step_agent,
 )
 from .learner import (
-    DROP_TABLE,
     PICKUP_TABLE,
     ControllerMode,
     Hyperparams,
@@ -61,11 +53,14 @@ from .learner import (
     controller_step,
     epsilon_at,
     fresh_tables,
+    project,
 )
 
 ORACLE_PAIR_LIMIT = 1_000_000
 THRESHOLD_WINDOW = 50
 NOT_REACHED = "not-reached"
+# The mode whose sub-tasks the exact solver solves, one per table key.
+OPTIONS_MODE = ControllerMode(Method.OPTIONS)
 
 
 class ParseError(ValueError):
@@ -169,14 +164,15 @@ def evaluate(tables: dict[str, QTable], cfg: RunConfig) -> list[EpisodeRecord]:
 
 
 class SubtaskMDP:
-    """One sub-task: `environment.step_agent` seen through the controller's
-    projection, `abstract_pickup` over (agent, gem) position pairs for fetch
-    and `abstract_drop` over agent positions for deposit. The goal event,
-    pickup or deposit, ends the sub-task, as it does for the options learner.
+    """One option of `OPTIONS_MODE`, named by its table key, as the options
+    controller sees it: `environment.step_agent` on a one-agent world, its
+    successor projected by `learner.project` into a state of that table's
+    kind (`ControllerMode.projection`). The goal event, pickup or deposit,
+    ends the sub-task, as it does for the options learner.
     """
 
     def __init__(self, grid: GridConfig, task: str):
-        if task not in (PICKUP_TABLE, DROP_TABLE):
+        if task not in OPTIONS_MODE.table_keys():
             raise ConfigError(f"unknown sub-task {task!r}")
         self.grid = grid
         self.task = task
@@ -185,19 +181,17 @@ class SubtaskMDP:
         """Each field over every cell, leftmost outermost; no gem on the bank."""
         g = self.grid
         cells = [(r, c) for r in range(g.height) for c in range(g.width)]
-        kind = PickupState if self.task == PICKUP_TABLE else DropState
+        kind = OPTIONS_MODE.projection(self.task)
         states = map(kind._make, product(cells, repeat=len(kind._fields)))
         return [s for s in states if getattr(s, "gem_pos", None) != g.bank]
 
     def step(self, s: AbstractState, a: Action) -> tuple[Optional[AbstractState], int, bool]:
-        pickup = self.task == PICKUP_TABLE
         # One agent and one gem: on its cell to fetch, in the agent's hands to deposit.
-        held, cells = ((None,), (s.gem_pos,)) if pickup else ((0,), (None,))
+        held, cells = ((None,), (s.gem_pos,)) if self.task == PICKUP_TABLE else ((0,), (None,))
         world, outcome = step_agent(WorldState((s.agent_pos,), held, cells, 0), self.grid, 0, a, 0)
         if outcome.event is Event.ACQUIRED or outcome.event is Event.DROPPED:
             return None, outcome.reward, True
-        s_next = abstract_pickup(world, 0, 0) if pickup else abstract_drop(world, 0)
-        return s_next, outcome.reward, False
+        return project(world, 0, self.task, (0,), False, self.grid), outcome.reward, False
 
 
 def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
@@ -288,9 +282,8 @@ def oracle_episode_return(grid: GridConfig, gamma: float = 0.95) -> int:
     only: a joint search over which agent takes which gem, and in what
     order, may beat it on some layouts.
     """
-    mode = ControllerMode(Method.OPTIONS, planner_enabled=True)
-    tables = {task: value_iteration_oracle(grid, task, gamma) for task in mode.table_keys()}
-    cfg = RunConfig(grid, mode, Hyperparams(gamma=gamma), episodes=1)
+    tables = {key: value_iteration_oracle(grid, key, gamma) for key in OPTIONS_MODE.table_keys()}
+    cfg = RunConfig(grid, OPTIONS_MODE, Hyperparams(gamma=gamma), episodes=1)
     return _run_episode(cfg, tables, 0.0, random.Random(0), 0, 0, learn=False).total_reward
 
 
@@ -436,6 +429,16 @@ def write_qtable(
 _HEADER_KEYS = frozenset(
     "mode planner alpha gamma eps_start eps_end eps_decay_fraction alpha_visit_decay seed".split()
 )
+# A number as `repr` writes an int or a finite float: a minus or no sign, no
+# leading zero, then an optional fraction and exponent; ASCII digits only.
+_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
+_ACTION_INDEX = {str(a): a for a in range(5)}
+
+
+def _number(name: str, text: str, parse=float):
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"{name} {text!r} is not a number as repr writes it")
+    return parse(text)
 
 
 def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
@@ -452,14 +455,11 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
             raise ValueError(f"planner must be on or off, got {pairs['planner']!r}")
         mode = ControllerMode(Method(pairs["mode"]), pairs["planner"] == "on")
         decay = pairs.get("alpha_visit_decay", "none")
+        floats = ("alpha", "gamma", "eps_start", "eps_end", "eps_decay_fraction")
         hyper = Hyperparams(
-            alpha=float(pairs["alpha"]),
-            gamma=float(pairs["gamma"]),
-            eps_start=float(pairs["eps_start"]),
-            eps_end=float(pairs["eps_end"]),
-            eps_decay_fraction=float(pairs["eps_decay_fraction"]),
-            seed=int(pairs["seed"]),
-            alpha_visit_decay=None if decay == "none" else float(decay),
+            **{key: _number(key, pairs[key]) for key in floats},
+            seed=_number("seed", pairs["seed"], int),
+            alpha_visit_decay=None if decay == "none" else _number("alpha_visit_decay", decay),
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}:1: bad header ({exc})") from None
@@ -469,7 +469,8 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
 def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
     """Read a file written by `write_qtable`. Every section must name a table
     of the header's mode, every state must be of that table's projection
-    (`ControllerMode.projection`), every value must be finite and every
+    (`ControllerMode.projection`), every action and value must be written as
+    `write_qtable` writes it, every value must be finite and every
     (state, action) record unique; a row's missing actions read as 0.0."""
     with open(path) as f:
         lines = f.read().splitlines()
@@ -486,8 +487,7 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
             key = line.partition("=")[2].strip()
             if key not in mode.table_keys():
                 raise ParseError(f"{path}:{lineno}: no {key!r} table in mode {mode.method.value}")
-            # NaN marks an entry not read yet, so a repeated record shows.
-            current = tables.setdefault(key, QTable(math.nan))
+            current = tables.setdefault(key, QTable())
             kind = mode.projection(key)
             rows = {}
             continue
@@ -500,11 +500,12 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
                 state = parse_state(head)
                 if type(state) is not kind:
                     raise ValueError(f"{head} is not a {kind.__name__}, the rows of {key!r}")
-                row = rows[head] = current.row(state)
-            action = int(action_text)
-            value = float(value_text)
-            if not 0 <= action < 5:
-                raise ValueError(f"action index {action} out of range")
+                # NaN marks an entry not read yet, so a repeated record shows.
+                row = rows[head] = current.rows.setdefault(state, [math.nan] * 5)
+            action = _ACTION_INDEX.get(action_text)
+            if action is None:
+                raise ValueError(f"action {action_text!r} is not one of 0-4")
+            value = _number("value", value_text)
             if not math.isfinite(value):
                 raise ValueError(f"value {value_text} is not finite")
             if not math.isnan(row[action]):
@@ -513,7 +514,6 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         row[action] = value
     for table in tables.values():
-        table.default = 0.0
         for row in table.rows.values():
             for a, value in enumerate(row):
                 if math.isnan(value):

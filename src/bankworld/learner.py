@@ -4,12 +4,14 @@ All agents read and write the same tables: one per sub-task (fetch,
 deposit) in options mode, a single one in flat mode. Each timestep the
 controller walks agents in ascending index: refresh the planner
 allocation ``alloc``, where ``alloc[i]`` is the gem allocated to agent
-``i`` or None, pick the agent's task with `option_for_agent`, choose an
+``i`` or None, pick the agent's option with `option_for_agent`, choose an
 action (uniformly for the random baseline, else epsilon-greedily from
-the projected state), apply it, and update the executing table. A
-sub-task ends the moment its goal event fires (pickup for fetch, deposit
-for drop); that transition is updated with a terminal bootstrap, and a
-deposit also frees the depositing agent's slot of ``alloc``.
+the state `project` gives), apply it, and update the executing table. An
+option is named by its options-mode table key, `PICKUP_TABLE` (fetch) or
+`DROP_TABLE` (deposit); None means idle. A sub-task ends the moment its
+goal event fires (pickup for fetch, deposit for drop); that transition
+is updated with a terminal bootstrap, and a deposit also frees the
+depositing agent's slot of ``alloc``.
 
 Unallocated agents under the planner are parked: the controller emits
 NoOp for them directly and learns nothing, since a one-action policy has
@@ -64,17 +66,8 @@ DROP_TABLE = "drop"
 FLAT_TABLE = "flat"
 
 
-class OptionId(Enum):
-    """The task an agent runs this step; a learning option's value keys its table."""
-
-    PICKUP = PICKUP_TABLE
-    DROP = DROP_TABLE
-    IDLE = "idle"
-
-
 # Enum members read once here: each read through the class costs a lookup.
 _RANDOM, _FLAT, _OPTIONS = Method.RANDOM, Method.FLAT, Method.OPTIONS
-_PICKUP, _DROP, _IDLE = OptionId.PICKUP, OptionId.DROP, OptionId.IDLE
 _ACQUIRED, _DROPPED = Event.ACQUIRED, Event.DROPPED
 
 
@@ -149,27 +142,26 @@ def epsilon_at(episode: int, total_episodes: int, h: Hyperparams) -> float:
 
 
 class QTable:
-    """Sparse state-action value table with a default for unseen rows.
+    """Sparse state-action value table; unseen rows read as 0.0.
 
     Rows are 5-long lists indexed by action. ``visits`` counts `td_update`
     calls per entry and feeds the optional visit-count step-size decay; it
     is bookkeeping, not part of value equality or persistence.
     """
 
-    __slots__ = ("rows", "visits", "default")
+    __slots__ = ("rows", "visits")
 
-    def __init__(self, default: float = 0.0):
+    def __init__(self):
         self.rows: dict[AbstractState, list[float]] = {}
         self.visits: dict[AbstractState, list[int]] = {}
-        self.default = default
 
     def get(self, s: AbstractState, a: int) -> float:
         row = self.rows.get(s)
-        return self.default if row is None else row[a]
+        return 0.0 if row is None else row[a]
 
     def best_value(self, s: AbstractState) -> float:
         row = self.rows.get(s)
-        return self.default if row is None else max(row)
+        return 0.0 if row is None else max(row)
 
     def best_action(self, s: AbstractState) -> Action:
         row = self.rows.get(s)
@@ -184,7 +176,7 @@ class QTable:
     def row(self, s: AbstractState) -> list[float]:
         row = self.rows.get(s)
         if row is None:
-            row = self.rows[s] = [self.default] * 5
+            row = self.rows[s] = [0.0] * 5
         return row
 
     def items(self):
@@ -198,7 +190,7 @@ class QTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTable):
             return NotImplemented
-        return self.default == other.default and self.rows == other.rows
+        return self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"QTable({len(self.rows)} states)"
@@ -251,31 +243,35 @@ def td_update(
 
 def option_for_agent(
     state: WorldState, agent: int, alloc: Optional[tuple[Optional[int], ...]]
-) -> OptionId:
-    """The one dispatch: deposit while carrying, else fetch while allocated
-    or always with the planner off (``alloc=None``), else idle."""
+) -> Optional[str]:
+    """The one dispatch, naming the option by its options-mode table key:
+    deposit (`DROP_TABLE`) while carrying, else fetch (`PICKUP_TABLE`)
+    while allocated or always with the planner off (``alloc=None``), else
+    None: the agent idles."""
     if state.held[agent] is not None:
-        return _DROP
+        return DROP_TABLE
     if alloc is None or alloc[agent] is not None:
-        return _PICKUP
-    return _IDLE
+        return PICKUP_TABLE
+    return None
 
 
-def _project(
+def project(
     state: WorldState,
     agent: int,
-    option: OptionId,
+    option: str,
     alloc: Optional[tuple[Optional[int], ...]],
     flat: bool,
     config: GridConfig,
 ) -> AbstractState:
     """The state the executing table sees: the planner-off view, the flat
-    view, or the fetch or deposit view of ``option``."""
+    view, or the fetch or deposit view of ``option``. The exact solver
+    sees each sub-task through it too."""
     if alloc is None:
         return abstract_no_planner(state, agent)
     if flat:
         return abstract_flat(state, agent, alloc, config.bank)
-    if option is _PICKUP:
+    # By value: the solver's task may be a copy of the key, such as a flag's text.
+    if option == PICKUP_TABLE:
         return abstract_pickup(state, agent, alloc[agent])
     return abstract_drop(state, agent)
 
@@ -314,7 +310,7 @@ def controller_step(
         if alloc is not None:
             alloc = plan.assign(state, alloc)
         option = option_for_agent(state, agent, alloc)
-        if option is _IDLE:
+        if option is None:
             # Parked: no gem to fetch. Forced NoOp, no learning.
             outcomes.append(parked)
             continue
@@ -322,8 +318,8 @@ def controller_step(
         if random_policy:
             action = _uniform_action(rng)
         else:
-            table = drop_table if option is _DROP else pickup_table
-            s = _project(state, agent, option, alloc, flat, config)
+            table = drop_table if option is DROP_TABLE else pickup_table
+            s = project(state, agent, option, alloc, flat, config)
             action = select_action(table, s, epsilon, rng)
         # A carrier's allocation is its carried gem until the deposit.
         gem = None if alloc is None else alloc[agent]
@@ -338,7 +334,7 @@ def controller_step(
                 terminal = event is _ACQUIRED or event is _DROPPED
             else:
                 terminal = gems_deposited(next_state) == config.num_gems
-            s_next = None if terminal else _project(next_state, agent, option, alloc, flat, config)
+            s_next = None if terminal else project(next_state, agent, option, alloc, flat, config)
             td_update(table, s, action, outcome.reward, s_next, terminal, h)
 
         state = next_state

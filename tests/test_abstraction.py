@@ -19,12 +19,13 @@ from bankworld.abstraction import (
 )
 from bankworld.environment import GridConfig, WorldState
 from bankworld.environment import RandomLayout, is_terminal, reset
-from bankworld.harness import DROP_TABLE, PICKUP_TABLE, SubtaskMDP
+from bankworld.harness import SubtaskMDP
 from bankworld.learner import (
+    DROP_TABLE,
+    PICKUP_TABLE,
     ControllerMode,
     Hyperparams,
     Method,
-    OptionId,
     controller_step,
     option_for_agent,
 )
@@ -270,13 +271,13 @@ def projection_lines(size: int, planner: bool, seed: int) -> list[str]:
             texts = [serialize_state(view),
                      serialize_state(abstract_flat(state, agent, assignment, grid.bank))]
             option = option_for_agent(state, agent, alloc)
-            if option is OptionId.DROP:
+            if option is DROP_TABLE:
                 texts.append(serialize_state(abstract_drop(state, agent)))
-            elif option is OptionId.PICKUP:
+            elif option is PICKUP_TABLE:
                 gems = ([alloc[agent]] if planner else
                         [j for j, cell in enumerate(view.gem_cells) if cell is not None])
                 texts += [serialize_state(abstract_pickup(state, agent, j)) for j in gems]
-            lines.append(f"{state.step} {agent} {option.value} " + " ".join(texts))
+            lines.append(f"{state.step} {agent} {option or 'idle'} " + " ".join(texts))
         if is_terminal(state, grid):
             return lines
         state, assignment, _ = controller_step(state, grid, mode, {}, assignment, 1.0, h, rng)

@@ -22,8 +22,6 @@ from bankworld.environment import (
     step_agent,
 )
 from bankworld.harness import (
-    DROP_TABLE,
-    PICKUP_TABLE,
     RunConfig,
     SubtaskMDP,
     episodes_to_threshold,
@@ -34,6 +32,8 @@ from bankworld.harness import (
     value_iteration_oracle,
 )
 from bankworld.learner import (
+    DROP_TABLE,
+    PICKUP_TABLE,
     ControllerMode,
     Hyperparams,
     Method,

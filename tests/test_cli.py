@@ -441,6 +441,21 @@ class TestConfigFileStrictness:
         with pytest.raises(ParseError, match=r"bad.cfg:2"):
             read_config_file(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("gems = 1\n[layout]\nagent.0 = 9,9\nagent.1 = 4,4\ngem.0 = 0,1\n",
+         "agent.0 = 9,9 is off the 5x5 grid"),
+        ("gems = 2\n[layout]\nagent.0 = 0,0\nagent.1 = 4,4\ngem.0 = 1,1\ngem.1 = 1,1\n",
+         "gem.0 and gem.1 share the cell 1,1"),
+        ("gems = 1\n[layout]\nagent.0 = 0,0\ngem.0 = 0,1\n", "agent.1 is missing: agents = 2"),
+        ("gems = 1\n[layout]\nagent.0 = 0,0\nagent.1 = 4,4\ngem.0 = 2,2\n",
+         "gem.0 = 2,2 is on the bank"),
+    ], ids=["out-of-bounds", "repeated-gem", "short-list", "gem-on-bank"])
+    def test_bad_layout_names_file_section_and_entry(self, tmp_path, capsys, text, message):
+        path = write_text(tmp_path, "run.cfg", "grid = 5x5\nagents = 2\n" + text)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path} [layout]: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_layout_section_conflicts_with_random_layout_flag(self, tmp_path, capsys):
         path = write_text(tmp_path, "run.cfg", "agents = 1\ngems = 1\n" + self.LAYOUT)
         argv = ["train", "--config", str(path), "--random-layout", "--out", str(tmp_path / "o")]

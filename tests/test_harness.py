@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,8 +21,6 @@ from bankworld.environment import (
     step_agent,
 )
 from bankworld.harness import (
-    DROP_TABLE,
-    PICKUP_TABLE,
     EpisodeRecord,
     ParseError,
     RunConfig,
@@ -41,7 +40,16 @@ from bankworld.harness import (
     write_summary,
 )
 from bankworld import harness, learner, planner
-from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
+from bankworld.learner import (
+    DROP_TABLE,
+    PICKUP_TABLE,
+    ControllerMode,
+    Hyperparams,
+    Method,
+    QTable,
+    controller_step,
+    fresh_tables,
+)
 
 from conftest import desk_config
 
@@ -296,8 +304,8 @@ class TestOracle:
     )
     @settings(max_examples=120, deadline=None)
     def test_subtask_model_matches_environment(self, width, height, task, noop, pick, action):
-        """The solver's transition model and the real environment must
-        agree transition-for-transition."""
+        """The solver's transition model, the real environment and the
+        options controller must agree transition-for-transition."""
         grid = GridConfig(width, height, 1, 1, 100, noop_reward=noop,
                           layout=FixedLayout(agents=((0, 0),), gems=((0, 1),)))
         mdp = SubtaskMDP(grid, task)
@@ -319,6 +327,19 @@ class TestOracle:
             assert terminal == (outcome.event is Event.DROPPED)
             if not terminal:
                 assert abstract_drop(ground_next, 0) == s_next
+
+        # The controller, greedy on ``action`` in this state's row, takes the
+        # same transition: one TD step on that entry and no other.
+        mode, h = ControllerMode(Method.OPTIONS), Hyperparams()
+        tables = fresh_tables(mode)
+        tables[task].row(s)[action] = 1.0
+        target = reward if terminal else reward + h.gamma * tables[task].best_value(s_next)
+        controller_step(ground, grid, mode, tables, (0,), 0.0, h, random.Random(0), learn=True)
+        want = 1.0 + h.alpha * (target - 1.0)
+        expected = [want if a == action else 0.0 for a in ACTIONS]
+        assert {key: t.rows for key, t in tables.items()} == {
+            key: {s: expected} if key == task else {} for key in mode.table_keys()
+        }
 
     @given(
         width=st.integers(3, 7),
@@ -534,6 +555,20 @@ class TestPersistence:
         ("P,0,0,1,1,0,inf\n", 3),
         ("P,0,0,1,1,0,-inf\n", 3),
         ("P,0,0,1,1,0,3.5\nP,0,0,1,1,1,2.0\nP,0,0,1,1,0,4.5\n", 5),
+        # Only the text write_qtable writes: one ASCII digit 0-4, a repr number.
+        ("P,0,0,1,1,+3,1.0\n", 3),
+        ("P,0,0,1,1, 3,1.0\n", 3),
+        ("P,0,0,1,1,03,1.0\n", 3),
+        ("P,0,0,1,1,\u0663,1.0\n", 3),
+        ("P,0,0,1,1,5,1.0\n", 3),
+        ("P,0,0,1,1,3,1_0.5\n", 3),
+        ("P,0,0,1,1,3,+1.0\n", 3),
+        ("P,0,0,1,1,3, 1.0\n", 3),
+        ("P,0,0,1,1,3,01.0\n", 3),
+        ("P,0,0,1,1,3,1.\n", 3),
+        ("P,0,0,1,1,3,1E+16\n", 3),
+        ("P,0,0,1,1,3,\u0661.0\n", 3),
+        ("P,0,0,1,1,3,1e999\n", 3),
     ])
     def test_non_finite_and_repeated_records_rejected(self, tmp_path, records, line):
         path = tmp_path / "bad.csv"
@@ -555,7 +590,7 @@ class TestPersistence:
         )
         _, _, tables = read_qtable(path)
         table = tables["pickup"]
-        assert table.default == 0.0
+        assert table.best_value(PickupState((3, 3), (1, 1))) == 0.0
         assert list(table.rows.values()) == [[0.0, 0.0, 0.0, 2.5, 0.0]]
 
     def test_missing_header_rejected(self, tmp_path):
@@ -573,7 +608,17 @@ class TestPersistence:
         HEADER.replace("planner=on", "planner=maybe"),
         HEADER + " alpha=0.5",
         HEADER + " colour=blue",
-    ], ids=["planner-word", "repeated-key", "unknown-key"])
+        HEADER.replace("seed=0", "seed=+7"),
+        HEADER.replace("seed=0", "seed=07"),
+        HEADER.replace("seed=0", "seed=7.0"),
+        HEADER.replace("seed=0", "seed=1_0"),
+        HEADER.replace("alpha=0.1", "alpha=+0.1"),
+        HEADER.replace("alpha=0.1", "alpha=.1"),
+        HEADER.replace("gamma=0.95", "gamma=0_0.95"),
+        HEADER.replace("gamma=0.95", "gamma=\u0660.95"),
+    ], ids=["planner-word", "repeated-key", "unknown-key", "seed-plus", "seed-leading-zero",
+            "seed-fraction", "seed-underscore", "alpha-plus", "alpha-bare-fraction",
+            "gamma-underscore", "gamma-arabic-indic"])
     def test_malformed_header_names_line_1(self, tmp_path, header):
         path = tmp_path / "bad.csv"
         path.write_text(header + "\n# option=pickup\nP,0,0,1,1,0,3.5\n")

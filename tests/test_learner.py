@@ -22,7 +22,6 @@ from bankworld.learner import (
     ControllerMode,
     Hyperparams,
     Method,
-    OptionId,
     QTable,
     controller_step,
     epsilon_at,
@@ -173,25 +172,25 @@ class TestUniformAction:
 class TestOptionDispatch:
     def test_carrying_means_drop(self):
         state = world([(1, 1)], [None], held=[0])
-        assert option_for_agent(state, 0, (0,)) is OptionId.DROP
+        assert option_for_agent(state, 0, (0,)) is DROP_TABLE
 
     def test_assigned_means_pickup(self):
         state = world([(1, 1)], [(4, 4)])
-        assert option_for_agent(state, 0, (0,)) is OptionId.PICKUP
+        assert option_for_agent(state, 0, (0,)) is PICKUP_TABLE
 
     def test_unassigned_means_idle(self):
         state = world([(1, 1), (2, 2)], [(4, 4)])
-        assert option_for_agent(state, 1, (0, None)) is OptionId.IDLE
+        assert option_for_agent(state, 1, (0, None)) is None
 
     def test_planner_off_carrying_means_drop(self):
         state = world([(1, 1), (2, 2)], [(4, 4), None], held=[None, 1])
-        assert option_for_agent(state, 1, None) is OptionId.DROP
+        assert option_for_agent(state, 1, None) is DROP_TABLE
 
     def test_planner_off_empty_handed_means_pickup(self):
         # No allocation exists, yet nobody idles: every free agent fetches.
         state = world([(1, 1), (2, 2)], [(4, 4), None], held=[None, 1])
-        assert option_for_agent(state, 0, None) is OptionId.PICKUP
-        assert option_for_agent(world([(1, 1)], [None]), 0, None) is OptionId.PICKUP
+        assert option_for_agent(state, 0, None) is PICKUP_TABLE
+        assert option_for_agent(world([(1, 1)], [None]), 0, None) is PICKUP_TABLE
 
 
 def options_setup(agents, gems, bank=(3, 3)):
