@@ -19,6 +19,7 @@ an out-of-range value from a flag or the config file (the flag is named).
 from __future__ import annotations
 
 import argparse
+import re
 import statistics
 import sys
 from dataclasses import replace
@@ -55,9 +56,23 @@ def _switch(text: str) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
+def _int(text: str) -> int:
+    """int() of plain text, an optional minus then ASCII digits: no "+", "_" or padding."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """float() of plain text, in ASCII digits: no "+" in front, no "_" or padding."""
+    if not re.fullmatch(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?", text):
+        raise ValueError(f"expected a decimal number, got {text!r}")
+    return float(text)
+
+
 def _grid_size(text: str) -> tuple[int, int]:
     width, x, height = text.partition("x")
-    if not (x and width.isdigit() and height.isdigit()):
+    if not (x and text.isascii() and width.isdigit() and height.isdigit()):
         raise ValueError(f"expected WxH, got {text!r}")
     return int(width), int(height)
 
@@ -81,18 +96,18 @@ _SETTINGS = (
             "on or off"),
     Setting("grid", _grid_size, "11x11", "grid.width grid.height", "{0[0]}x{0[1]}".format,
             "grid size as WxH, e.g. 11x11"),
-    Setting("agents", int, "2", "grid.num_agents", str),
-    Setting("gems", int, "3", "grid.num_gems", str),
-    Setting("episodes", int, "6000", "episodes", str),
-    Setting("steps", int, "1000", "grid.step_limit", str, "step limit per episode"),
-    Setting("noop-reward", int, "0", "grid.noop_reward", str, "0 or -1"),
-    Setting("alpha", float, "0.1", "hyper.alpha", repr),
-    Setting("gamma", float, "0.95", "hyper.gamma", repr),
-    Setting("eps-start", float, "1.0", "hyper.eps_start", repr),
-    Setting("eps-end", float, "0.05", "hyper.eps_end", repr),
-    Setting("eps-decay-frac", float, "0.8", "hyper.eps_decay_fraction", repr),
-    Setting("seed", int, "0", "hyper.seed", str),
-    Setting("runs", int, "10", "eval_runs", str, "greedy evaluation runs"),
+    Setting("agents", _int, "2", "grid.num_agents", str),
+    Setting("gems", _int, "3", "grid.num_gems", str),
+    Setting("episodes", _int, "6000", "episodes", str),
+    Setting("steps", _int, "1000", "grid.step_limit", str, "step limit per episode"),
+    Setting("noop-reward", _int, "0", "grid.noop_reward", str, "0 or -1"),
+    Setting("alpha", _float, "0.1", "hyper.alpha", repr),
+    Setting("gamma", _float, "0.95", "hyper.gamma", repr),
+    Setting("eps-start", _float, "1.0", "hyper.eps_start", repr),
+    Setting("eps-end", _float, "0.05", "hyper.eps_end", repr),
+    Setting("eps-decay-frac", _float, "0.8", "hyper.eps_decay_fraction", repr),
+    Setting("seed", _int, "0", "hyper.seed", str),
+    Setting("runs", _int, "10", "eval_runs", str, "greedy evaluation runs"),
     Setting("random-layout", lambda text: RandomLayout() if _switch(text) else None, "false",
             "grid.layout", lambda layout: "true" if isinstance(layout, RandomLayout) else None,
             "fresh seeded start cells every episode"),
@@ -104,7 +119,7 @@ _LAYOUT = next(s for s in _SETTINGS if s.field == "grid.layout")
 
 def _parse_position(text: str) -> Position:
     r, _, c = text.partition(",")
-    return (int(r.strip()), int(c.strip()))
+    return (_int(r.strip()), _int(c.strip()))
 
 
 def read_config_file(path: Path) -> tuple[dict, Optional[FixedLayout]]:
@@ -184,8 +199,9 @@ def _build_run_config(values: dict, config: Optional[str]) -> RunConfig:
         )
     except ConfigError as exc:
         # A fixed layout comes only from the [layout] section of the config file.
-        where = f"{config} [layout]" if exc.field == "layout" else _FLAGS.get(exc.field)
-        raise UsageError(str(exc) if where is None else f"{where}: {exc}") from None
+        flags = dict.fromkeys(_FLAGS.get(name) for name in (exc.field or "").split())
+        where = f"{config} [layout]" if exc.field == "layout" else ", ".join(filter(None, flags))
+        raise UsageError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def write_config_echo(cfg: RunConfig, path: Path) -> None:

@@ -16,8 +16,8 @@ Dynamics
 - Every other legal move costs -1; NoOp yields the configured no-op
   reward (0 by default, -1 optional).
 - Agents may share cells; there are no collisions. One agent moves per
-  `step_agent` call, and the episode step counter advances separately
-  via `advance_step`.
+  `step_agent` call; the episode loop, `learner.controller_step`, advances
+  the step counter once per timestep.
 
 Eligibility: when a planner allocation is in effect, `step_agent` is
 called with ``assigned_gem=alloc[i]``, the one gem the planner's
@@ -49,11 +49,13 @@ REWARD_STEP = -1
 REWARD_PICKUP = 50
 REWARD_DEPOSIT = 500
 NOOP_REWARDS = (0, -1)
+# The fields at fault when the agents and gems do not fit off the bank.
+_CROWDED = "width num_agents num_gems"
 
 
 class ConfigError(ValueError):
     """Invalid grid, layout, or run configuration. ``field`` names the
-    config field at fault, when there is one."""
+    config field at fault, or several, space-separated, when there is one."""
 
     def __init__(self, message: str, field: Optional[str] = None):
         super().__init__(message)
@@ -146,7 +148,7 @@ def default_layout(
         """The first ``count`` free cells, preferred cells first."""
         free = [pos for pos in dict.fromkeys(preferred + every) if pos not in used][:count]
         if len(free) < count:
-            raise ConfigError("grid too small for the requested agents and gems")
+            raise ConfigError("grid too small for the requested agents and gems", _CROWDED)
         used.update(free)
         return tuple(free)
 
@@ -200,7 +202,7 @@ class GridConfig:
             self._check_fixed(self.layout)
         elif isinstance(self.layout, RandomLayout):
             if self.width * self.height - 1 < self.num_agents + self.num_gems:
-                raise ConfigError("grid too small for random placement")
+                raise ConfigError("grid too small for random placement", _CROWDED)
 
     @cached_property
     def moves(self) -> dict[Position, tuple[tuple[Position, StepOutcome], ...]]:
@@ -252,15 +254,10 @@ def reset(config: GridConfig, seed: int) -> WorldState:
     """
     layout = config.layout
     if isinstance(layout, FixedLayout):
-        agents = layout.agents
-        gem_positions = layout.gems
+        agents, gem_positions = layout.agents, layout.gems
     else:
-        cells = [
-            (r, c)
-            for r in range(config.height)
-            for c in range(config.width)
-            if (r, c) != config.bank
-        ]
+        cells = [(r, c) for r in range(config.height) for c in range(config.width)]
+        cells.remove(config.bank)
         picked = random.Random(seed).sample(cells, config.num_agents + config.num_gems)
         agents = tuple(picked[: config.num_agents])
         gem_positions = tuple(picked[config.num_agents:])
@@ -319,11 +316,6 @@ def step_agent(
         )
 
     return _new(WorldState, (positions, held, cells, state.step)), _MOVED_OUTCOME
-
-
-def advance_step(state: WorldState) -> WorldState:
-    """Bump the episode step counter by one."""
-    return _new(WorldState, (state.agent_positions, state.held, state.gem_cells, state.step + 1))
 
 
 def is_terminal(state: WorldState, config: GridConfig) -> bool:

@@ -26,7 +26,7 @@ import random
 import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,7 +40,6 @@ from .environment import (
     GridConfig,
     WorldState,
     gems_deposited,
-    is_terminal,
     reset,
     step_agent,
 )
@@ -112,16 +111,11 @@ def _run_episode(
     episode: int,
     learn: bool,
 ) -> EpisodeRecord:
-    grid, mode, h = cfg.grid, cfg.mode, cfg.hyper
-    state = reset(grid, reset_seed)
-    alloc = (None,) * grid.num_agents
-    total = 0
-    while not is_terminal(state, grid):
-        state, alloc, outcomes = controller_step(
-            state, grid, mode, tables, alloc, epsilon, h, rng, learn
-        )
-        for outcome in outcomes:
-            total += outcome.reward
+    grid, mode = cfg.grid, cfg.mode
+    state, _, outcomes = controller_step(reset(grid, reset_seed), grid, mode, tables,
+                                         (None,) * grid.num_agents, epsilon, cfg.hyper, rng,
+                                         learn, grid.step_limit)
+    total = sum([outcome.reward for outcome in outcomes])
     recorded_eps = 1.0 if mode.method is Method.RANDOM else epsilon
     return EpisodeRecord(episode, total, state.step, gems_deposited(state), recorded_eps)
 
@@ -370,14 +364,9 @@ def compare(
 
 # --------------------------- persistence ---------------------------
 
-METRICS_HEADER = ["episode", "total_reward", "steps_used", "gems_dropped", "epsilon"]
-SUMMARY_HEADER = [
-    "method",
-    "planner",
-    "mean_eval_reward",
-    "std_eval_reward",
-    "episodes_to_threshold",
-]
+# Each file's columns are the fields of the record it holds, in order.
+METRICS_HEADER = [f.name for f in fields(EpisodeRecord)]
+SUMMARY_HEADER = [f.name for f in fields(SummaryRow)]
 
 
 def write_metrics(records: Sequence[EpisodeRecord], path: Path) -> None:
@@ -515,9 +504,7 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
         row[action] = value
     for table in tables.values():
         for row in table.rows.values():
-            for a, value in enumerate(row):
-                if math.isnan(value):
-                    row[a] = 0.0
+            row[:] = [0.0 if math.isnan(value) else value for value in row]
     return mode, hyper, tables
 
 

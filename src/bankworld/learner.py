@@ -1,13 +1,15 @@
 """Central controller: Q-tables, action selection, TD updates, dispatch.
 
 All agents read and write the same tables: one per sub-task (fetch,
-deposit) in options mode, a single one in flat mode. Each timestep the
-controller walks agents in ascending index: refresh the planner
-allocation ``alloc``, where ``alloc[i]`` is the gem allocated to agent
-``i`` or None, pick the agent's option with `option_for_agent`, choose an
-action (uniformly for the random baseline, else epsilon-greedily from
-the state `project` gives), apply it, and update the executing table. An
-option is named by its options-mode table key, `PICKUP_TABLE` (fetch) or
+deposit) in options mode, a single one in flat mode. `controller_step` is
+the episode loop. Each timestep it walks agents in ascending index:
+refresh the planner allocation ``alloc`` (``alloc[i]`` is the gem
+allocated to agent ``i`` or None), pick the agent's option with
+`option_for_agent`, choose an action (uniformly for the random baseline,
+else epsilon-greedily from the state `project` gives), apply it, and
+update the executing table. Then it bumps the step, and it stops after
+the timestep that reaches the step limit or the last deposit. An option
+is named by its options-mode table key, `PICKUP_TABLE` (fetch) or
 `DROP_TABLE` (deposit); None means idle. A sub-task ends the moment its
 goal event fires (pickup for fetch, deposit for drop); that transition
 is updated with a terminal bootstrap, and a deposit also frees the
@@ -48,7 +50,6 @@ from .environment import (
     GridConfig,
     StepOutcome,
     WorldState,
-    advance_step,
     gems_deposited,
     step_agent,
 )
@@ -110,19 +111,15 @@ class Hyperparams:
     alpha_visit_decay: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}", "alpha")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}", "gamma")
-        if not (0.0 <= self.eps_start <= 1.0):
-            raise ConfigError(f"eps_start must be in [0, 1], got {self.eps_start}", "eps_start")
+        for name in ("alpha", "gamma", "eps_start", "eps_decay_fraction"):
+            value = getattr(self, name)
+            if not (0.0 <= value <= 1.0):
+                raise ConfigError(f"{name} must be in [0, 1], got {value}", name)
         if not (0.0 <= self.eps_end <= self.eps_start):
             raise ConfigError(
                 f"eps_end must be in [0, eps_start={self.eps_start}], got {self.eps_end}",
                 "eps_end",
             )
-        if not (0.0 <= self.eps_decay_fraction <= 1.0):
-            raise ConfigError("eps_decay_fraction must be in [0, 1]", "eps_decay_fraction")
         if self.seed < 0:
             # random.Random seeds with abs(seed): -5 would replay the run of 5.
             raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
@@ -165,13 +162,8 @@ class QTable:
 
     def best_action(self, s: AbstractState) -> Action:
         row = self.rows.get(s)
-        if row is None:
-            return Action.UP
-        best, best_v = 0, row[0]
-        for a in (1, 2, 3, 4):
-            if row[a] > best_v:
-                best, best_v = a, row[a]
-        return ACTIONS[best]
+        # index() finds the first maximum: ties go to the lowest action.
+        return Action.UP if row is None else ACTIONS[row.index(max(row))]
 
     def row(self, s: AbstractState) -> list[float]:
         row = self.rows.get(s)
@@ -286,12 +278,14 @@ def controller_step(
     h: Hyperparams,
     rng: random.Random,
     learn: bool = True,
+    timesteps: int = 1,
 ) -> tuple[WorldState, tuple[Optional[int], ...], list[StepOutcome]]:
-    """Advance every agent once, in ascending index, then bump the step.
+    """Run up to ``timesteps`` timesteps, each advancing every agent once in
+    ascending index and then the step; stop after one that ends the episode.
 
     Returns the new world state, the updated allocation, and one outcome
-    per agent. ``learn=False`` (evaluation) skips all table writes.
-    With the planner on, `planner.assign` runs once per agent.
+    per agent-step. ``learn=False`` (evaluation) skips all table writes.
+    With the planner on, `planner.assign` runs once per agent-step.
     """
     outcomes: list[StepOutcome] = []
     method = mode.method
@@ -305,42 +299,53 @@ def controller_step(
         pickup_table, drop_table = tables[PICKUP_TABLE], tables[DROP_TABLE]
     elif flat:
         pickup_table = drop_table = tables[FLAT_TABLE]
+    # Read per call, not at import, so that rebinding these names takes effect.
+    assign, release, move, update = plan.assign, plan.release, step_agent, td_update
+    # No timestep reads state.step (step_agent copies it; the projections and
+    # assign ignore it), so it and the deposited count are kept here.
+    step, deposited, num_gems = state.step, gems_deposited(state), config.num_gems
 
-    for agent in range(config.num_agents):
-        if alloc is not None:
-            alloc = plan.assign(state, alloc)
-        option = option_for_agent(state, agent, alloc)
-        if option is None:
-            # Parked: no gem to fetch. Forced NoOp, no learning.
-            outcomes.append(parked)
-            continue
+    for _ in range(timesteps):
+        for agent in range(config.num_agents):
+            if alloc is not None:
+                alloc = assign(state, alloc)
+            option = option_for_agent(state, agent, alloc)
+            if option is None:
+                # Parked: no gem to fetch. Forced NoOp, no learning.
+                outcomes.append(parked)
+                continue
 
-        if random_policy:
-            action = _uniform_action(rng)
-        else:
-            table = drop_table if option is DROP_TABLE else pickup_table
-            s = project(state, agent, option, alloc, flat, config)
-            action = select_action(table, s, epsilon, rng)
-        # A carrier's allocation is its carried gem until the deposit.
-        gem = None if alloc is None else alloc[agent]
-        next_state, outcome = step_agent(state, config, agent, action, gem)
-        event = outcome.event
-
-        if event is _DROPPED and alloc is not None:
-            alloc = plan.release(alloc, outcome.gem)
-
-        if learning:
-            if method is _OPTIONS:
-                terminal = event is _ACQUIRED or event is _DROPPED
+            if random_policy:
+                action = _uniform_action(rng)
             else:
-                terminal = gems_deposited(next_state) == config.num_gems
-            s_next = None if terminal else project(next_state, agent, option, alloc, flat, config)
-            td_update(table, s, action, outcome.reward, s_next, terminal, h)
+                table = drop_table if option is DROP_TABLE else pickup_table
+                s = project(state, agent, option, alloc, flat, config)
+                action = select_action(table, s, epsilon, rng)
+            # A carrier's allocation is its carried gem until the deposit.
+            gem = None if alloc is None else alloc[agent]
+            next_state, outcome = move(state, config, agent, action, gem)
+            event = outcome.event
 
-        state = next_state
-        outcomes.append(outcome)
+            if event is _DROPPED:
+                deposited += 1
+                if alloc is not None:
+                    alloc = release(alloc, outcome.gem)
 
-    return advance_step(state), assignment if alloc is None else alloc, outcomes
+            if learning:
+                if method is _OPTIONS:
+                    terminal = event is _ACQUIRED or event is _DROPPED
+                else:
+                    terminal = deposited == num_gems
+                s_next = None if terminal else project(next_state, agent, option, alloc, flat, config)
+                update(table, s, action, outcome.reward, s_next, terminal, h)
+
+            state = next_state
+            outcomes.append(outcome)
+        step += 1
+        if step >= config.step_limit or deposited == num_gems:
+            break
+
+    return state._replace(step=step), assignment if alloc is None else alloc, outcomes
 
 
 def fresh_tables(mode: ControllerMode) -> dict[str, QTable]:

@@ -16,7 +16,6 @@ from bankworld.environment import (
     Event,
     GridConfig,
     RandomLayout,
-    advance_step,
     is_terminal,
     reset,
     step_agent,
@@ -225,7 +224,7 @@ class TestRewardConformance:
                 assert (outcome.reward == 500) == (outcome.event is Event.DROPPED)
                 if outcome.event is Event.ILLEGAL:
                     assert next_state.agent_positions == state.agent_positions
-                state = advance_step(next_state)
+                state = next_state._replace(step=next_state.step + 1)
         report(
             "reward-conformance",
             True,

@@ -391,13 +391,44 @@ class TestExitCodeRule:
         ("--eps-decay-frac 2", "--eps-decay-frac"),
         ("--planner maybe", "--planner"),
         ("--method sarsa", "--method"),
+        # Numbers are plain ASCII: no "+", no "_", no other scripts' digits.
+        ("--agents +1_0", "--agents"),
+        ("--agents +2", "--agents"),
+        ("--episodes 1_000", "--episodes"),
+        ("--steps \uff15\uff10", "--steps"),
+        ("--seed \u0663", "--seed"),
+        ("--grid \u0665x5", "--grid"),
+        ("--grid 5x\u0665", "--grid"),
+        ("--alpha 1_0e-1", "--alpha"),
+        ("--alpha +0.5", "--alpha"),
+        ("--gamma 0.\u0669", "--gamma"),
     ])
     def test_bad_flag_value_names_flag(self, args, flag, capsys):
         assert main(f"train {args} --out r".split()) == 2
         assert f"error: {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layout", ["", " --random-layout"])
+    def test_grid_too_small_names_grid_agents_and_gems(self, layout, capsys):
+        assert main(f"train --grid 3x3 --agents 5 --gems 4{layout} --out r".split()) == 2
+        assert capsys.readouterr().err.startswith("error: --grid, --agents, --gems: grid too small")
+
+    @pytest.mark.parametrize("line", [
+        "agents = +1", "agents = 1_0", "seed = \u0663", "alpha = 1_0e-1", "gamma = +0.5",
+        "grid = \u0665x5", "[layout]\nagent.0 = +1,0", "[layout]\nagent.0 = 0_1,0",
+        "[layout]\nagent.0 = \u0661,0",
+    ])
+    def test_non_plain_file_number_exits_1_naming_line(self, tmp_path, capsys, line):
+        path = write_text(tmp_path, "bad.cfg", f"method = q\n{line}\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"bad.cfg:{line.count(chr(10)) + 2}: expected" in capsys.readouterr().err
+
     def test_zero_alpha_parses(self):
         assert parse_args("train --alpha 0 --out r".split()).run.hyper.alpha == 0.0
+
+    def test_plain_number_forms_parse(self):
+        run = parse_args("train --alpha .5 --gamma 1e-1 --eps-start 1. --seed 07 --out r".split()).run
+        assert (run.hyper.alpha, run.hyper.gamma, run.hyper.eps_start) == (0.5, 0.1, 1.0)
+        assert run.hyper.seed == 7
 
 
 class TestConfigFileStrictness:

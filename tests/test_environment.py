@@ -13,11 +13,11 @@ from bankworld.environment import (
     FixedLayout,
     GridConfig,
     RandomLayout,
-    advance_step,
     is_terminal,
     reset,
     step_agent,
 )
+from bankworld.learner import ControllerMode, Hyperparams, Method, controller_step
 
 from conftest import gem_places
 
@@ -202,17 +202,24 @@ class TestStepAgent:
 
 
 class TestEpisodeAccounting:
-    def test_advance_step_increments(self):
-        _, state = small_world([(0, 0)], [(1, 1)])
-        assert advance_step(state).step == 1
-        assert advance_step(advance_step(state)).step == 2
+    def test_controller_step_bumps_step_once_per_timestep(self):
+        cfg, state = small_world([(0, 0)], [(0, 6)])
+        mode, h, rng = ControllerMode(Method.RANDOM), Hyperparams(), random.Random(0)
+        once, alloc, _ = controller_step(state, cfg, mode, {}, (None,), 0.0, h, rng)
+        assert once.step == 1
+        twice, alloc, _ = controller_step(once, cfg, mode, {}, alloc, 0.0, h, rng)
+        assert twice.step == 2
+        # The gem is six moves from the agent and the bank six more: seven
+        # timesteps cannot end the episode, so all five more run.
+        later, _, outcomes = controller_step(twice, cfg, mode, {}, alloc, 0.0, h, rng, timesteps=5)
+        assert later.step == 7 and len(outcomes) == 5
 
     def test_step_limit_terminates(self):
         cfg, state = small_world([(0, 0)], [(1, 1)])
         cfg2 = GridConfig(7, 7, 1, 1, 1000, layout=cfg.layout)
         at_999 = state._replace(step=999)
         assert not is_terminal(at_999, cfg2)
-        assert is_terminal(advance_step(at_999), cfg2)
+        assert is_terminal(at_999._replace(step=at_999.step + 1), cfg2)
 
     def test_all_dropped_terminates_early(self):
         cfg, state = small_world([(0, 0)], [(1, 1), (2, 1), (4, 5)])
@@ -234,7 +241,7 @@ def _random_rollout(cfg: GridConfig, seed: int, steps: int):
         action = ACTIONS[rng.randrange(5)]
         next_state, outcome = step_agent(state, cfg, agent, action)
         yield state, agent, action, next_state, outcome
-        state = advance_step(next_state)
+        state = next_state._replace(step=next_state.step + 1)
 
 
 @st.composite

@@ -17,7 +17,11 @@ from bankworld.environment import (
     GridConfig,
     REWARD_DEPOSIT,
     REWARD_PICKUP,
+    RandomLayout,
     WorldState,
+    gems_deposited,
+    is_terminal,
+    reset,
     step_agent,
 )
 from bankworld.harness import (
@@ -422,6 +426,60 @@ class TestCompare:
         # same (seed, episode) derivation: fixed layouts trivially agree;
         # the point is the record stream length and indices line up
         assert [r.episode for r in flat.records] == [r.episode for r in rand.records]
+
+
+def stepwise_episode(cfg, tables, epsilon, rng, reset_seed, episode, learn):
+    """`harness._run_episode` driven one timestep per `controller_step` call
+    until `is_terminal`: the reference the episode loop must equal."""
+    grid = cfg.grid
+    state, alloc, total = reset(grid, reset_seed), (None,) * grid.num_agents, 0
+    while not is_terminal(state, grid):
+        state, alloc, outcomes = controller_step(
+            state, grid, cfg.mode, tables, alloc, epsilon, cfg.hyper, rng, learn, timesteps=1
+        )
+        assert len(outcomes) == grid.num_agents
+        total += sum(outcome.reward for outcome in outcomes)
+    recorded_eps = 1.0 if cfg.mode.method is Method.RANDOM else epsilon
+    return EpisodeRecord(episode, total, state.step, gems_deposited(state), recorded_eps)
+
+
+class TestEpisodeLoop:
+    """`_run_episode` runs a whole episode in one `controller_step` call. It
+    must give the record, tables and random stream of one timestep per call."""
+
+    @pytest.mark.parametrize("step_limit, ends_by", [(10, "limit"), (400, "deposit")])
+    @pytest.mark.parametrize("layout", [None, RandomLayout()], ids=["fixed", "random"])
+    @pytest.mark.parametrize("planner_on", [True, False])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_call_equals_one_timestep_at_a_time(
+        self, method, planner_on, layout, step_limit, ends_by
+    ):
+        grid = GridConfig(5, 5, 2, 2, step_limit, layout=layout)
+        cfg = RunConfig(grid, ControllerMode(method, planner_on), Hyperparams(seed=3), episodes=1)
+        runs = []
+        for run in (harness._run_episode, stepwise_episode):
+            tables, rng, records = fresh_tables(cfg.mode), random.Random(3), []
+            for episode in range(4):
+                learn = episode < 3  # the last episode replays greedily
+                eps = 0.3 if learn else 0.0
+                records.append(run(cfg, tables, eps, rng, 40 + episode, episode, learn))
+            state = {key: (t.rows, t.visits) for key, t in tables.items()}
+            runs.append((records, state, rng.getstate()))
+        assert runs[0] == runs[1]
+        records = runs[0][0]
+        if ends_by == "limit":
+            assert any(r.steps_used == step_limit and r.gems_dropped < 2 for r in records)
+        else:
+            assert any(r.gems_dropped == 2 and r.steps_used < step_limit for r in records)
+
+    def test_a_later_start_stops_at_the_step_limit(self):
+        # Three timesteps remain, and no gem can be fetched in three moves.
+        grid = GridConfig(5, 5, 2, 2, 10)
+        state = reset(grid, 0)._replace(step=7)
+        end, _, outcomes = controller_step(state, grid, ControllerMode(Method.RANDOM), {},
+                                           (None, None), 0.0, Hyperparams(), random.Random(0),
+                                           timesteps=50)
+        assert end.step == 10 and len(outcomes) == 3 * 2
 
 
 class TestPlannerCalls:
