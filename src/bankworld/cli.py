@@ -339,7 +339,10 @@ def _run_compare_planner(args, run: RunConfig, given) -> None:
 
 
 def _run_oracle(args, run: RunConfig, given) -> None:
-    table = value_iteration_oracle(run.grid, args.task, run.hyper.gamma)
+    try:
+        table = value_iteration_oracle(run.grid, args.task, run.hyper.gamma)
+    except ConfigError as exc:  # the grid is too large to solve
+        raise UsageError(f"{_FLAGS[exc.field]}: {exc}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_qtable({args.task: table}, out, OPTIONS_MODE, Hyperparams(gamma=run.hyper.gamma))

@@ -10,9 +10,10 @@ return records and tables: only the file codecs take a path.
 exactly over its enumerated projected state space. `SubtaskMDP` keeps no
 dynamics or views of its own: each state-action pair is one `step_agent`
 call projected by the controller's `learner.project`. Transitions are
-deterministic, so Bellman sweeps in goal-distance order (states nearer
-the goal first) settle nearly every value in the first pass, and the
-sweep loop exits when a sweep changes nothing: the literal fixed point.
+deterministic, so Bellman sweeps in order of the goal distance read off
+each state (`SubtaskMDP.distance`, nearest first) settle nearly every
+value in the first pass; the loop exits at the literal fixed point, when
+a sweep changes nothing.
 The oracle doubles as the reference for "optimal episode return",
 obtained by rolling its greedy policy through a real episode.
 """
@@ -54,6 +55,7 @@ from .learner import (
     fresh_tables,
     project,
 )
+from .planner import manhattan
 
 ORACLE_PAIR_LIMIT = 1_000_000
 THRESHOLD_WINDOW = 50
@@ -187,51 +189,37 @@ class SubtaskMDP:
             return None, outcome.reward, True
         return project(world, 0, self.task, (0,), False, self.grid), outcome.reward, False
 
+    def distance(self, s: AbstractState) -> int:
+        """Moves onto the goal cell, the gem's for fetch or the bank: the
+        Manhattan distance, or 2 (off and back) from the goal cell itself."""
+        return manhattan(s.agent_pos, getattr(s, "gem_pos", self.grid.bank)) or 2
+
 
 def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
     """Exact action values for one sub-task by in-place Bellman sweeps in
-    goal-distance order, repeated until a sweep changes no value.
+    goal-distance order (`SubtaskMDP.distance`), repeated until a sweep
+    changes no value.
 
     Each state-action pair is stepped once, through `SubtaskMDP.step`.
     The order only makes the sweeps few; the exit test alone certifies
-    the fixed point. Refuses instances beyond `ORACLE_PAIR_LIMIT`
-    state-action pairs.
+    the fixed point. Refuses, before building anything, instances beyond
+    `ORACLE_PAIR_LIMIT` state-action pairs.
     """
     mdp = SubtaskMDP(grid, task)
-    states = mdp.states()
-    if len(states) * 5 > ORACLE_PAIR_LIMIT:
+    cells = grid.width * grid.height
+    pairs = 5 * (cells * (cells - 1) if task == PICKUP_TABLE else cells)
+    if pairs > ORACLE_PAIR_LIMIT:
         raise ConfigError(
-            f"{len(states) * 5} state-action pairs exceed the oracle limit"
+            f"{pairs} state-action pairs exceed the oracle limit of {ORACLE_PAIR_LIMIT}", "width"
         )
     q = QTable()
-    position = {s: i for i, s in enumerate(states)}
-    rows = [q.row(s) for s in states]
+    rows = q.rows = {s: [0.0] * 5 for s in mdp.states()}
     # Successors are held as rows, not as state keys re-hashed in every sweep.
-    transitions, preds = [], [[] for _ in states]
-    for s, i in position.items():
-        successors = []
-        for s_next, r, t in (mdp.step(s, a) for a in ACTIONS):
-            j = None if t else position[s_next]
-            successors.append((None if t else rows[j], r, t))
-            if not t and j != i:
-                preds[j].append(i)
-        transitions.append((rows[i], successors))
-    del position  # the build alone needs it; freeing it keeps the peak down
-    # Breadth-first over predecessors from the states with a goal action (the
-    # loop visits what it appends), so each state is swept after the states
-    # one step nearer its goal. States that cannot reach the goal go last.
-    order = [i for i, (_, outcomes) in enumerate(transitions) if any(t for _, _, t in outcomes)]
-    reached = bytearray(len(states))
-    for i in order:
-        reached[i] = 1
-    for i in order:
-        for p in preds[i]:
-            if not reached[p]:
-                reached[p] = 1
-                order.append(p)
-    del preds
-    order += [i for i, seen in enumerate(reached) if not seen]
-    transitions = [transitions[i] for i in order]
+    # Each state is swept after the states one move nearer its goal.
+    transitions = []
+    for s in sorted(rows, key=mdp.distance):
+        steps = (mdp.step(s, a) for a in ACTIONS)
+        transitions.append((rows[s], [(None if t else rows[s_next], r, t) for s_next, r, t in steps]))
     while True:
         delta = 0.0
         for row, outcomes in transitions:
@@ -369,23 +357,25 @@ METRICS_HEADER = [f.name for f in fields(EpisodeRecord)]
 SUMMARY_HEADER = [f.name for f in fields(SummaryRow)]
 
 
-def write_metrics(records: Sequence[EpisodeRecord], path: Path) -> None:
+def _cell(value) -> str:
+    """A number as `repr` writes it, a str as it is, None as `NOT_REACHED`."""
+    return NOT_REACHED if value is None else value if isinstance(value, str) else repr(value)
+
+
+def _write_rows(header: list[str], records: Sequence, path: Path) -> None:
     with open(path, "w", newline="") as f:
         out = csv.writer(f, lineterminator="\n")
-        out.writerow(METRICS_HEADER)
+        out.writerow(header)
         for r in records:
-            out.writerow([r.episode, r.total_reward, r.steps_used, r.gems_dropped, repr(r.epsilon)])
+            out.writerow([_cell(getattr(r, name)) for name in header])
+
+
+def write_metrics(records: Sequence[EpisodeRecord], path: Path) -> None:
+    _write_rows(METRICS_HEADER, records, path)
 
 
 def write_summary(rows: Sequence[SummaryRow], path: Path) -> None:
-    with open(path, "w", newline="") as f:
-        out = csv.writer(f, lineterminator="\n")
-        out.writerow(SUMMARY_HEADER)
-        for row in rows:
-            reached = NOT_REACHED if row.episodes_to_threshold is None else row.episodes_to_threshold
-            out.writerow(
-                [row.method, row.planner, repr(row.mean_eval_reward), repr(row.std_eval_reward), reached]
-            )
+    _write_rows(SUMMARY_HEADER, rows, path)
 
 
 def _hyper_header(mode: ControllerMode, hyper: Hyperparams) -> str:

@@ -142,8 +142,9 @@ class QTable:
     """Sparse state-action value table; unseen rows read as 0.0.
 
     Rows are 5-long lists indexed by action. ``visits`` counts `td_update`
-    calls per entry and feeds the optional visit-count step-size decay; it
-    is bookkeeping, not part of value equality or persistence.
+    calls per entry for the visit-count step-size decay alone
+    (``Hyperparams.alpha_visit_decay``), and stays empty under a constant
+    step size; it is bookkeeping, not part of value equality or persistence.
     """
 
     __slots__ = ("rows", "visits")
@@ -221,15 +222,15 @@ def td_update(
     """
     target = r if terminal else r + h.gamma * q.best_value(s_next)
     row = q.row(s)
-    visits = q.visits.get(s)
-    if visits is None:
-        visits = q.visits[s] = [0] * 5
-    if h.alpha_visit_decay is not None:
-        alpha = 1.0 / (1.0 + visits[a] / h.alpha_visit_decay)
-    else:
+    if h.alpha_visit_decay is None:
         alpha = h.alpha
+    else:
+        visits = q.visits.get(s)
+        if visits is None:
+            visits = q.visits[s] = [0] * 5
+        alpha = 1.0 / (1.0 + visits[a] / h.alpha_visit_decay)
+        visits[a] += 1
     row[a] += alpha * (target - row[a])
-    visits[a] += 1
     return q
 
 

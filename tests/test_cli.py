@@ -422,6 +422,14 @@ class TestExitCodeRule:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert f"bad.cfg:{line.count(chr(10)) + 2}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, grid", [("pickup", "40x40"), ("drop", "448x448")])
+    def test_oversized_oracle_grid_exits_2_naming_grid(self, tmp_path, capsys, task, grid):
+        out = tmp_path / "q.csv"
+        assert main(["oracle", "--grid", grid, "--task", task, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid: ") and "exceed the oracle limit" in err
+        assert not out.exists()
+
     def test_zero_alpha_parses(self):
         assert parse_args("train --alpha 0 --out r".split()).run.hyper.alpha == 0.0
 

@@ -247,6 +247,61 @@ class TestOracle:
         with pytest.raises(ConfigError):
             value_iteration_oracle(GridConfig(25, 25, 1, 1, 100), PICKUP_TABLE)
 
+    @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
+    def test_limit_falls_at_the_exact_pair_count(self, task, monkeypatch):
+        """Cells x (cells - 1) states to fetch, cells to deposit: the count
+        taken from the grid alone is the enumerated count."""
+        grid = GridConfig(5, 7, 1, 1, 100, bank=(1, 2))
+        pairs = 5 * len(SubtaskMDP(grid, task).states())
+        monkeypatch.setattr(harness, "ORACLE_PAIR_LIMIT", pairs)
+        assert len(value_iteration_oracle(grid, task)) == pairs
+        monkeypatch.setattr(harness, "ORACLE_PAIR_LIMIT", pairs - 1)
+        with pytest.raises(ConfigError, match=f"^{pairs} state-action pairs exceed") as info:
+            value_iteration_oracle(grid, task)
+        assert info.value.field == "width"
+
+    @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
+    def test_refuses_before_enumerating_states(self, task, monkeypatch):
+        def enumerate_nothing(mdp):
+            raise AssertionError("states enumerated before the size check")
+
+        monkeypatch.setattr(SubtaskMDP, "states", enumerate_nothing)
+        monkeypatch.setattr(harness, "ORACLE_PAIR_LIMIT", 5 * 9 - 1)
+        with pytest.raises(ConfigError):
+            value_iteration_oracle(three_by_three(), task)
+
+    @given(
+        width=st.integers(3, 7),
+        height=st.integers(3, 7),
+        pick=st.integers(0, 10**6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_distance_is_the_fewest_steps_to_the_goal(self, width, height, pick):
+        """The solver's sweep order rests on it: `SubtaskMDP.distance` equals
+        the fewest `step` calls from the state to a terminal transition,
+        found here breadth-first over predecessors, for every state."""
+        inner = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
+        grid = GridConfig(width, height, 1, 1, 100, bank=inner[pick % len(inner)])
+        for task in (PICKUP_TABLE, DROP_TABLE):
+            mdp = SubtaskMDP(grid, task)
+            states = mdp.states()
+            preds = {s: [] for s in states}
+            fewest = {}
+            for s in states:
+                for a in ACTIONS:
+                    s_next, _, terminal = mdp.step(s, a)
+                    if terminal:
+                        fewest[s] = 1
+                    else:
+                        preds[s_next].append(s)
+            queue = list(fewest)
+            for s in queue:
+                for p in preds[s]:
+                    if p not in fewest:
+                        fewest[p] = fewest[s] + 1
+                        queue.append(p)
+            assert fewest == {s: mdp.distance(s) for s in states}
+
     def test_looping_greedy_rollout_reports_negative_infinity(self):
         grid = three_by_three()
         mdp = SubtaskMDP(grid, DROP_TABLE)
@@ -447,6 +502,8 @@ class TestEpisodeLoop:
     """`_run_episode` runs a whole episode in one `controller_step` call. It
     must give the record, tables and random stream of one timestep per call."""
 
+    decay = None  # the step size: constant alpha
+
     @pytest.mark.parametrize("step_limit, ends_by", [(10, "limit"), (400, "deposit")])
     @pytest.mark.parametrize("layout", [None, RandomLayout()], ids=["fixed", "random"])
     @pytest.mark.parametrize("planner_on", [True, False])
@@ -455,7 +512,8 @@ class TestEpisodeLoop:
         self, method, planner_on, layout, step_limit, ends_by
     ):
         grid = GridConfig(5, 5, 2, 2, step_limit, layout=layout)
-        cfg = RunConfig(grid, ControllerMode(method, planner_on), Hyperparams(seed=3), episodes=1)
+        hyper = Hyperparams(seed=3, alpha_visit_decay=self.decay)
+        cfg = RunConfig(grid, ControllerMode(method, planner_on), hyper, episodes=1)
         runs = []
         for run in (harness._run_episode, stepwise_episode):
             tables, rng, records = fresh_tables(cfg.mode), random.Random(3), []
@@ -466,6 +524,9 @@ class TestEpisodeLoop:
             state = {key: (t.rows, t.visits) for key, t in tables.items()}
             runs.append((records, state, rng.getstate()))
         assert runs[0] == runs[1]
+        # Visit counts are kept for the step size that reads them, and only then.
+        for rows, visits in runs[0][1].values():
+            assert visits.keys() == (rows.keys() if self.decay else set())
         records = runs[0][0]
         if ends_by == "limit":
             assert any(r.steps_used == step_limit and r.gems_dropped < 2 for r in records)
@@ -480,6 +541,12 @@ class TestEpisodeLoop:
                                            (None, None), 0.0, Hyperparams(), random.Random(0),
                                            timesteps=50)
         assert end.step == 10 and len(outcomes) == 3 * 2
+
+
+class TestEpisodeLoopVisitDecay(TestEpisodeLoop):
+    """The same, with the visit-count step size, whose counts the tables keep."""
+
+    decay = 100.0
 
 
 class TestPlannerCalls:

@@ -105,6 +105,13 @@ class TestTdUpdate:
         td_update(q, S, Action.UP, 0, None, terminal=True, h=h)
         # second visit: alpha = 1 / (1 + 1/100)
         assert q.get(S, Action.UP) == pytest.approx(10.0 * (1 - 100 / 101))
+        assert q.visits == {S: [2, 0, 0, 0, 0]}
+
+    def test_constant_step_size_counts_no_visits(self):
+        q = QTable()
+        td_update(q, S, Action.UP, 10, None, terminal=True, h=Hyperparams(alpha=0.5))
+        assert q.get(S, Action.UP) == 5.0
+        assert q.visits == {}
 
 
 class TestEpsilonSchedule:
