@@ -28,10 +28,10 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .environment import ConfigError, FixedLayout, GridConfig, Position, RandomLayout
 from .harness import (
-    NOT_REACHED,
     OPTIONS_MODE,
     ParseError,
     RunConfig,
+    cell_text,
     compare,
     evaluate,
     read_qtable,
@@ -309,10 +309,9 @@ def _run_eval(args, run: RunConfig, given) -> None:
 def _print_summary(rows) -> None:
     print("method      planner  mean_eval  std_eval  episodes_to_threshold")
     for row in rows:
-        reached = NOT_REACHED if row.episodes_to_threshold is None else row.episodes_to_threshold
         print(
             f"{row.method:<11} {row.planner:<8} {row.mean_eval_reward:>9.1f}"
-            f" {row.std_eval_reward:>9.1f}  {reached}"
+            f" {row.std_eval_reward:>9.1f}  {cell_text(row.episodes_to_threshold)}"
         )
 
 

@@ -28,7 +28,7 @@ import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -357,8 +357,9 @@ METRICS_HEADER = [f.name for f in fields(EpisodeRecord)]
 SUMMARY_HEADER = [f.name for f in fields(SummaryRow)]
 
 
-def _cell(value) -> str:
-    """A number as `repr` writes it, a str as it is, None as `NOT_REACHED`."""
+def cell_text(value) -> str:
+    """A number as `repr` writes it, a str as it is, None as `NOT_REACHED`:
+    a cell of the CSV files and of the printed summary."""
     return NOT_REACHED if value is None else value if isinstance(value, str) else repr(value)
 
 
@@ -367,7 +368,7 @@ def _write_rows(header: list[str], records: Sequence, path: Path) -> None:
         out = csv.writer(f, lineterminator="\n")
         out.writerow(header)
         for r in records:
-            out.writerow([_cell(getattr(r, name)) for name in header])
+            out.writerow([cell_text(getattr(r, name)) for name in header])
 
 
 def write_metrics(records: Sequence[EpisodeRecord], path: Path) -> None:
@@ -393,16 +394,26 @@ def write_qtable(
     tables: dict[str, QTable], path: Path, mode: ControllerMode, hyper: Hyperparams
 ) -> None:
     """One file for all tables: a header line with the run settings,
-    then per-table sections of ``state,action,value`` records, sorted
-    for byte-stable output."""
-    lines = [_hyper_header(mode, hyper)]
-    for key in sorted(tables):
-        lines.append(f"# option={key}")
-        rows = tables[key].rows
-        heads = zip(map(serialize_state, rows), rows.values())  # one text per row
-        lines.extend(sorted(f"{h},{a},{v!r}" for h, row in heads for a, v in enumerate(row)))
+    then per-table sections of ``state,action,value`` records, each
+    section's body sorted as text for byte-stable output.
+
+    Each row's state is written as text once, and the rows are sorted by
+    that text; a row's five records go to the file together, so no list of
+    record lines is built. This is the order of the records sorted as text:
+    a state's records differ only in the action digit, and all states of one
+    table have as many commas (one projection, one gem count), so when one
+    state's text is a proper prefix of another's it is followed there by a
+    digit, ``:`` or ``_``, each of which sorts after the ``,`` that ends the
+    shorter state's text in its records. Every state is written as text
+    before the file is opened, so a state that cannot be written leaves no file."""
+    sections = [(key, sorted(zip(map(serialize_state, table.rows), table.rows.values())))
+                for key, table in sorted(tables.items())]
     with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(_hyper_header(mode, hyper) + "\n")
+        for key, rows in sections:
+            f.write(f"# option={key}\n")
+            for h, (v0, v1, v2, v3, v4) in rows:
+                f.write(f"{h},0,{v0!r}\n{h},1,{v1!r}\n{h},2,{v2!r}\n{h},3,{v3!r}\n{h},4,{v4!r}\n")
 
 
 _HEADER_KEYS = frozenset(
@@ -450,48 +461,61 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
     of the header's mode, every state must be of that table's projection
     (`ControllerMode.projection`), every action and value must be written as
     `write_qtable` writes it, every value must be finite and every
-    (state, action) record unique; a row's missing actions read as 0.0."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ParseError(f"{path}:1: missing header line")
-    mode, hyper = _parse_header(lines[0], path)
+    (state, action) record unique; a row's missing actions read as 0.0.
+
+    The file is read one line at a time, its lines split and numbered as
+    `str.splitlines` splits them. A state's text is parsed once for its run
+    of records, which `write_qtable` writes together. Each distinct value
+    text is read once, and equal field values and values are shared between
+    the rows read, as training shares them."""
     tables: dict[str, QTable] = {}
-    current: Optional[QTable] = None
-    rows: dict[str, list[float]] = {}  # the current section's rows by state text
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("# option="):
-            key = line.partition("=")[2].strip()
-            if key not in mode.table_keys():
-                raise ParseError(f"{path}:{lineno}: no {key!r} table in mode {mode.method.value}")
-            current = tables.setdefault(key, QTable())
-            kind = mode.projection(key)
-            rows = {}
-            continue
-        if current is None:
-            raise ParseError(f"{path}:{lineno}: record before any option section")
-        try:
-            head, action_text, value_text = line.rsplit(",", 2)
-            row = rows.get(head)
-            if row is None:
-                state = parse_state(head)
-                if type(state) is not kind:
-                    raise ValueError(f"{head} is not a {kind.__name__}, the rows of {key!r}")
-                # NaN marks an entry not read yet, so a repeated record shows.
-                row = rows[head] = current.rows.setdefault(state, [math.nan] * 5)
-            action = _ACTION_INDEX.get(action_text)
-            if action is None:
-                raise ValueError(f"action {action_text!r} is not one of 0-4")
-            value = _number("value", value_text)
-            if not math.isfinite(value):
-                raise ValueError(f"value {value_text} is not finite")
-            if not math.isnan(row[action]):
-                raise ValueError(f"repeated record for action {action} of {head}")
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        row[action] = value
+    with open(path) as f:
+        lines = enumerate(chain.from_iterable(map(str.splitlines, f)), start=1)
+        _, first = next(lines, (1, ""))
+        if not first.startswith("#"):
+            raise ParseError(f"{path}:1: missing header line")
+        mode, hyper = _parse_header(first, path)
+        current: Optional[QTable] = None
+        head = row = None  # the last record's state text and its row in this section
+        shared: dict = {}  # one object per distinct field value
+        values: dict[str, float] = {}  # each distinct value text, read once
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            if line.startswith("# option="):
+                key = line.partition("=")[2].strip()
+                if key not in mode.table_keys():
+                    raise ParseError(
+                        f"{path}:{lineno}: no {key!r} table in mode {mode.method.value}")
+                current = tables.setdefault(key, QTable())
+                kind = mode.projection(key)
+                head = None
+                continue
+            if current is None:
+                raise ParseError(f"{path}:{lineno}: record before any option section")
+            try:
+                text, action_text, value_text = line.rsplit(",", 2)
+                if text != head:
+                    state = parse_state(text)
+                    if type(state) is not kind:
+                        raise ValueError(f"{text} is not a {kind.__name__}, the rows of {key!r}")
+                    state = kind._make(map(shared.setdefault, state, state))
+                    # NaN marks an entry not read yet, so a repeated record shows.
+                    head, row = text, current.rows.setdefault(state, [math.nan] * 5)
+                action = _ACTION_INDEX.get(action_text)
+                if action is None:
+                    raise ValueError(f"action {action_text!r} is not one of 0-4")
+                value = values.get(value_text)
+                if value is None:
+                    value = _number("value", value_text)
+                    if not math.isfinite(value):
+                        raise ValueError(f"value {value_text} is not finite")
+                    values[value_text] = value
+                if not math.isnan(row[action]):
+                    raise ValueError(f"repeated record for action {action} of {text}")
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            row[action] = value
     for table in tables.values():
         for row in table.rows.values():
             row[:] = [0.0 if math.isnan(value) else value for value in row]

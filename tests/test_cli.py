@@ -6,13 +6,20 @@ import pytest
 
 from bankworld.cli import (
     _build_parser,
+    _print_summary,
     main,
     parse_args,
     read_config_file,
     write_config_echo,
 )
 from bankworld.environment import FixedLayout, GridConfig, RandomLayout
-from bankworld.harness import ParseError, read_qtable, value_iteration_oracle, write_qtable
+from bankworld.harness import (
+    ParseError,
+    SummaryRow,
+    read_qtable,
+    value_iteration_oracle,
+    write_qtable,
+)
 from bankworld.learner import ControllerMode, Hyperparams, Method
 
 
@@ -158,6 +165,18 @@ gem.0 = 0,2
         assert recycled.run.grid == first.run.grid
         assert recycled.run.hyper == first.run.hyper
         assert recycled.run.episodes == first.run.episodes
+
+
+class TestSummaryPrint:
+    def test_threshold_column_reached_and_missed(self, capsys):
+        # The CSV files' rule for a missing value: None prints as not-reached.
+        _print_summary([SummaryRow("q-options", "on", 1606.0, 3.25, 917),
+                        SummaryRow("random", "off", -412.75, 12.0, None)])
+        assert capsys.readouterr().out.splitlines() == [
+            "method      planner  mean_eval  std_eval  episodes_to_threshold",
+            "q-options   on          1606.0       3.2  917",
+            "random      off         -412.8      12.0  not-reached",
+        ]
 
 
 class TestEndToEnd:

@@ -1,14 +1,26 @@
+import gc
 import hashlib
 import os
 import random
 import statistics
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankworld.abstraction import DropState, PickupState, abstract_drop, abstract_pickup
+from bankworld.abstraction import (
+    DropState,
+    FlatState,
+    NoPlannerState,
+    PickupState,
+    abstract_drop,
+    abstract_pickup,
+    serialize_state,
+)
 from bankworld.environment import (
     ACTIONS,
     ConfigError,
@@ -69,6 +81,11 @@ def tiny_run(method=Method.OPTIONS, planner=True, episodes=30, seed=3, gems=1, a
     )
 
 
+def with_visit_decay(cfg, decay):
+    """``cfg`` with the visit-count step size ``decay`` (None: constant alpha)."""
+    return replace(cfg, hyper=replace(cfg.hyper, alpha_visit_decay=decay))
+
+
 class TestTrain:
     def test_random_mode_logs_without_learning(self):
         cfg = tiny_run(Method.RANDOM, episodes=10)
@@ -78,14 +95,17 @@ class TestTrain:
         assert [r.episode for r in result.records] == list(range(10))
         assert all(r.epsilon == 1.0 for r in result.records)
 
-    def test_same_config_bit_identical(self):
-        cfg = tiny_run(episodes=20)
+    @pytest.mark.parametrize("decay", [None, 100.0], ids=["constant", "visit-decay"])
+    def test_same_config_bit_identical(self, decay):
+        cfg = with_visit_decay(tiny_run(episodes=20), decay)
         a, b = train(cfg), train(cfg)
         assert a.records == b.records
         assert a.tables == b.tables
         assert {k: t.visits for k, t in a.tables.items()} == {
             k: t.visits for k, t in b.tables.items()
         }
+        if decay is not None:  # the visit counts compared are real ones
+            assert all(t.visits for t in a.tables.values())
 
     def test_different_seeds_differ(self):
         a = train(tiny_run(seed=1, episodes=20))
@@ -130,9 +150,12 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_tables_untouched_and_run_count(self):
-        cfg = tiny_run(episodes=40)
+    @pytest.mark.parametrize("decay", [None, 100.0], ids=["constant", "visit-decay"])
+    def test_tables_untouched_and_run_count(self, decay):
+        cfg = with_visit_decay(tiny_run(episodes=40), decay)
         result = train(cfg)
+        if decay is not None:  # the visit counts compared are real ones
+            assert all(t.visits for t in result.tables.values())
         rows_before = {k: {s: list(r) for s, r in t.rows.items()} for k, t in result.tables.items()}
         visits_before = {k: {s: list(v) for s, v in t.visits.items()} for k, t in result.tables.items()}
         records = evaluate(result.tables, cfg)
@@ -839,3 +862,140 @@ class TestPersistence:
         write_qtable(tables, path, ControllerMode(Method.OPTIONS, True), Hyperparams())
         _, _, loaded = read_qtable(path)
         assert loaded[PICKUP_TABLE].rows == q.rows
+
+
+# Coordinates 0-12, so that "1" is a prefix of "10"-"12" in a state's text.
+COORD = st.integers(0, 12)
+CELL = st.tuples(COORD, COORD)
+ROW = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5)
+
+
+def states_of(kind, gems):
+    """States of one projection kind; absent targets and gem cells included."""
+    if kind is PickupState:
+        return st.builds(PickupState, CELL, CELL)
+    if kind is DropState:
+        return st.builds(DropState, CELL)
+    if kind is FlatState:
+        return st.builds(FlatState, CELL, st.none() | CELL, st.booleans())
+    return st.builds(NoPlannerState, CELL, st.booleans(), st.tuples(*[st.none() | CELL] * gems))
+
+
+class TestQTableCodec:
+    """`write_qtable` writes each row's records together and `read_qtable`
+    reads one line at a time; the bytes and the accepted text are those of
+    sorting every record line as text and splitting the whole file."""
+
+    HEADER = TestPersistence.HEADER
+    RECORDS = "# option=pickup\nP,0,0,1,1,0,3.5\nP,0,0,1,1,4,-1.25\nP,2,3,1,1,1,0.5\n"
+
+    @pytest.mark.parametrize("mode", [
+        ControllerMode(Method.OPTIONS, True),
+        ControllerMode(Method.FLAT, True),
+        ControllerMode(Method.OPTIONS, False),
+    ], ids=["pickup-drop", "flat", "no-planner"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_written_in_record_text_order(self, tmp_path_factory, mode, data):
+        gems = data.draw(st.integers(1, 3))  # one gem count for the whole file
+        tables = {key: QTable() for key in mode.table_keys()}
+        for key, table in tables.items():
+            for state in data.draw(st.lists(states_of(mode.projection(key), gems), max_size=40)):
+                table.rows[state] = data.draw(ROW)
+        path = tmp_path_factory.mktemp("order") / "q.csv"
+        hyper = Hyperparams()
+        write_qtable(tables, path, mode, hyper)
+        for section in path.read_text().split("# option=")[1:]:
+            body = section.splitlines()[1:]
+            assert body == sorted(body)
+        # Every record line of every section sorted as text, then joined.
+        lines = [harness._hyper_header(mode, hyper)]
+        for key in sorted(tables):
+            lines.append(f"# option={key}")
+            lines.extend(sorted(f"{serialize_state(s)},{a},{v!r}"
+                                for s, row in tables[key].rows.items() for a, v in enumerate(row)))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert read_qtable(path)[2] == tables
+
+    def test_traced_peaks_stay_near_the_file_size(self, tmp_path):
+        # A planner-off table of about 6,600 rows (an 829 kB file).
+        grid = GridConfig(9, 9, 2, 3, 200, layout=RandomLayout())
+        cfg = RunConfig(grid, ControllerMode(Method.OPTIONS, False), Hyperparams(seed=1), 70)
+        trained = train(cfg).tables
+        assert sum(len(t.rows) for t in trained.values()) > 5000
+        path = tmp_path / "qtable.csv"
+        tracemalloc.start()
+        try:
+            write_qtable(trained, path, cfg.mode, cfg.hyper)
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            _, _, tables = read_qtable(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert write_peak < 2 * size
+        assert read_peak < 5 * size
+        assert tables == trained
+        # Equal field values read back are one object, as training shares them.
+        for field in zip(*[s for t in tables.values() for s in t.rows]):
+            assert len(set(map(id, field))) == len(set(field))
+
+    def test_a_state_that_cannot_be_written_leaves_no_file(self, tmp_path):
+        q = QTable()
+        q.row(PickupState((0, 0), (1, 1)))
+        q.row(("not", "a state"))
+        path = tmp_path / "q.csv"
+        with pytest.raises(TypeError, match="not an abstract state"):
+            write_qtable({PICKUP_TABLE: q}, path, ControllerMode(Method.OPTIONS), Hyperparams())
+        assert not path.exists()
+
+    def test_last_record_without_newline_reads_the_same(self, tmp_path):
+        ended, open_ended = tmp_path / "ended.csv", tmp_path / "open.csv"
+        ended.write_text(f"{self.HEADER}\n{self.RECORDS}")
+        open_ended.write_text(f"{self.HEADER}\n{self.RECORDS.rstrip()}")
+        assert read_qtable(open_ended) == read_qtable(ended)
+        assert len(read_qtable(ended)[2][PICKUP_TABLE].rows) == 2
+
+    def test_crlf_file_reads_as_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        text = f"{self.HEADER}\n{self.RECORDS}"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert read_qtable(crlf) == read_qtable(lf)
+
+    def test_blank_lines_are_skipped_and_later_lines_keep_their_numbers(self, tmp_path):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text(f"{self.HEADER}\n{self.RECORDS}")
+        first, rest = self.RECORDS.split("\n", 2)[1:]
+        spaced.write_text(f"{self.HEADER}\n# option=pickup\n{first}\n\n  \n{rest}")
+        assert read_qtable(spaced) == read_qtable(plain)
+        # Header, section, record, two blank lines, two records, then line 8.
+        with open(spaced, "a") as f:
+            f.write("P,0,0,1,1,9,1.0\n")
+        with pytest.raises(ParseError, match=r"spaced.csv:8: action '9'"):
+            read_qtable(spaced)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "P,0,0,1,1,0,3.5\n",
+        HEADER.replace("seed=0", "seed=x") + "\n",
+        HEADER + "\nP,0,0,1,1,0,3.5\n",
+        HEADER + "\n# option=pickup\nP,0,0,1,1,0,nan\n",
+    ], ids=["empty", "no-header", "bad-header", "no-section", "bad-record"])
+    def test_parse_error_leaves_no_file_open(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                read_qtable(path)
+            except ParseError:
+                pass
+            else:
+                pytest.fail("no ParseError")
+            gc.collect()  # a file still open is closed here, with a ResourceWarning
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
