@@ -316,8 +316,3 @@ def step_agent(
         )
 
     return _new(WorldState, (positions, held, cells, state.step)), _MOVED_OUTCOME
-
-
-def is_terminal(state: WorldState, config: GridConfig) -> bool:
-    """True iff every gem is deposited or the step limit is reached."""
-    return state.step >= config.step_limit or gems_deposited(state) == len(state.gem_cells)

@@ -13,7 +13,9 @@ call projected by the controller's `learner.project`. Transitions are
 deterministic, so Bellman sweeps in order of the goal distance read off
 each state (`SubtaskMDP.distance`, nearest first) settle nearly every
 value in the first pass; the loop exits at the literal fixed point, when
-a sweep changes nothing.
+a sweep changes nothing. A successor is held as its row's index in that
+order, and each row's best value is kept as one number, set as the row
+is written, so a sweep reads one value per successor.
 The oracle doubles as the reference for "optimal episode return",
 obtained by rolling its greedy policy through a real episode.
 """
@@ -62,6 +64,9 @@ THRESHOLD_WINDOW = 50
 NOT_REACHED = "not-reached"
 # The mode whose sub-tasks the exact solver solves, one per table key.
 OPTIONS_MODE = ControllerMode(Method.OPTIONS)
+# The solver's worlds skip NamedTuple's Python-level __new__, as `step_agent`'s do.
+_new = tuple.__new__
+_ACQUIRED, _DROPPED = Event.ACQUIRED, Event.DROPPED
 
 
 class ParseError(ValueError):
@@ -184,8 +189,10 @@ class SubtaskMDP:
     def step(self, s: AbstractState, a: Action) -> tuple[Optional[AbstractState], int, bool]:
         # One agent and one gem: on its cell to fetch, in the agent's hands to deposit.
         held, cells = ((None,), (s.gem_pos,)) if self.task == PICKUP_TABLE else ((0,), (None,))
-        world, outcome = step_agent(WorldState((s.agent_pos,), held, cells, 0), self.grid, 0, a, 0)
-        if outcome.event is Event.ACQUIRED or outcome.event is Event.DROPPED:
+        world, outcome = step_agent(_new(WorldState, ((s.agent_pos,), held, cells, 0)),
+                                    self.grid, 0, a, 0)
+        event = outcome.event
+        if event is _ACQUIRED or event is _DROPPED:
             return None, outcome.reward, True
         return project(world, 0, self.task, (0,), False, self.grid), outcome.reward, False
 
@@ -200,10 +207,12 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
     goal-distance order (`SubtaskMDP.distance`), repeated until a sweep
     changes no value.
 
-    Each state-action pair is stepped once, through `SubtaskMDP.step`.
-    The order only makes the sweeps few; the exit test alone certifies
-    the fixed point. Refuses, before building anything, instances beyond
-    `ORACLE_PAIR_LIMIT` state-action pairs.
+    Each state-action pair is stepped once, through `SubtaskMDP.step`, and
+    kept as its reward and its successor's index in the sweep order (-1
+    when it ends the sub-task); each row's maximum is kept as one value,
+    set once the row is written. The order only makes the sweeps few; the
+    exit test alone certifies the fixed point. Refuses, before building
+    anything, instances beyond `ORACLE_PAIR_LIMIT` state-action pairs.
     """
     mdp = SubtaskMDP(grid, task)
     cells = grid.width * grid.height
@@ -214,46 +223,34 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
         )
     q = QTable()
     rows = q.rows = {s: [0.0] * 5 for s in mdp.states()}
-    # Successors are held as rows, not as state keys re-hashed in every sweep.
     # Each state is swept after the states one move nearer its goal.
-    transitions = []
-    for s in sorted(rows, key=mdp.distance):
-        steps = (mdp.step(s, a) for a in ACTIONS)
-        transitions.append((rows[s], [(None if t else rows[s_next], r, t) for s_next, r, t in steps]))
+    order = sorted(rows, key=mdp.distance)
+    index = {s: i for i, s in enumerate(order)}
+    # Per row in that order: the row, then each action's successor as an index
+    # into that order (-1 for a terminal pair) and its reward.
+    sweep = []
+    for s in order:
+        entry = [rows[s]]
+        for a in ACTIONS:
+            s_next, reward, terminal = mdp.step(s, a)
+            entry += (-1 if terminal else index[s_next]), reward
+        sweep.append(tuple(entry))
+    del order, index
+    values = [0.0] * len(sweep)  # values[i] is max of row i, set once the row is written
     while True:
-        delta = 0.0
-        for row, outcomes in transitions:
-            for a, (next_row, reward, terminal) in enumerate(outcomes):
-                target = reward if terminal else reward + gamma * max(next_row)
-                change = abs(target - row[a])
-                if change > delta:
-                    delta = change
-                row[a] = target
-        if delta == 0.0:
+        changed = False
+        for i, (row, j0, r0, j1, r1, j2, r2, j3, r3, j4, r4) in enumerate(sweep):
+            new = [r0 if j0 < 0 else r0 + gamma * values[j0],
+                   r1 if j1 < 0 else r1 + gamma * values[j1],
+                   r2 if j2 < 0 else r2 + gamma * values[j2],
+                   r3 if j3 < 0 else r3 + gamma * values[j3],
+                   r4 if j4 < 0 else r4 + gamma * values[j4]]
+            if new != row:
+                changed = True
+            row[:] = new
+            values[i] = max(new)
+        if not changed:
             return q
-
-
-def greedy_subtask_return(
-    q: QTable, mdp: SubtaskMDP, start: AbstractState, gamma: float
-) -> float:
-    """Discounted return of the greedy rollout from ``start``.
-
-    Accumulated back-to-front so the arithmetic matches the Bellman
-    recursion float-for-float; a rollout that fails to finish within the
-    state-space diameter's worth of slack returns -inf.
-    """
-    rewards = []
-    s = start
-    limit = 5 * (mdp.grid.width * mdp.grid.height + 10)
-    for _ in range(limit):
-        s, reward, terminal = mdp.step(s, q.best_action(s))
-        rewards.append(reward)
-        if terminal:
-            ret = 0.0
-            for r in reversed(rewards):
-                ret = r + gamma * ret
-            return ret
-    return float("-inf")
 
 
 def oracle_episode_return(grid: GridConfig, gamma: float = 0.95) -> int:

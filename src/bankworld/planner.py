@@ -29,9 +29,14 @@ def assign(state: WorldState, current: tuple[Optional[int], ...]) -> tuple[Optio
     """
     if None not in current:
         return current
+    # Every on-grid gem is allocated: as many as the slots held by agents
+    # not yet carrying (``alloc[i] == held[i]`` while agent ``i`` carries).
+    cells = state.gem_cells
+    if len(cells) - cells.count(None) == state.held.count(None) - current.count(None):
+        return current
     open_gems = [
         (j, cell)
-        for j, cell in enumerate(state.gem_cells)
+        for j, cell in enumerate(cells)
         if cell is not None and j not in current
     ]
     if not open_gems:

@@ -9,7 +9,9 @@ processes, one per core; on one core it trains each run in-process when
 it is first asked for.
 
 `gem_places` is the shared check of the world state's invariant: every
-gem in exactly one place.
+gem in exactly one place. `is_terminal` and `greedy_subtask_return` are
+the tests' own readings of an episode's end and of a sub-task rollout;
+the program needs neither.
 """
 
 import multiprocessing
@@ -18,9 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from bankworld.abstraction import AbstractState
 from bankworld.environment import GridConfig, WorldState, gems_deposited
-from bankworld.harness import RunConfig, evaluate, train
-from bankworld.learner import ControllerMode, Hyperparams, Method
+from bankworld.harness import RunConfig, SubtaskMDP, evaluate, train
+from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
 
 
 def gem_places(state: WorldState, num_gems: int) -> tuple[int, int, int]:
@@ -35,6 +38,34 @@ def gem_places(state: WorldState, num_gems: int) -> tuple[int, int, int]:
     deposited = sum(1 for j in range(num_gems) if cells[j] is None and j not in held)
     assert gems_deposited(state) == deposited
     return on_grid, len(held), deposited
+
+
+def is_terminal(state: WorldState, config: GridConfig) -> bool:
+    """True iff every gem is deposited or the step limit is reached."""
+    return state.step >= config.step_limit or gems_deposited(state) == len(state.gem_cells)
+
+
+def greedy_subtask_return(
+    q: QTable, mdp: SubtaskMDP, start: AbstractState, gamma: float
+) -> float:
+    """Discounted return of the greedy rollout from ``start``.
+
+    Accumulated back-to-front so the arithmetic matches the Bellman
+    recursion float-for-float; a rollout that fails to finish within the
+    state-space diameter's worth of slack returns -inf.
+    """
+    rewards = []
+    s = start
+    limit = 5 * (mdp.grid.width * mdp.grid.height + 10)
+    for _ in range(limit):
+        s, reward, terminal = mdp.step(s, q.best_action(s))
+        rewards.append(reward)
+        if terminal:
+            ret = 0.0
+            for r in reversed(rewards):
+                ret = r + gamma * ret
+            return ret
+    return float("-inf")
 
 
 def desk_grid() -> GridConfig:

@@ -18,7 +18,7 @@ from bankworld.abstraction import (
     serialize_state,
 )
 from bankworld.environment import GridConfig, WorldState
-from bankworld.environment import RandomLayout, is_terminal, reset
+from bankworld.environment import RandomLayout, reset
 from bankworld.harness import SubtaskMDP
 from bankworld.learner import (
     DROP_TABLE,
@@ -29,6 +29,8 @@ from bankworld.learner import (
     controller_step,
     option_for_agent,
 )
+
+from conftest import is_terminal
 
 positions = st.tuples(st.integers(0, 10), st.integers(0, 10))
 

@@ -16,7 +16,6 @@ from bankworld.environment import (
     Event,
     GridConfig,
     RandomLayout,
-    is_terminal,
     reset,
     step_agent,
 )
@@ -25,7 +24,6 @@ from bankworld.harness import (
     SubtaskMDP,
     episodes_to_threshold,
     evaluate,
-    greedy_subtask_return,
     oracle_episode_return,
     train,
     value_iteration_oracle,
@@ -40,7 +38,7 @@ from bankworld.learner import (
     fresh_tables,
 )
 
-from conftest import SEEDS, desk_grid, gem_places
+from conftest import SEEDS, desk_grid, gem_places, greedy_subtask_return, is_terminal
 
 
 def report(name: str, passed: bool, detail: str) -> None:

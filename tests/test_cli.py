@@ -729,3 +729,45 @@ class TestOracleGoldenBytes:
             ControllerMode(Method.OPTIONS, planner_enabled=True), Hyperparams(gamma=0.95),
         )
         assert sha256(path) == digest
+
+    @pytest.mark.parametrize("size, bank, task, noop, gamma, digest", [
+        # A no-op reward of -1 at gamma 0.5 takes 3 to 11 sweeps.
+        ((5, 7), (1, 2), "pickup", -1, 0.5,
+         "8f9d00da80faa86e167e7c8f9fc578159d22de38c84cf3a359c0ab50d4eae8a7"),
+        ((5, 7), (1, 2), "drop", -1, 0.5,
+         "c0aca289dd82ec0929b66b8f05616deb8755454a1a7180d0ed3622f759c52095"),
+        ((9, 7), (2, 6), "pickup", -1, 0.5,
+         "633656ec19ebf6d23d9073c228c73b3435125495de893ea70d270ef4b2a09ace"),
+        ((9, 7), (2, 6), "drop", -1, 0.5,
+         "18a5f06c98e815dbeeba2d7388f33012eaa1a582041ad461e04f57b6a35b681b"),
+        # The edges of the discount: gamma 0 (2 sweeps) and gamma 1, undiscounted (3).
+        ((5, 7), (1, 2), "pickup", 0, 0.0,
+         "ff3821b818d7328df8705fbdd85544690bdd3a463c6b35c1d91df87c5821f4d8"),
+        ((5, 7), (1, 2), "pickup", -1, 0.0,
+         "d12ddf97a77aa5112af8f581f0c3f25379a5bbdd0e974410a1369d0d43cabb84"),
+        ((5, 7), (1, 2), "drop", 0, 0.0,
+         "d6d3b0eca0c1b7473df520456a0ab17d58bb7e06319b84d3ada738aa4f61c539"),
+        ((5, 7), (1, 2), "drop", -1, 0.0,
+         "3b1f1db07b22e7a7b8847b49a66f5c9d4d1be7862c993e03b47ccee8646da0a3"),
+        ((5, 7), (1, 2), "pickup", 0, 1.0,
+         "93c34c43c4b33d1d307ee29a48bfe8477c061317d878c2ab7ee9fdfc1686641e"),
+        ((5, 7), (1, 2), "pickup", -1, 1.0,
+         "211a5675c2002109699ddade552fcc03f7489f7823173da7f41f261f9c775b68"),
+        ((5, 7), (1, 2), "drop", 0, 1.0,
+         "303f6142173a6c769157a457f79cca67ea89d9cf152f2bf66e99a84ded613d71"),
+        ((5, 7), (1, 2), "drop", -1, 1.0,
+         "23e57bed717c708e56c398eb26f515a47439fddefcc0de7bda5f2fb62246a4cc"),
+    ])
+    def test_multi_sweep_and_discount_edges(self, tmp_path, size, bank, task, noop, gamma, digest):
+        grid = GridConfig(*size, 1, 1, 100, bank=bank, noop_reward=noop)
+        path = tmp_path / "q.csv"
+        write_qtable(
+            {task: value_iteration_oracle(grid, task, gamma)}, path,
+            ControllerMode(Method.OPTIONS, planner_enabled=True), Hyperparams(gamma=gamma),
+        )
+        assert sha256(path) == digest
+
+    def test_oracle_command_11x11_pickup(self, tmp_path, capsys):
+        path = tmp_path / "q.csv"
+        assert main(["oracle", "--grid", "11x11", "--task", "pickup", "--out", str(path)]) == 0
+        assert sha256(path) == "900c4137f3317eadf0ceef9113aeacdc905319e671a5d4ea21b4026f1aa47095"

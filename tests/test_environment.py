@@ -13,13 +13,12 @@ from bankworld.environment import (
     FixedLayout,
     GridConfig,
     RandomLayout,
-    is_terminal,
     reset,
     step_agent,
 )
 from bankworld.learner import ControllerMode, Hyperparams, Method, controller_step
 
-from conftest import gem_places
+from conftest import gem_places, is_terminal
 
 
 def grid_11() -> GridConfig:

@@ -32,7 +32,6 @@ from bankworld.environment import (
     RandomLayout,
     WorldState,
     gems_deposited,
-    is_terminal,
     reset,
     step_agent,
 )
@@ -45,7 +44,6 @@ from bankworld.harness import (
     compare,
     episodes_to_threshold,
     evaluate,
-    greedy_subtask_return,
     oracle_episode_return,
     read_qtable,
     train,
@@ -67,7 +65,7 @@ from bankworld.learner import (
     fresh_tables,
 )
 
-from conftest import desk_config
+from conftest import desk_config, greedy_subtask_return, is_terminal
 
 
 def tiny_run(method=Method.OPTIONS, planner=True, episodes=30, seed=3, gems=1, agents=1):

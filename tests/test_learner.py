@@ -335,7 +335,7 @@ class TestQTableBounds:
         lo, hi = -5 / (1 - h.gamma), 500 / (1 - h.gamma)
         for episode in range(30):
             state, assignment = reset(cfg, episode), (None, None)
-            from bankworld.environment import is_terminal
+            from conftest import is_terminal
             while not is_terminal(state, cfg):
                 state, assignment, _ = controller_step(
                     state, cfg, mode, tables, assignment, 1.0, h, rng

@@ -81,6 +81,21 @@ class TestAssign:
         # The benchmark's planner.assign.noop_ratio counts no-ops by identity.
         assert assign(world(agent_positions, gem_cells), current) is current
 
+    @pytest.mark.parametrize(
+        "agent_positions, gem_cells, held, current",
+        [
+            # the partner's gem is still on the grid
+            ([(0, 0), (4, 4)], [(3, 3)], [None, None], (None, 0)),
+            # the partner carries its gem
+            ([(0, 0), (4, 4)], [None], [None, 0], (None, 0)),
+            # one gem deposited, one carried, one on the grid and allocated
+            ([(0, 0), (4, 4), (2, 2)], [None, None, (3, 3)], [None, 1, None], (None, 1, 2)),
+        ],
+    )
+    def test_parked_slot_returns_current_itself(self, agent_positions, gem_cells, held, current):
+        """Every on-grid gem is allocated, so the free slot stays parked."""
+        assert assign(world(agent_positions, gem_cells, held), current) is current
+
     def test_carried_and_dropped_gems_not_assignable(self):
         state = world([(0, 0), (4, 4)], [None, None, (2, 2)], held=[None, 0])
         result = assign(state, (None, 0))
@@ -121,7 +136,47 @@ def assignment_scenarios(draw):
     return agent_pos, gem_pos, ops
 
 
+@st.composite
+def allocated_worlds(draw):
+    """A world and its allocation as the controller keeps them: a carried
+    gem is its carrier's allocation, an allocated gem that is not carried
+    lies on the grid, and a deposited gem is nobody's."""
+    agent_pos, gem_pos, _ = draw(assignment_scenarios())
+    gems = iter(draw(st.permutations(range(len(gem_pos)))))
+    cells, held, alloc = list(gem_pos), [], []
+    for slot in draw(st.lists(st.sampled_from(["free", "fetch", "carry"]),
+                              min_size=len(agent_pos), max_size=len(agent_pos))):
+        gem = None if slot == "free" else next(gems, None)
+        alloc.append(gem)
+        held.append(gem if slot == "carry" else None)
+        if held[-1] is not None:
+            cells[gem] = None
+    for gem in gems:
+        if draw(st.booleans()):
+            cells[gem] = None  # deposited
+    return world(agent_pos, cells, held), tuple(alloc)
+
+
 class TestProperties:
+    @given(scenario=allocated_worlds())
+    @settings(max_examples=200, deadline=None)
+    def test_free_slots_take_the_nearest_open_gems(self, scenario):
+        """Whatever the carried and deposited gems, free slots fill as the
+        brute force says, and a call that changes nothing returns
+        ``current`` itself."""
+        state, current = scenario
+        open_gems = [(j, cell) for j, cell in enumerate(state.gem_cells)
+                     if cell is not None and j not in current]
+        want = list(current)
+        for i, gem in enumerate(current):
+            if gem is None and open_gems:
+                want[i] = brute_force_nearest(state.agent_positions[i], open_gems)
+                open_gems = [(j, cell) for j, cell in open_gems if j != want[i]]
+        result = assign(state, current)
+        assert result == tuple(want)
+        if result == current:
+            assert result is current
+
     @given(scenario=assignment_scenarios(), seed=st.integers(0, 999))
     @settings(max_examples=80, deadline=None)
     def test_injectivity_under_assign_release_sequences(self, scenario, seed):
