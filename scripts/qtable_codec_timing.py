@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Time the Q-table codec on one trained random-layout table.
+
+Trains the planner-off options learner once on an 11x11 random layout
+with 2 agents and 3 gems for 400 episodes (the benchmark's random-layout
+arm) at the given seed, then times `write_qtable` and `read_qtable` K
+times each, alternating, in one process. It prints the median seconds
+of each, the file's rows, records and bytes, and its sha256, so running
+it on two trees shows both the speed and that the bytes are the same:
+
+    PYTHONPATH=src python3 scripts/qtable_codec_timing.py --seed 1 --repeats 7
+
+Every read is checked against the trained tables. Training takes a few
+seconds; each write and read well under one.
+"""
+
+import argparse
+import hashlib
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+from bankworld.environment import GridConfig, RandomLayout
+from bankworld.harness import RunConfig, read_qtable, train, write_qtable
+from bankworld.learner import ControllerMode, Hyperparams, Method
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=7, help="timed writes and reads (K)")
+    args = parser.parse_args(argv)
+
+    grid = GridConfig(11, 11, 2, 3, 1000, layout=RandomLayout())
+    cfg = RunConfig(grid, ControllerMode(Method.OPTIONS, planner_enabled=False),
+                    Hyperparams(seed=args.seed), episodes=400)
+    tables = train(cfg).tables
+    writes, reads = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "qtable.csv"
+        for _ in range(args.repeats):
+            start = perf_counter()
+            write_qtable(tables, path, cfg.mode, cfg.hyper)
+            writes.append(perf_counter() - start)
+            start = perf_counter()
+            read = read_qtable(path)[2]
+            reads.append(perf_counter() - start)
+            if read != tables:
+                print("error: the tables read back differ from the trained ones", file=sys.stderr)
+                return 1
+            del read
+        data = path.read_bytes()
+    rows = sum(len(t.rows) for t in tables.values())
+    records = sum(1 for line in data.splitlines() if line and not line.startswith(b"#"))
+    print(f"seed {args.seed}, {args.repeats} repeats")
+    print(f"write_qtable median {statistics.median(writes):.3f} s")
+    print(f"read_qtable median {statistics.median(reads):.3f} s")
+    print(f"rows {rows} records {records} bytes {len(data)}")
+    print(f"sha256 {hashlib.sha256(data).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

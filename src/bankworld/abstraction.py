@@ -18,12 +18,15 @@ lands in shared table rows:
 
 Q-table files hold each state as canonical text, its tag then its fields
 (``P,1,2,4,4``, ``D,7,3``, ``F,0,0,_,_,0``, ``N,1,1,0,0:2,_,_``; ``_`` is
-an absent position); `parse_state` reads back only that text.
+an absent position); `parse_state` reads back only that text. A
+`StateCodec` does both for the states of one file, coding each distinct
+field value or text once.
 """
 
 from __future__ import annotations
 
 import re
+from operator import getitem
 from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
 from .environment import Position, WorldState
@@ -105,9 +108,10 @@ def _pair(text: str, sep: str = ",") -> Position:
 
 
 # Per field kind: (encoder, pattern of its canonical text, decoder of that
-# text). Canonical integers are ASCII digits with no sign or leading zero.
+# text). A kind ``tuple[T, ...]`` is a run of one or more elements joined by
+# commas, and its entry codes one element. Canonical integers are ASCII
+# digits with no sign or leading zero.
 _INT = "(?:0|[1-9][0-9]*)"
-_CELL = f"(?:_|{_INT}:{_INT})"
 _KINDS = {
     Position: (lambda p: f"{p[0]},{p[1]}", f"{_INT},{_INT}", _pair),
     Optional[Position]: (
@@ -117,35 +121,137 @@ _KINDS = {
     ),
     bool: (lambda b: "1" if b else "0", "[01]", lambda t: t == "1"),
     tuple[Optional[Position], ...]: (
-        lambda cells: ",".join("_" if p is None else f"{p[0]}:{p[1]}" for p in cells),
-        f"{_CELL}(?:,{_CELL})*",
-        lambda t: tuple(None if c == "_" else _pair(c, ":") for c in t.split(",")),
+        lambda p: "_" if p is None else f"{p[0]}:{p[1]}",
+        f"_|{_INT}:{_INT}",
+        lambda t: None if t == "_" else _pair(t, ":"),
     ),
 }
 
 
-def _codec(cls: type) -> tuple[tuple, re.Pattern, tuple]:
-    """Field encoders, whole-text pattern and field decoders of ``cls``."""
-    encoders, patterns, decoders = zip(*(_KINDS[k] for k in get_type_hints(cls).values()))
-    pattern = ",".join([cls.tag] + [f"({p})" for p in patterns])
-    return encoders, re.compile(pattern), decoders
+def _is_run(kind) -> bool:
+    return get_args(kind)[-1:] == (...,)
 
 
-_CODECS = {cls: _codec(cls) for cls in get_args(AbstractState)}
-_TAGS = {cls.tag: cls for cls in _CODECS}
+def _fields(cls: type) -> tuple[tuple, re.Pattern]:
+    """The kinds of the fields of ``cls``, and the pattern of its whole
+    canonical text."""
+    kinds = tuple(get_type_hints(cls).values())
+    patterns = [cls.tag]
+    for kind in kinds:
+        one = _KINDS[kind][1]
+        patterns.append(f"((?:{one})(?:,(?:{one}))*)" if _is_run(kind) else f"({one})")
+    return kinds, re.compile(",".join(patterns))
+
+
+_FIELDS = {cls: _fields(cls) for cls in get_args(AbstractState)}
+
+
+class _Memo(dict):
+    """One result per distinct key, made by one call of ``make``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        result = self[key] = self.make(key)
+        return result
+
+
+class _Call(_Memo):
+    """A `_Memo` that keeps nothing: every look-up makes its result afresh."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return self.make(key)
+
+
+class _Joined:
+    """A run field's encoder: its elements' texts, each from ``elements``,
+    joined by commas."""
+
+    __slots__ = ("elements",)
+
+    def __init__(self, elements):
+        self.elements = elements
+
+    def __getitem__(self, run):
+        return ",".join(map(self.elements.__getitem__, run))
+
+
+class _Split:
+    """A run field's decoder: its elements, each from ``elements``, as the
+    one tuple ``runs`` keeps for that run."""
+
+    __slots__ = ("elements", "runs")
+
+    def __init__(self, elements, runs):
+        self.elements, self.runs = elements, runs
+
+    def __getitem__(self, text):
+        return self.runs[tuple(map(self.elements.__getitem__, text.split(",")))]
+
+
+class StateCodec:
+    """`serialize_state` and `parse_state` for the states of one file.
+
+    Each projection's writer and reader are built from `_KINDS`, with one
+    memo per field kind: each distinct field value is encoded once, and each
+    distinct field text decoded once, for as long as the codec lives. A run
+    field is coded one element at a time, each distinct element once, and
+    equal runs read are one tuple; so equal field values read back are one
+    object. The whole-text pattern alone decides which text is canonical: a
+    field's text reaches its memo only after the pattern has accepted the
+    whole text.
+    """
+
+    __slots__ = ("_writers", "_readers")
+    _memo = _Memo
+
+    def __init__(self):
+        coders = {}
+        for kind, (encode, _, decode) in _KINDS.items():
+            encoder, decoder = self._memo(encode), self._memo(decode)
+            if _is_run(kind):
+                encoder, decoder = _Joined(encoder), _Split(decoder, self._memo(lambda run: run))
+            coders[kind] = encoder, decoder
+        self._writers = {cls: (cls.tag, [coders[k][0] for k in kinds])
+                         for cls, (kinds, _) in _FIELDS.items()}
+        self._readers = {cls.tag: (cls, pattern, [coders[k][1] for k in kinds])
+                         for cls, (kinds, pattern) in _FIELDS.items()}
+
+    def serialize(self, s: AbstractState) -> str:
+        writer = self._writers.get(type(s))
+        if writer is None:
+            raise TypeError(f"not an abstract state: {s!r}")
+        tag, encoders = writer
+        return ",".join([tag, *map(getitem, encoders, s)])
+
+    def parse(self, text: str) -> AbstractState:
+        """Inverse of `serialize`; accepts only the text it writes."""
+        reader = self._readers.get(text[:1])
+        match = reader and reader[1].fullmatch(text)
+        if not match:
+            raise ValueError(f"unparseable abstract state: {text!r}")
+        return _new(reader[0], map(getitem, reader[2], match.groups()))
+
+
+class _OneOff(StateCodec):
+    """The codec of the one-off functions below, which keeps nothing."""
+
+    __slots__ = ()
+    _memo = _Call
+
+
+_ONE_OFF = _OneOff()
 
 
 def serialize_state(s: AbstractState) -> str:
-    codec = _CODECS.get(type(s))
-    if codec is None:
-        raise TypeError(f"not an abstract state: {s!r}")
-    return ",".join([s.tag] + [encode(v) for encode, v in zip(codec[0], s)])
+    return _ONE_OFF.serialize(s)
 
 
 def parse_state(text: str) -> AbstractState:
     """Inverse of `serialize_state`; accepts only the text it writes."""
-    cls = _TAGS.get(text.partition(",")[0])
-    match = cls and _CODECS[cls][1].fullmatch(text)
-    if not match:
-        raise ValueError(f"unparseable abstract state: {text!r}")
-    return cls(*[decode(f) for decode, f in zip(_CODECS[cls][2], match.groups())])
+    return _ONE_OFF.parse(text)

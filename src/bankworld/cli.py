@@ -285,7 +285,12 @@ def _run_train(args, run: RunConfig, given) -> None:
 
 
 def _run_eval(args, run: RunConfig, given) -> None:
-    mode, hyper, tables = read_qtable(Path(args.qtable))
+    path = Path(args.qtable)
+    mode, hyper, tables = read_qtable(path)
+    missing = [f"'# option={key}'" for key in mode.table_keys() if key not in tables]
+    if missing:
+        raise ConfigError(
+            f"{path}: no {' or '.join(missing)} section, which mode {mode.method.value} needs")
     if "method" in given and run.mode.method is not mode.method:
         raise ConfigError(
             f"q-table was trained with method {mode.method.value}, not {run.mode.method.value}"

@@ -30,11 +30,13 @@ import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import chain, product
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .abstraction import AbstractState, parse_state, serialize_state
+from .abstraction import AbstractState, StateCodec
 from .environment import (
     ACTIONS,
     Action,
@@ -394,16 +396,19 @@ def write_qtable(
     then per-table sections of ``state,action,value`` records, each
     section's body sorted as text for byte-stable output.
 
-    Each row's state is written as text once, and the rows are sorted by
-    that text; a row's five records go to the file together, so no list of
-    record lines is built. This is the order of the records sorted as text:
-    a state's records differ only in the action digit, and all states of one
-    table have as many commas (one projection, one gem count), so when one
-    state's text is a proper prefix of another's it is followed there by a
-    digit, ``:`` or ``_``, each of which sorts after the ``,`` that ends the
-    shorter state's text in its records. Every state is written as text
-    before the file is opened, so a state that cannot be written leaves no file."""
-    sections = [(key, sorted(zip(map(serialize_state, table.rows), table.rows.values())))
+    Each row's state is written as text once, through one `StateCodec` for
+    the file, which encodes each distinct field value once; the rows are
+    sorted by that text, and a row's five records go to the file together,
+    so no list of record lines is built. This is the order of the records
+    sorted as text: a state's records differ only in the action digit, and
+    all states of one table have as many commas (one projection, one gem
+    count), so when one state's text is a proper prefix of another's it is
+    followed there by a digit, ``:`` or ``_``, each of which sorts after the
+    ``,`` that ends the shorter state's text in its records. Every state is
+    written as text before the file is opened, so a state that cannot be
+    written leaves no file."""
+    serialize, by_text = StateCodec().serialize, itemgetter(0)
+    sections = [(key, sorted(zip(map(serialize, table.rows), table.rows.values()), key=by_text))
                 for key, table in sorted(tables.items())]
     with open(path, "w", newline="") as f:
         f.write(_hyper_header(mode, hyper) + "\n")
@@ -420,6 +425,9 @@ _HEADER_KEYS = frozenset(
 # leading zero, then an optional fraction and exponent; ASCII digits only.
 _NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
 _ACTION_INDEX = {str(a): a for a in range(5)}
+# A row entry no record has set: a NaN, which no record can hold, known by
+# its identity, so a repeated record shows.
+_UNSET = math.nan
 
 
 def _number(name: str, text: str, parse=float):
@@ -453,6 +461,22 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
     return mode, hyper
 
 
+def _whole_lines(f) -> Iterator[str]:
+    """The text of file ``f`` in pieces that end where a line ends: blocks
+    cut after their last ``\\n``. In universal newline mode no ``\\r`` is
+    left, so every line break is one character, and `str.splitlines` splits
+    the pieces into the lines it splits the whole text into."""
+    rest = ""
+    for block in iter(partial(f.read, 1 << 13), ""):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield rest + block[:cut]
+            rest = block[cut:]
+        else:
+            rest += block
+    yield rest
+
+
 def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
     """Read a file written by `write_qtable`. Every section must name a table
     of the header's mode, every state must be of that table's projection
@@ -460,45 +484,47 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
     `write_qtable` writes it, every value must be finite and every
     (state, action) record unique; a row's missing actions read as 0.0.
 
-    The file is read one line at a time, its lines split and numbered as
-    `str.splitlines` splits them. A state's text is parsed once for its run
-    of records, which `write_qtable` writes together. Each distinct value
-    text is read once, and equal field values and values are shared between
-    the rows read, as training shares them."""
+    The file is read in blocks of whole lines, its lines split and numbered
+    as `str.splitlines` splits the whole text. A record that continues the run of records
+    of the last state read, as `write_qtable` writes them, costs a split, a
+    look-up of its action and of its value text, and one test that its entry
+    is unset; any other line takes the checks of a blank line, a section
+    line or a new state. Each state text is parsed once for its run, through
+    one `StateCodec` for the file, which decodes each distinct field text
+    once, so equal field values are shared between the rows read, as
+    training shares them; each distinct value text is read once too."""
     tables: dict[str, QTable] = {}
+    parse = StateCodec().parse
     with open(path) as f:
-        lines = enumerate(chain.from_iterable(map(str.splitlines, f)), start=1)
+        lines = enumerate(chain.from_iterable(map(str.splitlines, _whole_lines(f))), start=1)
         _, first = next(lines, (1, ""))
         if not first.startswith("#"):
             raise ParseError(f"{path}:1: missing header line")
         mode, hyper = _parse_header(first, path)
         current: Optional[QTable] = None
         head = row = None  # the last record's state text and its row in this section
-        shared: dict = {}  # one object per distinct field value
         values: dict[str, float] = {}  # each distinct value text, read once
         for lineno, line in lines:
-            if not line.strip():
-                continue
-            if line.startswith("# option="):
-                key = line.partition("=")[2].strip()
-                if key not in mode.table_keys():
-                    raise ParseError(
-                        f"{path}:{lineno}: no {key!r} table in mode {mode.method.value}")
-                current = tables.setdefault(key, QTable())
-                kind = mode.projection(key)
-                head = None
-                continue
-            if current is None:
-                raise ParseError(f"{path}:{lineno}: record before any option section")
+            record = line.rsplit(",", 2)
             try:
-                text, action_text, value_text = line.rsplit(",", 2)
-                if text != head:
-                    state = parse_state(text)
+                if record[0] != head:  # a blank line, a section line or a new state
+                    if not line.strip():
+                        continue
+                    if line.startswith("# option="):
+                        key = line.partition("=")[2].strip()
+                        if key not in mode.table_keys():
+                            raise ValueError(f"no {key!r} table in mode {mode.method.value}")
+                        current = tables.setdefault(key, QTable())
+                        kind, head = mode.projection(key), None
+                        continue
+                    if current is None:
+                        raise ValueError("record before any option section")
+                    text, _, _ = record
+                    state = parse(text)
                     if type(state) is not kind:
                         raise ValueError(f"{text} is not a {kind.__name__}, the rows of {key!r}")
-                    state = kind._make(map(shared.setdefault, state, state))
-                    # NaN marks an entry not read yet, so a repeated record shows.
-                    head, row = text, current.rows.setdefault(state, [math.nan] * 5)
+                    head, row = text, current.rows.setdefault(state, [_UNSET] * 5)
+                _, action_text, value_text = record
                 action = _ACTION_INDEX.get(action_text)
                 if action is None:
                     raise ValueError(f"action {action_text!r} is not one of 0-4")
@@ -508,14 +534,15 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
                     if not math.isfinite(value):
                         raise ValueError(f"value {value_text} is not finite")
                     values[value_text] = value
-                if not math.isnan(row[action]):
-                    raise ValueError(f"repeated record for action {action} of {text}")
+                if row[action] is not _UNSET:
+                    raise ValueError(f"repeated record for action {action} of {head}")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             row[action] = value
     for table in tables.values():
         for row in table.rows.values():
-            row[:] = [0.0 if math.isnan(value) else value for value in row]
+            if _UNSET in row:
+                row[:] = [0.0 if value is _UNSET else value for value in row]
     return mode, hyper, tables
 
 

@@ -11,18 +11,22 @@ it is first asked for.
 `gem_places` is the shared check of the world state's invariant: every
 gem in exactly one place. `is_terminal` and `greedy_subtask_return` are
 the tests' own readings of an episode's end and of a sub-task rollout;
-the program needs neither.
+the program needs neither. `reference_read_qtable` is the tests' plain
+statement of what `read_qtable` reads.
 """
 
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from bankworld.abstraction import AbstractState
+from bankworld import harness
+from bankworld.abstraction import AbstractState, parse_state
 from bankworld.environment import GridConfig, WorldState, gems_deposited
-from bankworld.harness import RunConfig, SubtaskMDP, evaluate, train
+from bankworld.harness import ParseError, RunConfig, SubtaskMDP, evaluate, train
 from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
 
 
@@ -66,6 +70,52 @@ def greedy_subtask_return(
                 ret = r + gamma * ret
             return ret
     return float("-inf")
+
+
+def reference_read_qtable(path: Path):
+    """What `harness.read_qtable` reads, said plainly: the whole text split
+    into lines as `str.splitlines` splits it, and every record parsed and
+    checked on its own, with `parse_state`, the header parser and the number
+    rule of the harness. It returns what the reader returns, or raises the
+    `ParseError` it raises."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("#"):
+        raise ParseError(f"{path}:1: missing header line")
+    mode, hyper = harness._parse_header(lines[0], path)
+    sections: dict[str, dict] = {}  # per table key, the value of each (state, action)
+    key = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if line.startswith("# option="):
+            key = line.partition("=")[2].strip()
+            if key not in mode.table_keys():
+                raise ParseError(f"{path}:{lineno}: no {key!r} table in mode {mode.method.value}")
+            sections.setdefault(key, {})
+            continue
+        if key is None:
+            raise ParseError(f"{path}:{lineno}: record before any option section")
+        try:
+            text, action_text, value_text = line.rsplit(",", 2)
+            state, kind = parse_state(text), mode.projection(key)
+            if type(state) is not kind:
+                raise ValueError(f"{text} is not a {kind.__name__}, the rows of {key!r}")
+            if action_text not in ("0", "1", "2", "3", "4"):
+                raise ValueError(f"action {action_text!r} is not one of 0-4")
+            value = harness._number("value", value_text)
+            if not math.isfinite(value):
+                raise ValueError(f"value {value_text} is not finite")
+            if (state, int(action_text)) in sections[key]:
+                raise ValueError(f"repeated record for action {action_text} of {text}")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        sections[key][state, int(action_text)] = value
+    tables = {}
+    for key, entries in sections.items():
+        table = tables[key] = QTable()
+        for (state, action), value in entries.items():
+            table.rows.setdefault(state, [0.0] * 5)[action] = value
+    return mode, hyper, tables
 
 
 def desk_grid() -> GridConfig:

@@ -222,6 +222,25 @@ class TestEndToEnd:
         assert code == 1
         assert "method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sections, missing", [
+        ("# option=pickup\nP,0,0,1,1,0,3.5\n", "'# option=drop'"),
+        ("# option=drop\nD,0,0,0,1.0\n", "'# option=pickup'"),
+        ("", "'# option=pickup' or '# option=drop'"),
+    ], ids=["pickup-only", "drop-only", "header-only"])
+    def test_eval_rejects_a_missing_section_before_writing(self, tmp_path, capsys,
+                                                           sections, missing):
+        path = tmp_path / "partial.csv"
+        path.write_text(
+            "# mode=q-options planner=on alpha=0.1 gamma=0.95 eps_start=1.0 eps_end=0.05"
+            " eps_decay_fraction=0.8 alpha_visit_decay=none seed=0\n" + sections
+        )
+        out = tmp_path / "e"
+        code = main(f"eval --qtable {path} --grid 5x5 --agents 1 --gems 1 --out {out}".split())
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: no {missing} section, which mode q-options needs\n")
+        assert not out.exists()
+
     def test_compare_methods_writes_summary_and_arms(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         out = tmp_path / "cmp"

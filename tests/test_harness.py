@@ -5,8 +5,11 @@ import random
 import statistics
 import tracemalloc
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import product
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +56,7 @@ from bankworld.harness import (
     write_plot_script,
     write_summary,
 )
-from bankworld import harness, learner, planner
+from bankworld import abstraction, harness, learner, planner
 from bankworld.learner import (
     DROP_TABLE,
     PICKUP_TABLE,
@@ -65,7 +68,7 @@ from bankworld.learner import (
     fresh_tables,
 )
 
-from conftest import desk_config, greedy_subtask_return, is_terminal
+from conftest import desk_config, greedy_subtask_return, is_terminal, reference_read_qtable
 
 
 def tiny_run(method=Method.OPTIONS, planner=True, episodes=30, seed=3, gems=1, agents=1):
@@ -879,10 +882,72 @@ def states_of(kind, gems):
     return st.builds(NoPlannerState, CELL, st.booleans(), st.tuples(*[st.none() | CELL] * gems))
 
 
+def outcome(read, path):
+    """What ``read`` returns for ``path``, or the text of its ParseError."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+BAD_ACTIONS = ["5", "9", "03", "+1", " 1", "", "\u0663"]
+BAD_VALUES = ["nan", "inf", "-inf", "1e999", "+1.0", "01.0", "1.", ".5", "1_0.5", " 1.0", "x", ""]
+OTHER_STATES = ["P,0,0,1,1", "D,0,0", "F,0,0,_,_,0", "N,0,0,0,1:1", "N,1,1,1,_,2:2", "X,1,2",
+                "P,00,1,1,1"]
+BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"]
+
+
+def mutate(data, lines: list[str]) -> None:
+    """Change one line of a Q-table file in place: a blank line, a section
+    line, a repeated, swapped or dropped line, a bad action or value, a state
+    of another kind, a record before any section, or a line break inside a
+    line."""
+    i = data.draw(st.integers(0, len(lines) - 1)) if lines else 0
+    line = lines[i] if lines else ""
+    op = data.draw(st.sampled_from(
+        ["blank", "section", "repeat", "swap", "drop", "action", "value", "state", "before",
+         "break"]))
+    record = line.rsplit(",", 2) if line.count(",") >= 2 else [line, "0", "1.0"]
+    if op == "blank":
+        lines.insert(i, data.draw(st.sampled_from(["", "  ", "\t"])))
+    elif op == "section":
+        key = data.draw(st.sampled_from(["pickup", "drop", "flat", "bogus"]))
+        lines.insert(i, f"# option={key}")
+    elif op == "repeat":
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    elif op == "swap" and lines:
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "drop" and lines:
+        del lines[i]
+    elif op == "action":
+        lines[i:i + 1] = [f"{record[0]},{data.draw(st.sampled_from(BAD_ACTIONS))},{record[2]}"]
+    elif op == "value":
+        lines[i:i + 1] = [f"{record[0]},{record[1]},{data.draw(st.sampled_from(BAD_VALUES))}"]
+    elif op == "state":
+        lines[i:i + 1] = [f"{data.draw(st.sampled_from(OTHER_STATES))},{record[1]},{record[2]}"]
+    elif op == "before":
+        lines.insert(min(1, len(lines)), ",".join(record))
+    elif op == "break":
+        at = data.draw(st.integers(0, len(line)))
+        lines[i:i + 1] = [line[:at] + data.draw(st.sampled_from(BREAKS)) + line[at:]]
+
+
+class CountedPattern:
+    """A compiled pattern that counts its ``fullmatch`` calls in ``counts``."""
+
+    def __init__(self, pattern, counts: Counter):
+        self.pattern, self.counts = pattern, counts
+
+    def fullmatch(self, text):
+        self.counts[self.pattern.pattern] += 1
+        return self.pattern.fullmatch(text)
+
+
 class TestQTableCodec:
     """`write_qtable` writes each row's records together and `read_qtable`
-    reads one line at a time; the bytes and the accepted text are those of
-    sorting every record line as text and splitting the whole file."""
+    reads blocks of whole lines; the bytes and the accepted text are those
+    of sorting every record line as text and splitting the whole file."""
 
     HEADER = TestPersistence.HEADER
     RECORDS = "# option=pickup\nP,0,0,1,1,0,3.5\nP,0,0,1,1,4,-1.25\nP,2,3,1,1,1,0.5\n"
@@ -997,3 +1062,81 @@ class TestQTableCodec:
                 pytest.fail("no ParseError")
             gc.collect()  # a file still open is closed here, with a ResourceWarning
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("mode", [
+        ControllerMode(Method.OPTIONS, True),
+        ControllerMode(Method.FLAT, True),
+        ControllerMode(Method.OPTIONS, False),
+    ], ids=["pickup-drop", "flat", "no-planner"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reader_agrees_with_the_reference(self, tmp_path_factory, mode, data):
+        """A written file with up to three lines changed reads as the plain
+        reference reads it: equal tables, or the same error on the same line."""
+        gems = data.draw(st.integers(1, 3))
+        tables = {key: QTable() for key in mode.table_keys()}
+        for key, table in tables.items():
+            for state in data.draw(st.lists(states_of(mode.projection(key), gems), max_size=5)):
+                table.rows[state] = data.draw(ROW)
+        path = tmp_path_factory.mktemp("diff") / "q.csv"
+        write_qtable(tables, path, mode, Hyperparams())
+        lines = path.read_text().splitlines()
+        for _ in range(data.draw(st.integers(0, 3))):
+            mutate(data, lines)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        end = data.draw(st.sampled_from([newline, ""]))
+        path.write_bytes((newline.join(lines) + end).encode())
+        assert outcome(read_qtable, path) == outcome(reference_read_qtable, path)
+
+    @pytest.mark.parametrize("extra", ["", "\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028", "\n\n"],
+                             ids=["none", "lf", "crlf", "cr", "vt", "ff", "ls", "blank"])
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_line_breaks_where_read_blocks_meet(self, tmp_path, extra, block, shift):
+        # The reader reads 8 KiB blocks; this 1,600-row file spans twenty.
+        q = QTable()
+        for r, c in product(range(40), range(40)):
+            q.rows[PickupState((r, c), (c, r))] = [0.5 * r, -1.25, 0.0, float(c), 1e-3]
+        path = tmp_path / "q.csv"
+        write_qtable({PICKUP_TABLE: q}, path, ControllerMode(Method.OPTIONS), Hyperparams())
+        text = path.read_text()
+        assert len(text) > 19 * (1 << 13)
+        cut = block * (1 << 13) + shift
+        path.write_bytes((text[:cut] + extra + text[cut:]).encode())
+        got = outcome(read_qtable, path)
+        assert got == outcome(reference_read_qtable, path)
+        if not extra:
+            assert got[2] == {PICKUP_TABLE: q}
+
+    def test_field_texts_decoded_once_and_rows_matched_once(self, tmp_path, monkeypatch):
+        """On a planner-off table, each field decoder runs once per distinct
+        text (per distinct element text for the gem cells), and the state
+        pattern runs once per row, not once per record."""
+        grid = GridConfig(9, 9, 2, 3, 200, layout=RandomLayout())
+        cfg = RunConfig(grid, ControllerMode(Method.OPTIONS, False), Hyperparams(seed=1), 30)
+        trained = train(cfg).tables
+        path = tmp_path / "qtable.csv"
+        write_qtable(trained, path, cfg.mode, cfg.hyper)
+        field_kinds = list(get_type_hints(NoPlannerState).values())
+        pattern = abstraction._FIELDS[NoPlannerState][1]
+        decoded, matched = Counter(), Counter()
+        for kind, (encode, text_pattern, decode) in list(abstraction._KINDS.items()):
+            def counted(text, kind=kind, decode=decode):
+                decoded[kind, text] += 1
+                return decode(text)
+            monkeypatch.setitem(abstraction._KINDS, kind, (encode, text_pattern, counted))
+        for cls, (kinds, cls_pattern) in list(abstraction._FIELDS.items()):
+            counted_pattern = CountedPattern(cls_pattern, matched)
+            monkeypatch.setitem(abstraction._FIELDS, cls, (kinds, counted_pattern))
+        assert read_qtable(path)[2] == trained
+        rows = [line.rsplit(",", 2)[0] for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 5 * sum(len(t.rows) for t in trained.values())
+        assert sum(matched.values()) == len(set(rows)) == len(rows) // 5
+        texts = Counter()
+        for text in set(rows):
+            *scalars, cells = pattern.fullmatch(text).groups()
+            texts.update(zip(field_kinds, scalars))
+            texts.update((field_kinds[2], cell) for cell in cells.split(","))
+        assert max(texts.values()) > 100  # the memo has work to do
+        assert set(decoded) == set(texts) and set(decoded.values()) == {1}
