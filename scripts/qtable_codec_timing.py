@@ -5,8 +5,9 @@ Trains the planner-off options learner once on an 11x11 random layout
 with 2 agents and 3 gems for 400 episodes (the benchmark's random-layout
 arm) at the given seed, then times `write_qtable` and `read_qtable` K
 times each, alternating, in one process. It prints the median seconds
-of each, the file's rows, records and bytes, and its sha256, so running
-it on two trees shows both the speed and that the bytes are the same:
+of each with its first and third quartiles, the file's rows, records and
+bytes, and its sha256, so running it on two trees shows the speed, its
+spread, and that the bytes are the same:
 
     PYTHONPATH=src python3 scripts/qtable_codec_timing.py --seed 1 --repeats 7
 
@@ -25,6 +26,14 @@ from time import perf_counter
 from bankworld.environment import GridConfig, RandomLayout
 from bankworld.harness import RunConfig, read_qtable, train, write_qtable
 from bankworld.learner import ControllerMode, Hyperparams, Method
+
+
+def spread(seconds: list[float]) -> str:
+    """The median of ``seconds`` with its first and third quartiles."""
+    if len(seconds) == 1:
+        seconds = seconds * 2
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return f"median {median:.3f} s [Q1 {q1:.3f}, Q3 {q3:.3f}]"
 
 
 def main(argv=None) -> int:
@@ -55,8 +64,8 @@ def main(argv=None) -> int:
     rows = sum(len(t.rows) for t in tables.values())
     records = sum(1 for line in data.splitlines() if line and not line.startswith(b"#"))
     print(f"seed {args.seed}, {args.repeats} repeats")
-    print(f"write_qtable median {statistics.median(writes):.3f} s")
-    print(f"read_qtable median {statistics.median(reads):.3f} s")
+    print(f"write_qtable {spread(writes)}")
+    print(f"read_qtable {spread(reads)}")
     print(f"rows {rows} records {records} bytes {len(data)}")
     print(f"sha256 {hashlib.sha256(data).hexdigest()}")
     return 0

@@ -19,14 +19,14 @@ lands in shared table rows:
 Q-table files hold each state as canonical text, its tag then its fields
 (``P,1,2,4,4``, ``D,7,3``, ``F,0,0,_,_,0``, ``N,1,1,0,0:2,_,_``; ``_`` is
 an absent position); `parse_state` reads back only that text. A
-`StateCodec` does both for the states of one file, coding each distinct
-field value or text once.
+`StateCodec` does both through one memo per field kind, so each distinct
+field value or text of one file is coded once; the one-off functions use
+a codec whose memo maker keeps nothing.
 """
 
 from __future__ import annotations
 
 import re
-from operator import getitem
 from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
 from .environment import Position, WorldState
@@ -159,64 +159,34 @@ class _Memo(dict):
         return result
 
 
-class _Call(_Memo):
-    """A `_Memo` that keeps nothing: every look-up makes its result afresh."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        return self.make(key)
-
-
-class _Joined:
-    """A run field's encoder: its elements' texts, each from ``elements``,
-    joined by commas."""
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements):
-        self.elements = elements
-
-    def __getitem__(self, run):
-        return ",".join(map(self.elements.__getitem__, run))
-
-
-class _Split:
-    """A run field's decoder: its elements, each from ``elements``, as the
-    one tuple ``runs`` keeps for that run."""
-
-    __slots__ = ("elements", "runs")
-
-    def __init__(self, elements, runs):
-        self.elements, self.runs = elements, runs
-
-    def __getitem__(self, text):
-        return self.runs[tuple(map(self.elements.__getitem__, text.split(",")))]
-
-
 class StateCodec:
     """`serialize_state` and `parse_state` for the states of one file.
 
-    Each projection's writer and reader are built from `_KINDS`, with one
-    memo per field kind: each distinct field value is encoded once, and each
-    distinct field text decoded once, for as long as the codec lives. A run
-    field is coded one element at a time, each distinct element once, and
-    equal runs read are one tuple; so equal field values read back are one
+    Each projection's writer and reader are built from `_KINDS`, each field
+    kind's encoder and decoder passed through ``memo``: it takes a function
+    of one argument and returns the callable that codes with it. The
+    default keeps a `_Memo`, so each distinct field value is encoded once,
+    and each distinct field text decoded once, for as long as the codec
+    lives. A run field is coded one element at a time, and equal runs read
+    go through ``memo`` too; so equal field values read back are one
     object. The whole-text pattern alone decides which text is canonical: a
-    field's text reaches its memo only after the pattern has accepted the
-    whole text.
+    field's text reaches its decoder only after the pattern has accepted
+    the whole text.
     """
 
     __slots__ = ("_writers", "_readers")
-    _memo = _Memo
 
-    def __init__(self):
+    def __init__(self, memo=lambda make: _Memo(make).__getitem__):
         coders = {}
         for kind, (encode, _, decode) in _KINDS.items():
-            encoder, decoder = self._memo(encode), self._memo(decode)
+            encode, decode = memo(encode), memo(decode)
             if _is_run(kind):
-                encoder, decoder = _Joined(encoder), _Split(decoder, self._memo(lambda run: run))
-            coders[kind] = encoder, decoder
+                def encode(run, one=encode):
+                    return ",".join(map(one, run))
+
+                def decode(text, one=decode, runs=memo(lambda run: run)):
+                    return runs(tuple(map(one, text.split(","))))
+            coders[kind] = encode, decode
         self._writers = {cls: (cls.tag, [coders[k][0] for k in kinds])
                          for cls, (kinds, _) in _FIELDS.items()}
         self._readers = {cls.tag: (cls, pattern, [coders[k][1] for k in kinds])
@@ -227,7 +197,7 @@ class StateCodec:
         if writer is None:
             raise TypeError(f"not an abstract state: {s!r}")
         tag, encoders = writer
-        return ",".join([tag, *map(getitem, encoders, s)])
+        return ",".join([tag, *[encode(v) for encode, v in zip(encoders, s)]])
 
     def parse(self, text: str) -> AbstractState:
         """Inverse of `serialize`; accepts only the text it writes."""
@@ -235,17 +205,11 @@ class StateCodec:
         match = reader and reader[1].fullmatch(text)
         if not match:
             raise ValueError(f"unparseable abstract state: {text!r}")
-        return _new(reader[0], map(getitem, reader[2], match.groups()))
+        return _new(reader[0], [decode(t) for decode, t in zip(reader[2], match.groups())])
 
 
-class _OneOff(StateCodec):
-    """The codec of the one-off functions below, which keeps nothing."""
-
-    __slots__ = ()
-    _memo = _Call
-
-
-_ONE_OFF = _OneOff()
+# The codec of the one-off functions below: it keeps nothing between calls.
+_ONE_OFF = StateCodec(lambda make: make)
 
 
 def serialize_state(s: AbstractState) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from bankworld.abstraction import (
     FlatState,
     NoPlannerState,
     PickupState,
+    StateCodec,
     abstract_drop,
     abstract_flat,
     abstract_no_planner,
@@ -254,6 +256,43 @@ class TestSerialization:
         except ValueError:
             return
         assert serialize_state(s) == text
+
+
+class TestCodecMemo:
+    """`parse_state` and `serialize_state` keep nothing between calls; a
+    `StateCodec` shares equal field values between the states it reads,
+    and two codecs share nothing."""
+
+    TEXT = "N,1,1,0,0:2,_,_"
+
+    def test_one_off_parse_keeps_nothing(self):
+        first, second = parse_state(self.TEXT), parse_state(self.TEXT)
+        assert first == second
+        assert first.agent_pos is not second.agent_pos
+        assert first.gem_cells is not second.gem_cells
+
+    def test_one_codec_reads_equal_fields_as_one_object(self):
+        codec = StateCodec()
+        first, second = codec.parse(self.TEXT), codec.parse(self.TEXT)
+        assert first == second
+        assert first.agent_pos is second.agent_pos
+        assert first.gem_cells is second.gem_cells
+        assert codec.serialize(first) == self.TEXT
+
+    def test_two_codecs_share_nothing(self):
+        first, second = StateCodec().parse(self.TEXT), StateCodec().parse(self.TEXT)
+        assert first == second
+        assert first.agent_pos is not second.agent_pos
+        assert first.gem_cells is not second.gem_cells
+        assert first.gem_cells[0] is not second.gem_cells[0]
+
+    @pytest.mark.parametrize("value", [(1, 2), ((1, 2),), "P,1,2,4,4", None])
+    def test_only_abstract_states_serialize(self, value):
+        message = f"^{re.escape(f'not an abstract state: {value!r}')}$"
+        with pytest.raises(TypeError, match=message):
+            serialize_state(value)
+        with pytest.raises(TypeError, match=message):
+            StateCodec().serialize(value)
 
 
 def projection_lines(size: int, planner: bool, seed: int) -> list[str]:

@@ -1140,3 +1140,29 @@ class TestQTableCodec:
             texts.update((field_kinds[2], cell) for cell in cells.split(","))
         assert max(texts.values()) > 100  # the memo has work to do
         assert set(decoded) == set(texts) and set(decoded.values()) == {1}
+
+    def test_field_values_encoded_once(self, tmp_path, monkeypatch):
+        """The writer's twin of the test above: on the same planner-off
+        table, each field encoder runs once per distinct value (per distinct
+        cell for the gem cells)."""
+        grid = GridConfig(9, 9, 2, 3, 200, layout=RandomLayout())
+        cfg = RunConfig(grid, ControllerMode(Method.OPTIONS, False), Hyperparams(seed=1), 30)
+        trained = train(cfg).tables
+        encoded = Counter()
+        for kind, (encode, text_pattern, decode) in list(abstraction._KINDS.items()):
+            def counted(value, kind=kind, encode=encode):
+                encoded[kind, value] += 1
+                return encode(value)
+            monkeypatch.setitem(abstraction._KINDS, kind, (counted, text_pattern, decode))
+        path = tmp_path / "qtable.csv"
+        write_qtable(trained, path, cfg.mode, cfg.hyper)
+        assert read_qtable(path)[2] == trained
+        states = [state for table in trained.values() for state in table.rows]
+        assert {type(state) for state in states} == {NoPlannerState}
+        field_kinds = list(get_type_hints(NoPlannerState).values())
+        values = Counter()
+        for *scalars, cells in states:
+            values.update(zip(field_kinds, scalars))
+            values.update((field_kinds[2], cell) for cell in cells)
+        assert max(values.values()) > 100  # the memo has work to do
+        assert set(encoded) == set(values) and set(encoded.values()) == {1}
