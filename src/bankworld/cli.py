@@ -135,6 +135,8 @@ def read_config_file(path: Path) -> tuple[dict, Optional[FixedLayout]]:
                 continue
             try:
                 if line == "[layout]":
+                    if in_layout:
+                        raise ValueError("repeated [layout] section")
                     if values.get(_LAYOUT.key) is not None:
                         raise ValueError(f"[layout] conflicts with {_LAYOUT.key} = true")
                     in_layout = True

@@ -177,15 +177,13 @@ class SubtaskMDP:
     def __init__(self, grid: GridConfig, task: str):
         if task not in OPTIONS_MODE.table_keys():
             raise ConfigError(f"unknown sub-task {task!r}")
-        self.grid = grid
-        self.task = task
+        self.grid, self.task, self.kind = grid, task, OPTIONS_MODE.projection(task)
 
     def states(self) -> list[AbstractState]:
         """Each field over every cell, leftmost outermost; no gem on the bank."""
         g = self.grid
         cells = [(r, c) for r in range(g.height) for c in range(g.width)]
-        kind = OPTIONS_MODE.projection(self.task)
-        states = map(kind._make, product(cells, repeat=len(kind._fields)))
+        states = map(self.kind._make, product(cells, repeat=len(self.kind._fields)))
         return [s for s in states if getattr(s, "gem_pos", None) != g.bank]
 
     def step(self, s: AbstractState, a: Action) -> tuple[Optional[AbstractState], int, bool]:
@@ -196,7 +194,7 @@ class SubtaskMDP:
         event = outcome.event
         if event is _ACQUIRED or event is _DROPPED:
             return None, outcome.reward, True
-        return project(world, 0, self.task, (0,), False, self.grid), outcome.reward, False
+        return project(world, 0, self.kind, (0,), self.grid.bank), outcome.reward, False
 
     def distance(self, s: AbstractState) -> int:
         """Moves onto the goal cell, the gem's for fetch or the bank: the
@@ -378,15 +376,16 @@ def write_summary(rows: Sequence[SummaryRow], path: Path) -> None:
     _write_rows(SUMMARY_HEADER, rows, path)
 
 
+# The `Hyperparams` fields a Q-table header carries, in the order written.
+_HEADER_FIELDS = tuple(
+    "alpha gamma eps_start eps_end eps_decay_fraction alpha_visit_decay seed".split())
+
+
 def _hyper_header(mode: ControllerMode, hyper: Hyperparams) -> str:
-    decay = "none" if hyper.alpha_visit_decay is None else repr(hyper.alpha_visit_decay)
-    return (
-        f"# mode={mode.method.value} planner={'on' if mode.planner_enabled else 'off'}"
-        f" alpha={hyper.alpha!r} gamma={hyper.gamma!r}"
-        f" eps_start={hyper.eps_start!r} eps_end={hyper.eps_end!r}"
-        f" eps_decay_fraction={hyper.eps_decay_fraction!r}"
-        f" alpha_visit_decay={decay} seed={hyper.seed}"
-    )
+    planner = "on" if mode.planner_enabled else "off"
+    values = ((key, getattr(hyper, key)) for key in _HEADER_FIELDS)
+    return f"# mode={mode.method.value} planner={planner} " + " ".join(
+        f"{key}={'none' if value is None else repr(value)}" for key, value in values)
 
 
 def write_qtable(
@@ -418,9 +417,6 @@ def write_qtable(
                 f.write(f"{h},0,{v0!r}\n{h},1,{v1!r}\n{h},2,{v2!r}\n{h},3,{v3!r}\n{h},4,{v4!r}\n")
 
 
-_HEADER_KEYS = frozenset(
-    "mode planner alpha gamma eps_start eps_end eps_decay_fraction alpha_visit_decay seed".split()
-)
 # A number as `repr` writes an int or a finite float: a minus or no sign, no
 # leading zero, then an optional fraction and exponent; ASCII digits only.
 _NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
@@ -443,17 +439,16 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
     try:
         for token in line.lstrip("#").split():
             key, _, value = token.partition("=")
-            if key not in _HEADER_KEYS or key in pairs:
+            if key not in ("mode", "planner", *_HEADER_FIELDS) or key in pairs:
                 raise ValueError(f"unknown or repeated key {key!r}")
             pairs[key] = value
         if pairs["planner"] not in ("on", "off"):
             raise ValueError(f"planner must be on or off, got {pairs['planner']!r}")
         mode = ControllerMode(Method(pairs["mode"]), pairs["planner"] == "on")
         decay = pairs.get("alpha_visit_decay", "none")
-        floats = ("alpha", "gamma", "eps_start", "eps_end", "eps_decay_fraction")
         hyper = Hyperparams(
-            **{key: _number(key, pairs[key]) for key in floats},
-            seed=_number("seed", pairs["seed"], int),
+            **{key: _number(key, pairs[key], int if key == "seed" else float)
+               for key in _HEADER_FIELDS if key != "alpha_visit_decay"},
             alpha_visit_decay=None if decay == "none" else _number("alpha_visit_decay", decay),
         )
     except (KeyError, ValueError) as exc:

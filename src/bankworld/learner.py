@@ -1,19 +1,20 @@
 """Central controller: Q-tables, action selection, TD updates, dispatch.
 
-All agents read and write the same tables: one per sub-task (fetch,
-deposit) in options mode, a single one in flat mode. `controller_step` is
-the episode loop. Each timestep it walks agents in ascending index:
-refresh the planner allocation ``alloc`` (``alloc[i]`` is the gem
-allocated to agent ``i`` or None), pick the agent's option with
-`option_for_agent`, choose an action (uniformly for the random baseline,
-else epsilon-greedily from the state `project` gives), apply it, and
-update the executing table. Then it bumps the step, and it stops after
-the timestep that reaches the step limit or the last deposit. An option
-is named by its options-mode table key, `PICKUP_TABLE` (fetch) or
-`DROP_TABLE` (deposit); None means idle. A sub-task ends the moment its
-goal event fires (pickup for fetch, deposit for drop); that transition
-is updated with a terminal bootstrap, and a deposit also frees the
-depositing agent's slot of ``alloc``.
+All agents read and write the same tables, which `ControllerMode` alone
+names: the table each option executes (one per sub-task in options mode,
+one for both in flat mode) and each table's row kind, the state
+`project` builds. `controller_step` is the episode loop. Each timestep
+it walks agents in ascending index: refresh the planner allocation
+``alloc`` (``alloc[i]`` is the gem allocated to agent ``i`` or None),
+pick the agent's option with `option_for_agent`, choose an action
+(uniformly for the random baseline, else epsilon-greedily from the state
+`project` gives), apply it, and update the executing table. Then it
+bumps the step, and it stops after the timestep that reaches the step
+limit or the last deposit. An option is named by its options-mode table
+key, `PICKUP_TABLE` (fetch) or `DROP_TABLE` (deposit); None means idle.
+A sub-task ends the moment its goal event fires (pickup for fetch,
+deposit for drop); that transition is updated with a terminal bootstrap,
+and a deposit also frees the depositing agent's slot of ``alloc``.
 
 Unallocated agents under the planner are parked: the controller emits
 NoOp for them directly and learns nothing, since a one-action policy has
@@ -48,6 +49,7 @@ from .environment import (
     ConfigError,
     Event,
     GridConfig,
+    Position,
     StepOutcome,
     WorldState,
     gems_deposited,
@@ -61,14 +63,16 @@ class Method(Enum):
     OPTIONS = "q-options"
 
 
-# Q-table keys: one per option in options mode, one in flat mode.
-PICKUP_TABLE = "pickup"
-DROP_TABLE = "drop"
-FLAT_TABLE = "flat"
-
+# Q-table keys. Per method, the table each option executes, as (fetch,
+# deposit): the flat table serves both, and the random baseline executes
+# none. Per table, the kind of its rows with the planner on.
+PICKUP_TABLE, DROP_TABLE, FLAT_TABLE = "pickup", "drop", "flat"
+_OPTION_TABLES = {Method.OPTIONS: (PICKUP_TABLE, DROP_TABLE),
+                  Method.FLAT: (FLAT_TABLE, FLAT_TABLE), Method.RANDOM: ()}
+_ROW_KINDS = {PICKUP_TABLE: PickupState, DROP_TABLE: DropState, FLAT_TABLE: FlatState}
 
 # Enum members read once here: each read through the class costs a lookup.
-_RANDOM, _FLAT, _OPTIONS = Method.RANDOM, Method.FLAT, Method.OPTIONS
+_RANDOM, _OPTIONS = Method.RANDOM, Method.OPTIONS
 _ACQUIRED, _DROPPED = Event.ACQUIRED, Event.DROPPED
 
 
@@ -78,18 +82,12 @@ class ControllerMode:
     planner_enabled: bool = True
 
     def table_keys(self) -> tuple[str, ...]:
-        if self.method is Method.OPTIONS:
-            return (PICKUP_TABLE, DROP_TABLE)
-        if self.method is Method.FLAT:
-            return (FLAT_TABLE,)
-        return ()
+        return tuple(dict.fromkeys(_OPTION_TABLES[self.method]))
 
     def projection(self, key: str) -> type:
         """The abstract state kind of the rows of table ``key``: the planner-
         off view for every table, else the view of that table's task."""
-        if not self.planner_enabled:
-            return NoPlannerState
-        return {PICKUP_TABLE: PickupState, DROP_TABLE: DropState, FLAT_TABLE: FlatState}[key]
+        return _ROW_KINDS[key] if self.planner_enabled else NoPlannerState
 
 
 @dataclass(frozen=True)
@@ -251,20 +249,18 @@ def option_for_agent(
 def project(
     state: WorldState,
     agent: int,
-    option: str,
+    kind: type,
     alloc: Optional[tuple[Optional[int], ...]],
-    flat: bool,
-    config: GridConfig,
+    bank: Position,
 ) -> AbstractState:
-    """The state the executing table sees: the planner-off view, the flat
-    view, or the fetch or deposit view of ``option``. The exact solver
-    sees each sub-task through it too."""
+    """The state of row kind ``kind`` that the executing table sees; with
+    the planner off (``alloc=None``) that kind is always the planner-off
+    view. The exact solver sees each sub-task through it too."""
     if alloc is None:
         return abstract_no_planner(state, agent)
-    if flat:
-        return abstract_flat(state, agent, alloc, config.bank)
-    # By value: the solver's task may be a copy of the key, such as a flag's text.
-    if option == PICKUP_TABLE:
+    if kind is FlatState:
+        return abstract_flat(state, agent, alloc, bank)
+    if kind is PickupState:
         return abstract_pickup(state, agent, alloc[agent])
     return abstract_drop(state, agent)
 
@@ -289,17 +285,14 @@ def controller_step(
     With the planner on, `planner.assign` runs once per agent-step.
     """
     outcomes: list[StepOutcome] = []
-    method = mode.method
-    flat = method is _FLAT
+    method, bank = mode.method, config.bank
     random_policy = method is _RANDOM
     learning = learn and not random_policy
     alloc = assignment if mode.planner_enabled else None
     parked = IDLE_OUTCOMES[config.noop_reward]
-    # The executing table of each learning option; the flat table serves both.
-    if method is _OPTIONS:
-        pickup_table, drop_table = tables[PICKUP_TABLE], tables[DROP_TABLE]
-    elif flat:
-        pickup_table = drop_table = tables[FLAT_TABLE]
+    # Each option's executing table and the row kind that table sees.
+    executing = {option: (tables[key], mode.projection(key))
+                 for option, key in zip((PICKUP_TABLE, DROP_TABLE), _OPTION_TABLES[method])}
     # Read per call, not at import, so that rebinding these names takes effect.
     assign, release, move, update = plan.assign, plan.release, step_agent, td_update
     # No timestep reads state.step (step_agent copies it; the projections and
@@ -319,8 +312,8 @@ def controller_step(
             if random_policy:
                 action = _uniform_action(rng)
             else:
-                table = drop_table if option is DROP_TABLE else pickup_table
-                s = project(state, agent, option, alloc, flat, config)
+                table, kind = executing[option]
+                s = project(state, agent, kind, alloc, bank)
                 action = select_action(table, s, epsilon, rng)
             # A carrier's allocation is its carried gem until the deposit.
             gem = None if alloc is None else alloc[agent]
@@ -337,7 +330,7 @@ def controller_step(
                     terminal = event is _ACQUIRED or event is _DROPPED
                 else:
                     terminal = deposited == num_gems
-                s_next = None if terminal else project(next_state, agent, option, alloc, flat, config)
+                s_next = None if terminal else project(next_state, agent, kind, alloc, bank)
                 update(table, s, action, outcome.reward, s_next, terminal, h)
 
             state = next_state

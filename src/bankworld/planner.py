@@ -39,8 +39,6 @@ def assign(state: WorldState, current: tuple[Optional[int], ...]) -> tuple[Optio
         for j, cell in enumerate(cells)
         if cell is not None and j not in current
     ]
-    if not open_gems:
-        return current
     alloc = list(current)
     for i, gem in enumerate(current):
         if gem is not None or not open_gems:

@@ -408,6 +408,14 @@ class TestExitCodeRule:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "bad.cfg:2" in capsys.readouterr().err
 
+    def test_repeated_layout_section_exits_1_naming_line(self, tmp_path, capsys):
+        path = write_text(tmp_path, "bad.cfg", "grid = 5x5\nagents = 1\ngems = 1\n[layout]\n"
+                          "agent.0 = 0,0\n[layout]\ngem.0 = 4,4\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(path), "--episodes", "1", "--out", str(out)]) == 1
+        assert "bad.cfg:6: repeated [layout] section" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_file_value_exits_2_naming_flag(self, tmp_path, capsys):
         path = write_text(tmp_path, "run.cfg", "gems = 0\n")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -9,6 +9,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -829,6 +830,15 @@ class TestPersistence:
         mode, hyper, tables = read_qtable(path)
         assert hyper == Hyperparams() and mode == ControllerMode(Method.OPTIONS, True)
         assert set(tables) == {"drop"}
+
+    def test_readme_example_header_is_the_one_written(self):
+        """README's Q-table section shows the header of an options run with
+        the planner off, default settings and seed 3, as written and read."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        [line] = [line for line in readme.read_text().splitlines() if line.startswith("# mode=")]
+        mode, hyper = ControllerMode(Method.OPTIONS, False), Hyperparams(seed=3)
+        assert line == harness._hyper_header(mode, hyper)
+        assert harness._parse_header(line, readme) == (mode, hyper)
 
     def test_summary_not_reached_sentinel(self, tmp_path):
         rows = [SummaryRow("q-options", "off", 12.5, 3.25, None)]

@@ -177,6 +177,18 @@ class TestProperties:
         if result == current:
             assert result is current
 
+    @given(scenario=allocated_worlds())
+    @settings(max_examples=200, deadline=None)
+    def test_returns_current_itself_exactly_when_nothing_to_do(self, scenario):
+        """The early exits: ``current`` itself comes back exactly when no
+        slot is free or every on-grid gem is allocated; any other call
+        allocates a gem, so it builds a new tuple."""
+        state, current = scenario
+        unallocated = [j for j, cell in enumerate(state.gem_cells)
+                       if cell is not None and j not in current]
+        nothing_to_do = None not in current or not unallocated
+        assert (assign(state, current) is current) == nothing_to_do
+
     @given(scenario=assignment_scenarios(), seed=st.integers(0, 999))
     @settings(max_examples=80, deadline=None)
     def test_injectivity_under_assign_release_sequences(self, scenario, seed):
