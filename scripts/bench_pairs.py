@@ -6,11 +6,15 @@ on one workload in each checkout, ``--pairs`` times, with ``--trace 0``.
 The first run of a pair is the parent's in even pairs and the change's in
 odd ones, so a drift of the machine weighs on both alike. For each
 end-to-end metric it then prints the parent's and the change's median
-with their first and third quartiles, the change's median shift, and in
-how many pairs the change did better. A metric is marked unresolved when
-the parent's interquartile range, over its median, exceeds the metric's
-bound: its runs then spread too widely to tell a shift within the bound.
-A median shift for the worse beyond the bound is marked as such.
+with their first and third quartiles, the change's median shift, in how
+many pairs the change did better, and whether that shows a gain: the
+change did better in at least nine pairs of ten, and its median is
+better than the parent's by more than the parent's interquartile range.
+A metric is marked unresolved when the parent's interquartile range,
+over its median, exceeds the metric's bound, unless every change run did
+better than every parent run: its runs then spread too widely to tell a
+shift within the bound. A median shift for the worse beyond the bound is
+marked as such.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload desk-fixed --pairs 10 --seed 7 --seconds 35
@@ -84,14 +88,16 @@ def main(argv=None) -> int:
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         shift = (cm - pm) / pm
-        notes = []
-        if (p3 - p1) / pm > bound:
+        gain = 10 * wins >= 9 * args.pairs and (pm - cm if lower else cm - pm) > p3 - p1
+        apart = max(change) < min(parent) if lower else min(change) > max(parent)
+        notes = [f"gain {'shown' if gain else 'not shown'}"]
+        if (p3 - p1) / pm > bound and not apart:
             notes.append("unresolved: parent spread exceeds bound")
         if (shift if lower else -shift) > bound:
             notes.append("worse beyond bound")
         print(f"  {name} ({spec['unit']}, bound {bound:.0%}): parent {pm:.4f} [{p1:.4f}, {p3:.4f}]"
               f", change {cm:.4f} [{c1:.4f}, {c3:.4f}], shift {shift:+.1%},"
-              f" change better in {wins} of {args.pairs}{'; ' if notes else ''}{'; '.join(notes)}")
+              f" change better in {wins} of {args.pairs}; {'; '.join(notes)}")
     return 0
 
 

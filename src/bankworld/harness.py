@@ -23,6 +23,7 @@ obtained by rolling its greedy policy through a real episode.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import os
 import random
@@ -433,11 +434,14 @@ def _number(name: str, text: str, parse=float):
 
 
 def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
-    """The settings `_hyper_header` writes, each once and no others; a header
-    without ``alpha_visit_decay`` reads it as none."""
+    """The settings `_hyper_header` writes, each once and no others, after
+    the ``# `` it writes; a header without ``alpha_visit_decay`` reads it as
+    none."""
     pairs = {}
     try:
-        for token in line.lstrip("#").split():
+        if not line.startswith("# mode="):
+            raise ValueError("a header starts with '# mode='")
+        for token in line[2:].split():
             key, _, value = token.partition("=")
             if key not in ("mode", "planner", *_HEADER_FIELDS) or key in pairs:
                 raise ValueError(f"unknown or repeated key {key!r}")
@@ -487,7 +491,22 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
     line or a new state. Each state text is parsed once for its run, through
     one `StateCodec` for the file, which decodes each distinct field text
     once, so equal field values are shared between the rows read, as
-    training shares them; each distinct value text is read once too."""
+    training shares them; each distinct value text is read once too.
+
+    The cyclic collector is paused while the rows are built, and restored
+    as it was found: the rows are many small tracked objects, none of them
+    garbage, and each full collection the read would set off walks them
+    all, and every other live object too."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_rows(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_rows(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
     tables: dict[str, QTable] = {}
     parse = StateCodec().parse
     with open(path) as f:

@@ -10,8 +10,11 @@ pick the agent's option with `option_for_agent`, choose an action
 (uniformly for the random baseline, else epsilon-greedily from the state
 `project` gives), apply it, and update the executing table. Then it
 bumps the step, and it stops after the timestep that reaches the step
-limit or the last deposit. An option is named by its options-mode table
-key, `PICKUP_TABLE` (fetch) or `DROP_TABLE` (deposit); None means idle.
+limit or the last deposit. A learner makes one projection per acting
+agent-step: the successor an update bootstraps from is kept as the
+agent's state at its next turn, unless something it was projected from
+has changed by then. An option is named by its options-mode table key,
+`PICKUP_TABLE` (fetch) or `DROP_TABLE` (deposit); None means idle.
 A sub-task ends the moment its goal event fires (pickup for fetch,
 deposit for drop); that transition is updated with a terminal bootstrap,
 and a deposit also frees the depositing agent's slot of ``alloc``.
@@ -282,7 +285,11 @@ def controller_step(
 
     Returns the new world state, the updated allocation, and one outcome
     per agent-step. ``learn=False`` (evaluation) skips all table writes.
-    With the planner on, `planner.assign` runs once per agent-step.
+    With the planner on, `planner.assign` runs once per agent-step. A
+    learning call makes one projection per acting agent-step, and one more
+    at an agent's first turn, after its terminal update, and where a pickup
+    or a new allocation slot changed what its kept successor was projected
+    from.
     """
     outcomes: list[StepOutcome] = []
     method, bank = mode.method, config.bank
@@ -298,6 +305,14 @@ def controller_step(
     # No timestep reads state.step (step_agent copies it; the projections and
     # assign ignore it), so it and the deposited count are kept here.
     step, deposited, num_gems = state.step, gems_deposited(state), config.num_gems
+    # Per agent, the successor its last update bootstrapped from, with the
+    # gem cells, allocation slot and row kind it was projected under; None
+    # after a terminal update, which projects no successor. Besides those
+    # three, `project` reads only the bank and the agent's own cell and load,
+    # which only its own move changes; so while the three are unchanged at
+    # the agent's next turn, the kept state is its state then. Only a pickup
+    # replaces the gem cells tuple.
+    kept: list[Optional[tuple]] = [None] * config.num_agents
 
     for _ in range(timesteps):
         for agent in range(config.num_agents):
@@ -309,14 +324,19 @@ def controller_step(
                 outcomes.append(parked)
                 continue
 
+            # A carrier's allocation is its carried gem until the deposit.
+            gem = None if alloc is None else alloc[agent]
             if random_policy:
                 action = _uniform_action(rng)
             else:
                 table, kind = executing[option]
-                s = project(state, agent, kind, alloc, bank)
+                last = kept[agent]
+                if last is not None and last[1] is state.gem_cells and last[2] == gem \
+                        and last[3] is kind:
+                    s = last[0]
+                else:
+                    s = project(state, agent, kind, alloc, bank)
                 action = select_action(table, s, epsilon, rng)
-            # A carrier's allocation is its carried gem until the deposit.
-            gem = None if alloc is None else alloc[agent]
             next_state, outcome = move(state, config, agent, action, gem)
             event = outcome.event
 
@@ -330,7 +350,12 @@ def controller_step(
                     terminal = event is _ACQUIRED or event is _DROPPED
                 else:
                     terminal = deposited == num_gems
-                s_next = None if terminal else project(next_state, agent, kind, alloc, bank)
+                if terminal:
+                    s_next = kept[agent] = None
+                else:
+                    s_next = project(next_state, agent, kind, alloc, bank)
+                    kept[agent] = (s_next, next_state.gem_cells,
+                                   None if alloc is None else alloc[agent], kind)
                 update(table, s, action, outcome.reward, s_next, terminal, h)
 
             state = next_state

@@ -528,6 +528,7 @@ class TestEpisodeLoop:
     must give the record, tables and random stream of one timestep per call."""
 
     decay = None  # the step size: constant alpha
+    agents = gems = 2
 
     @pytest.mark.parametrize("step_limit, ends_by", [(10, "limit"), (400, "deposit")])
     @pytest.mark.parametrize("layout", [None, RandomLayout()], ids=["fixed", "random"])
@@ -536,7 +537,8 @@ class TestEpisodeLoop:
     def test_one_call_equals_one_timestep_at_a_time(
         self, method, planner_on, layout, step_limit, ends_by
     ):
-        grid = GridConfig(5, 5, 2, 2, step_limit, layout=layout)
+        gems = self.gems
+        grid = GridConfig(5, 5, self.agents, gems, step_limit, layout=layout)
         hyper = Hyperparams(seed=3, alpha_visit_decay=self.decay)
         cfg = RunConfig(grid, ControllerMode(method, planner_on), hyper, episodes=1)
         runs = []
@@ -554,9 +556,9 @@ class TestEpisodeLoop:
             assert visits.keys() == (rows.keys() if self.decay else set())
         records = runs[0][0]
         if ends_by == "limit":
-            assert any(r.steps_used == step_limit and r.gems_dropped < 2 for r in records)
+            assert any(r.steps_used == step_limit and r.gems_dropped < gems for r in records)
         else:
-            assert any(r.gems_dropped == 2 and r.steps_used < step_limit for r in records)
+            assert any(r.gems_dropped == gems and r.steps_used < step_limit for r in records)
 
     def test_a_later_start_stops_at_the_step_limit(self):
         # Three timesteps remain, and no gem can be fetched in three moves.
@@ -572,6 +574,24 @@ class TestEpisodeLoopVisitDecay(TestEpisodeLoop):
     """The same, with the visit-count step size, whose counts the tables keep."""
 
     decay = 100.0
+
+
+class TestEpisodeLoopThreeAgents(TestEpisodeLoop):
+    """The same with three agents and three gems: the other agents' pickups
+    often change the gem cells between an agent's turns, which a successor
+    kept for that agent's next turn must see. The one-timestep side keeps
+    nothing between calls."""
+
+    agents = gems = 3
+
+
+class TestEpisodeLoopMoreGems(TestEpisodeLoop):
+    """The same with two agents and three gems: with the planner on, an
+    agent that deposits is then allocated the gem left over, so its
+    allocation slot changes between its turns, which a successor kept for
+    that turn must see too."""
+
+    gems = 3
 
 
 class TestPlannerCalls:
@@ -624,6 +644,35 @@ class TestPlannerCalls:
         monkeypatch.setattr(planner, "assign", spy)
         result = train(tiny_run(method, episodes=10, gems=2))
         assert len(calls) == result.planner_calls > 0
+
+    @pytest.mark.parametrize("planner_on", [True, False])
+    @pytest.mark.parametrize("method", [Method.FLAT, Method.OPTIONS])
+    def test_one_projection_per_acting_agent_step(self, monkeypatch, method, planner_on):
+        """A learner's update bootstraps from the agent's state at its next
+        turn, so it projects once per acting agent-step, and again only where
+        that state may have moved: once per agent at each episode start and
+        at each pickup or deposit."""
+        calls = Counter()
+        project, step = learner.project, learner.step_agent
+
+        def counting_project(*args):
+            calls["project"] += 1
+            return project(*args)
+
+        def counting_step(*args):
+            world, outcome = step(*args)
+            calls["step_agent"] += 1
+            calls[outcome.event] += 1
+            return world, outcome
+
+        monkeypatch.setattr(learner, "project", counting_project)
+        monkeypatch.setattr(learner, "step_agent", counting_step)
+        agents, episodes = 3, 20
+        grid = GridConfig(7, 7, agents, 3, 100, layout=RandomLayout())
+        train(RunConfig(grid, ControllerMode(method, planner_on), Hyperparams(seed=2), episodes))
+        events = calls[Event.ACQUIRED] + calls[Event.DROPPED]
+        assert events > 0
+        assert calls["project"] <= calls["step_agent"] + agents * (episodes + events)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_planner_off_never_calls_the_planner(self, monkeypatch, method):
@@ -766,13 +815,17 @@ class TestPersistence:
         HEADER.replace("alpha=0.1", "alpha=.1"),
         HEADER.replace("gamma=0.95", "gamma=0_0.95"),
         HEADER.replace("gamma=0.95", "gamma=\u0660.95"),
+        # Only the "# " that write_qtable writes before the settings.
+        HEADER.replace("# mode=", "#mode="),
+        HEADER.replace("# mode=", "### mode="),
+        HEADER.replace("# mode=", "#  mode="),
     ], ids=["planner-word", "repeated-key", "unknown-key", "seed-plus", "seed-leading-zero",
             "seed-fraction", "seed-underscore", "alpha-plus", "alpha-bare-fraction",
-            "gamma-underscore", "gamma-arabic-indic"])
+            "gamma-underscore", "gamma-arabic-indic", "no-space", "three-hashes", "two-spaces"])
     def test_malformed_header_names_line_1(self, tmp_path, header):
         path = tmp_path / "bad.csv"
         path.write_text(header + "\n# option=pickup\nP,0,0,1,1,0,3.5\n")
-        with pytest.raises(ParseError, match=r"bad.csv:1:"):
+        with pytest.raises(ParseError, match=r"bad.csv:1: bad header \("):
             read_qtable(path)
 
     @pytest.mark.parametrize("decay", ["0.0", "-1.0", "nan"])
@@ -1176,3 +1229,45 @@ class TestQTableCodec:
             values.update((field_kinds[2], cell) for cell in cells)
         assert max(values.values()) > 100  # the memo has work to do
         assert set(encoded) == set(values) and set(encoded.values()) == {1}
+
+
+class TestReadPausesTheCollector:
+    """`read_qtable` builds its rows with the cyclic collector paused, and
+    leaves the collector as it found it, also when it refuses the file."""
+
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def path(self, tmp_path, value="3.5"):
+        path = tmp_path / "q.csv"
+        path.write_text(f"{TestPersistence.HEADER}\n# option=pickup\nP,0,0,1,1,0,{value}\n")
+        return path
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_left_as_found(self, tmp_path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert len(read_qtable(self.path(tmp_path))[2][PICKUP_TABLE].rows) == 1
+        assert gc.isenabled() is enabled
+
+    def test_enabled_collector_stays_enabled_after_a_parse_error(self, tmp_path):
+        gc.enable()
+        with pytest.raises(ParseError, match=r"q.csv:3: value "):
+            read_qtable(self.path(tmp_path, "nan"))
+        assert gc.isenabled()
+
+    def test_paused_while_the_rows_are_built(self, tmp_path, monkeypatch):
+        seen = []
+
+        class Codec(abstraction.StateCodec):
+            def parse(self, text):
+                seen.append(gc.isenabled())
+                return super().parse(text)
+
+        monkeypatch.setattr(harness, "StateCodec", Codec)
+        gc.enable()
+        read_qtable(self.path(tmp_path))
+        assert seen == [False] and gc.isenabled()
