@@ -8,14 +8,14 @@ return records and tables: only the file codecs take a path.
 
 `value_iteration_oracle` solves a single sub-task (fetch or deposit)
 exactly over its enumerated projected state space. `SubtaskMDP` keeps no
-dynamics or views of its own: each state-action pair is one `step_agent`
-call projected by the controller's `learner.project`. Transitions are
-deterministic, so Bellman sweeps in order of the goal distance read off
-each state (`SubtaskMDP.distance`, nearest first) settle nearly every
-value in the first pass; the loop exits at the literal fixed point, when
-a sweep changes nothing. A successor is held as its row's index in that
-order, and each row's best value is kept as one number, set as the row
-is written, so a sweep reads one value per successor.
+dynamics or views of its own: a step is one `step_agent` call projected
+by the controller's `learner.project`, made once per agent cell, action
+and whether the move enters the goal cell, not once per state-action
+pair. Transitions are deterministic, so Bellman sweeps of the state
+values in order of the goal distance read off each state
+(`SubtaskMDP.distance`, nearest first) settle nearly every value in the
+first pass; the loop exits at the literal fixed point, when a sweep
+changes no value, and then writes each row once from those values.
 The oracle doubles as the reference for "optimal episode return",
 obtained by rolling its greedy policy through a real episode.
 """
@@ -31,7 +31,7 @@ import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import partial, wraps
 from itertools import chain, product
 from operator import itemgetter
 from pathlib import Path
@@ -44,6 +44,7 @@ from .environment import (
     ConfigError,
     Event,
     GridConfig,
+    Position,
     WorldState,
     gems_deposited,
     reset,
@@ -197,61 +198,115 @@ class SubtaskMDP:
             return None, outcome.reward, True
         return project(world, 0, self.kind, (0,), self.grid.bank), outcome.reward, False
 
+    def goal(self, s: AbstractState) -> Position:
+        """The cell whose entry ends the sub-task: the gem's for fetch, the bank to deposit."""
+        return getattr(s, "gem_pos", self.grid.bank)
+
     def distance(self, s: AbstractState) -> int:
-        """Moves onto the goal cell, the gem's for fetch or the bank: the
-        Manhattan distance, or 2 (off and back) from the goal cell itself."""
-        return manhattan(s.agent_pos, getattr(s, "gem_pos", self.grid.bank)) or 2
+        """Moves onto the goal cell: the Manhattan distance, or 2 (off and
+        back) from the goal cell itself."""
+        return manhattan(s.agent_pos, self.goal(s)) or 2
 
 
 def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
-    """Exact action values for one sub-task by in-place Bellman sweeps in
-    goal-distance order (`SubtaskMDP.distance`), repeated until a sweep
-    changes no value.
+    """Exact action values for one sub-task: in-place Bellman sweeps of the
+    state values in goal-distance order (`SubtaskMDP.distance`), repeated
+    until a sweep changes no value; each row is then written once from
+    those values. The order only makes the sweeps few; the exit test alone
+    certifies the fixed point.
 
-    Each state-action pair is stepped once, through `SubtaskMDP.step`, and
-    kept as its reward and its successor's index in the sweep order (-1
-    when it ends the sub-task); each row's maximum is kept as one value,
-    set once the row is written. The order only makes the sweeps few; the
-    exit test alone certifies the fixed point. Refuses, before building
-    anything, instances beyond `ORACLE_PAIR_LIMIT` state-action pairs.
+    A pair's reward depends only on the agent's cell, the action and
+    whether the move enters the goal cell (`SubtaskMDP.goal`); entering it
+    ends the sub-task, and any other move leads to the state with the agent
+    on the move's cell (`GridConfig.moves`) and the same goal. So
+    `SubtaskMDP.step` runs once per such case, and each step checks its
+    successor against that state. A pair is kept as its reward and its
+    successor's place in the sweep order, -1 when it ends the sub-task,
+    read from one list keyed by the agent's cell id and the goal's number,
+    where the pairs of one cell and action are one slice. Refuses, before
+    building anything, instances beyond `ORACLE_PAIR_LIMIT` pairs.
     """
     mdp = SubtaskMDP(grid, task)
-    cells = grid.width * grid.height
+    width, cells = grid.width, grid.width * grid.height
     pairs = 5 * (cells * (cells - 1) if task == PICKUP_TABLE else cells)
     if pairs > ORACLE_PAIR_LIMIT:
         raise ConfigError(
             f"{pairs} state-action pairs exceed the oracle limit of {ORACLE_PAIR_LIMIT}", "width"
         )
-    q = QTable()
-    rows = q.rows = {s: [0.0] * 5 for s in mdp.states()}
-    # Each state is swept after the states one move nearer its goal.
-    order = sorted(rows, key=mdp.distance)
-    index = {s: i for i, s in enumerate(order)}
-    # Per row in that order: the row, then each action's successor as an index
-    # into that order (-1 for a terminal pair) and its reward.
+    states = mdp.states()
+    # Each state is swept after the states one move nearer its goal: the
+    # i-th state swept is states[order[i]].
+    order = sorted(range(len(states)), key=list(map(mdp.distance, states)).__getitem__)
+    # Cells by id, r * width + c; goal cells by number, in the order of `states`.
+    cell = {(r, c): r * width + c for r in range(grid.height) for c in range(width)}
+    goal_cells = list(map(mdp.goal, states))
+    number = {pos: n for n, pos in enumerate(dict.fromkeys(goal_cells))}
+    goals = len(number)
+    # Per state swept, its key, agent cell id * goals + goal number; per
+    # key, the place in the sweep of the state it names, or -1.
+    keys = [cell[states[k].agent_pos] * goals + number[goal_cells[k]] for k in order]
+    place = [-1] * (cells * goals)
+    for i, key in enumerate(keys):
+        place[key] = i
+
+    def reward(here: int, goal: int, a: int, successor: int) -> int:
+        """The reward of action ``a`` from the state keyed by ``here`` and
+        ``goal``, stepped after checking its successor's place (-1: none)."""
+        s_next, r, _ = mdp.step(states[order[place[here * goals + goal]]], ACTIONS[a])
+        assert s_next == (None if successor < 0 else states[order[successor]]), (here, goal, a)
+        return r
+
+    # Per cell, the goal numbers of the states with the agent on it.
+    present = [[goal for goal, i in enumerate(place[here * goals:(here + 1) * goals]) if i >= 0]
+               for here in range(cells)]
+    # Per action, in sweep order: a column of successor places and one of rewards.
     sweep = []
-    for s in order:
-        entry = [rows[s]]
-        for a in ACTIONS:
-            s_next, reward, terminal = mdp.step(s, a)
-            entry += (-1 if terminal else index[s_next]), reward
-        sweep.append(tuple(entry))
-    del order, index
-    values = [0.0] * len(sweep)  # values[i] is max of row i, set once the row is written
-    while True:
+    for a in range(5):
+        successors, rewards = [], []  # per key
+        for pos, here in cell.items():
+            there_pos = grid.moves[pos][a][0]
+            there = cell[there_pos]
+            # The goal this move enters, if the cell it moves onto is one.
+            entered = number.get(there_pos) if there != here else None
+            # Per goal, the successor's place: the agent on `there`, the goal
+            # the same, or -1 where the move enters the goal.
+            row = place[there * goals:(there + 1) * goals]
+            if entered is not None:
+                row[entered] = -1
+            # Per goal, the reward: stepped from one state whose goal the move
+            # misses, if any, and from the state whose goal it enters, if any.
+            missed = next((goal for goal in present[here] if goal != entered), None)
+            rews = [None if missed is None else reward(here, missed, a, row[missed])] * goals
+            if entered is not None and place[here * goals + entered] >= 0:
+                rews[entered] = reward(here, entered, a, -1)
+            successors += row
+            rewards += rews
+        sweep += list(map(successors.__getitem__, keys)), list(map(rewards.__getitem__, keys))
+    del goal_cells, keys, place, present, successors, rewards
+    values = [0.0] * len(states)  # values[i] is the best value of the i-th state swept
+    changed = True
+    while changed:
         changed = False
-        for i, (row, j0, r0, j1, r1, j2, r2, j3, r3, j4, r4) in enumerate(sweep):
-            new = [r0 if j0 < 0 else r0 + gamma * values[j0],
+        for i, (j0, r0, j1, r1, j2, r2, j3, r3, j4, r4) in enumerate(zip(*sweep)):
+            v = max(r0 if j0 < 0 else r0 + gamma * values[j0],
+                    r1 if j1 < 0 else r1 + gamma * values[j1],
+                    r2 if j2 < 0 else r2 + gamma * values[j2],
+                    r3 if j3 < 0 else r3 + gamma * values[j3],
+                    r4 if j4 < 0 else r4 + gamma * values[j4])
+            if v != values[i]:
+                changed = True
+            values[i] = v
+    rows = [None] * len(states)
+    for k, j0, r0, j1, r1, j2, r2, j3, r3, j4, r4 in zip(order, *sweep):
+        rows[k] = [r0 if j0 < 0 else r0 + gamma * values[j0],
                    r1 if j1 < 0 else r1 + gamma * values[j1],
                    r2 if j2 < 0 else r2 + gamma * values[j2],
                    r3 if j3 < 0 else r3 + gamma * values[j3],
                    r4 if j4 < 0 else r4 + gamma * values[j4]]
-            if new != row:
-                changed = True
-            row[:] = new
-            values[i] = max(new)
-        if not changed:
-            return q
+    del sweep, values
+    q = QTable()
+    q.rows = dict(zip(states, rows))
+    return q
 
 
 def oracle_episode_return(grid: GridConfig, gamma: float = 0.95) -> int:
@@ -389,6 +444,27 @@ def _hyper_header(mode: ControllerMode, hyper: Hyperparams) -> str:
         f"{key}={'none' if value is None else repr(value)}" for key, value in values)
 
 
+def _collector_paused(func):
+    """``func`` run with the cyclic collector paused, which is then left as
+    it was found, also when ``func`` raises. The Q-table codecs hold every
+    row as many small tracked objects, none of them garbage, and each full
+    collection set off while they are built or sorted walks them all, and
+    every other live object too."""
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def write_qtable(
     tables: dict[str, QTable], path: Path, mode: ControllerMode, hyper: Hyperparams
 ) -> None:
@@ -406,7 +482,7 @@ def write_qtable(
     followed there by a digit, ``:`` or ``_``, each of which sorts after the
     ``,`` that ends the shorter state's text in its records. Every state is
     written as text before the file is opened, so a state that cannot be
-    written leaves no file."""
+    written leaves no file. The collector is paused (`_collector_paused`)."""
     serialize, by_text = StateCodec().serialize, itemgetter(0)
     sections = [(key, sorted(zip(map(serialize, table.rows), table.rows.values()), key=by_text))
                 for key, table in sorted(tables.items())]
@@ -476,6 +552,7 @@ def _whole_lines(f) -> Iterator[str]:
     yield rest
 
 
+@_collector_paused
 def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
     """Read a file written by `write_qtable`. Every section must name a table
     of the header's mode, every state must be of that table's projection
@@ -491,22 +568,8 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
     line or a new state. Each state text is parsed once for its run, through
     one `StateCodec` for the file, which decodes each distinct field text
     once, so equal field values are shared between the rows read, as
-    training shares them; each distinct value text is read once too.
-
-    The cyclic collector is paused while the rows are built, and restored
-    as it was found: the rows are many small tracked objects, none of them
-    garbage, and each full collection the read would set off walks them
-    all, and every other live object too."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_rows(path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _read_rows(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
+    training shares them; each distinct value text is read once too. The
+    collector is paused (`_collector_paused`)."""
     tables: dict[str, QTable] = {}
     parse = StateCodec().parse
     with open(path) as f:

@@ -12,7 +12,8 @@ it is first asked for.
 gem in exactly one place. `is_terminal` and `greedy_subtask_return` are
 the tests' own readings of an episode's end and of a sub-task rollout;
 the program needs neither. `reference_read_qtable` is the tests' plain
-statement of what `read_qtable` reads.
+statement of what `read_qtable` reads, and `reference_oracle` of what
+`value_iteration_oracle` solves.
 """
 
 import math
@@ -25,7 +26,7 @@ import pytest
 
 from bankworld import harness
 from bankworld.abstraction import AbstractState, parse_state
-from bankworld.environment import GridConfig, WorldState, gems_deposited
+from bankworld.environment import ACTIONS, GridConfig, WorldState, gems_deposited
 from bankworld.harness import ParseError, RunConfig, SubtaskMDP, evaluate, train
 from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
 
@@ -116,6 +117,29 @@ def reference_read_qtable(path: Path):
         for (state, action), value in entries.items():
             table.rows.setdefault(state, [0.0] * 5)[action] = value
     return mode, hyper, tables
+
+
+def reference_oracle(grid: GridConfig, task: str, gamma: float) -> QTable:
+    """What `harness.value_iteration_oracle` solves, said plainly: every
+    state-action pair stepped through `SubtaskMDP.step`, then in-place
+    sweeps in `SubtaskMDP.distance` order that rewrite each row from the
+    best values of its successors, the best value of a row set as it is
+    written, until a sweep leaves every row equal to what it was."""
+    mdp = SubtaskMDP(grid, task)
+    q = QTable()
+    rows = q.rows = {s: [0.0] * 5 for s in mdp.states()}
+    order = sorted(rows, key=mdp.distance)
+    pairs = {s: [mdp.step(s, a) for a in ACTIONS] for s in order}
+    best = dict.fromkeys(order, 0.0)
+    changed = True
+    while changed:
+        changed = False
+        for s in order:
+            new = [r if terminal else r + gamma * best[s_next] for s_next, r, terminal in pairs[s]]
+            changed = changed or new != rows[s]
+            rows[s][:] = new
+            best[s] = max(new)
+    return q
 
 
 def desk_grid() -> GridConfig:

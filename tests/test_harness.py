@@ -69,7 +69,13 @@ from bankworld.learner import (
     fresh_tables,
 )
 
-from conftest import desk_config, greedy_subtask_return, is_terminal, reference_read_qtable
+from conftest import (
+    desk_config,
+    greedy_subtask_return,
+    is_terminal,
+    reference_oracle,
+    reference_read_qtable,
+)
 
 
 def tiny_run(method=Method.OPTIONS, planner=True, episodes=30, seed=3, gems=1, agents=1):
@@ -452,6 +458,65 @@ class TestOracle:
             else:
                 assert value == reward + gamma * max(q.rows[s_next]), (s, a)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.95, 0.99, 1.0])
+    @pytest.mark.parametrize("noop", [0, -1])
+    @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
+    @given(width=st.integers(3, 8), height=st.integers(3, 8), pick=st.integers(0, 10**6))
+    @settings(max_examples=4, deadline=None)
+    def test_equals_the_reference_solver_bit_for_bit(self, task, noop, gamma, width, height, pick):
+        """The rows of `reference_oracle`, which steps every pair and sweeps
+        whole rows: the same states in the same order, and every value the
+        same to the bit and of the same type. At gamma 1 with no-op reward 0
+        the fixed point is not unique (idling forever keeps any value), so
+        the exact-fixed-point test alone would not tell two of them apart."""
+        inner = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
+        grid = GridConfig(width, height, 1, 1, 100, noop_reward=noop,
+                          bank=inner[pick % len(inner)])
+
+        def exact(q):
+            return [(s, a, type(v), repr(v)) for s, a, v in q.items()]
+
+        want = exact(reference_oracle(grid, task, gamma))
+        assert exact(value_iteration_oracle(grid, task, gamma)) == want
+
+    @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
+    @pytest.mark.parametrize("width, height, bank", [(5, 7, (1, 2)), (15, 15, None)],
+                             ids=["5x7", "15x15"])
+    def test_steps_each_cell_action_and_goal_entry_once(
+        self, task, width, height, bank, monkeypatch
+    ):
+        """`SubtaskMDP.step` runs once per case a pair's reward depends on:
+        the agent's cell, the action, and whether the move enters the goal
+        cell. That is one call per cell and action, and to fetch one more
+        per move onto a cell that is not the bank, where stepping every
+        pair would make 5 x cells x (cells - 1) calls; to deposit, the one
+        state on each cell steps each action once, onto the bank or not."""
+        grid = GridConfig(width, height, 1, 1, 100, bank=bank)
+        mdp = SubtaskMDP(grid, task)
+        step, calls = SubtaskMDP.step, []
+
+        def spy(self, s, a):
+            calls.append((s, a))
+            return step(self, s, a)
+
+        monkeypatch.setattr(SubtaskMDP, "step", spy)
+        value_iteration_oracle(grid, task)
+
+        def case(s, a):
+            there = grid.moves[s.agent_pos][a][0]
+            return s.agent_pos, a, there != s.agent_pos and there == mdp.goal(s)
+
+        cells = width * height
+        stepped = [case(s, a) for s, a in calls]
+        assert len(set(stepped)) == len(stepped) <= 2 * 5 * cells
+        assert set(stepped) == {case(s, a) for s in mdp.states() for a in ACTIONS}
+        if task == PICKUP_TABLE:
+            onto_gems = sum(there not in (pos, grid.bank)
+                            for pos, moves in grid.moves.items() for there, _ in moves)
+            assert len(calls) == 5 * cells + onto_gems
+        else:
+            assert len(calls) == 5 * cells
+
 
 class TestThreshold:
     def rec(self, episode, reward):
@@ -560,15 +625,6 @@ class TestEpisodeLoop:
         else:
             assert any(r.gems_dropped == gems and r.steps_used < step_limit for r in records)
 
-    def test_a_later_start_stops_at_the_step_limit(self):
-        # Three timesteps remain, and no gem can be fetched in three moves.
-        grid = GridConfig(5, 5, 2, 2, 10)
-        state = reset(grid, 0)._replace(step=7)
-        end, _, outcomes = controller_step(state, grid, ControllerMode(Method.RANDOM), {},
-                                           (None, None), 0.0, Hyperparams(), random.Random(0),
-                                           timesteps=50)
-        assert end.step == 10 and len(outcomes) == 3 * 2
-
 
 class TestEpisodeLoopVisitDecay(TestEpisodeLoop):
     """The same, with the visit-count step size, whose counts the tables keep."""
@@ -592,6 +648,20 @@ class TestEpisodeLoopMoreGems(TestEpisodeLoop):
     that turn must see too."""
 
     gems = 3
+
+
+class TestEpisodeLoopStart:
+    """A call that starts mid-episode counts its timesteps from the state's
+    step. Nothing inherits this class, so its test runs once."""
+
+    def test_a_later_start_stops_at_the_step_limit(self):
+        # Three timesteps remain, and no gem can be fetched in three moves.
+        grid = GridConfig(5, 5, 2, 2, 10)
+        state = reset(grid, 0)._replace(step=7)
+        end, _, outcomes = controller_step(state, grid, ControllerMode(Method.RANDOM), {},
+                                           (None, None), 0.0, Hyperparams(), random.Random(0),
+                                           timesteps=50)
+        assert end.step == 10 and len(outcomes) == 3 * 2
 
 
 class TestPlannerCalls:
@@ -1231,16 +1301,17 @@ class TestQTableCodec:
         assert set(encoded) == set(values) and set(encoded.values()) == {1}
 
 
+@pytest.fixture
+def restore_collector():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.usefixtures("restore_collector")
 class TestReadPausesTheCollector:
     """`read_qtable` builds its rows with the cyclic collector paused, and
     leaves the collector as it found it, also when it refuses the file."""
-
-
-    @pytest.fixture(autouse=True)
-    def restore_collector(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
 
     def path(self, tmp_path, value="3.5"):
         path = tmp_path / "q.csv"
@@ -1271,3 +1342,43 @@ class TestReadPausesTheCollector:
         gc.enable()
         read_qtable(self.path(tmp_path))
         assert seen == [False] and gc.isenabled()
+
+
+@pytest.mark.usefixtures("restore_collector")
+class TestWritePausesTheCollector:
+    """`write_qtable` writes with the cyclic collector paused, and leaves the
+    collector as it found it, also when it refuses a table."""
+
+    def write(self, tmp_path, *states):
+        q = QTable()
+        for s in states:
+            q.row(s)
+        path = tmp_path / "q.csv"
+        write_qtable({PICKUP_TABLE: q}, path, ControllerMode(Method.OPTIONS), Hyperparams())
+        return path
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_left_as_found(self, tmp_path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        path = self.write(tmp_path, PickupState((0, 0), (1, 1)))
+        assert len(read_qtable(path)[2][PICKUP_TABLE].rows) == 1
+        assert gc.isenabled() is enabled
+
+    def test_enabled_collector_stays_enabled_after_a_refused_state(self, tmp_path):
+        gc.enable()
+        with pytest.raises(TypeError, match="not an abstract state"):
+            self.write(tmp_path, PickupState((0, 0), (1, 1)), ("not", "a state"))
+        assert gc.isenabled()
+
+    def test_paused_while_the_rows_are_written_as_text(self, tmp_path, monkeypatch):
+        seen = []
+
+        class Codec(abstraction.StateCodec):
+            def serialize(self, s):
+                seen.append(gc.isenabled())
+                return super().serialize(s)
+
+        monkeypatch.setattr(harness, "StateCodec", Codec)
+        gc.enable()
+        self.write(tmp_path, PickupState((0, 0), (1, 1)), PickupState((2, 0), (1, 1)))
+        assert seen == [False, False] and gc.isenabled()
