@@ -256,9 +256,6 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
         assert s_next == (None if successor < 0 else states[order[successor]]), (here, goal, a)
         return r
 
-    # Per cell, the goal numbers of the states with the agent on it.
-    present = [[goal for goal, i in enumerate(place[here * goals:(here + 1) * goals]) if i >= 0]
-               for here in range(cells)]
     # Per action, in sweep order: a column of successor places and one of rewards.
     sweep = []
     for a in range(5):
@@ -273,16 +270,17 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
             row = place[there * goals:(there + 1) * goals]
             if entered is not None:
                 row[entered] = -1
-            # Per goal, the reward: stepped from one state whose goal the move
-            # misses, if any, and from the state whose goal it enters, if any.
-            missed = next((goal for goal in present[here] if goal != entered), None)
+            # Per goal, the reward: stepped from the first state on `here` whose
+            # goal the move misses, if any, and from the one whose goal it enters.
+            own = place[here * goals:(here + 1) * goals]
+            missed = next((goal for goal, i in enumerate(own) if i >= 0 and goal != entered), None)
             rews = [None if missed is None else reward(here, missed, a, row[missed])] * goals
-            if entered is not None and place[here * goals + entered] >= 0:
+            if entered is not None and own[entered] >= 0:
                 rews[entered] = reward(here, entered, a, -1)
             successors += row
             rewards += rews
         sweep += list(map(successors.__getitem__, keys)), list(map(rewards.__getitem__, keys))
-    del goal_cells, keys, place, present, successors, rewards
+    del goal_cells, keys, place, successors, rewards
     values = [0.0] * len(states)  # values[i] is the best value of the i-th state swept
     changed = True
     while changed:
