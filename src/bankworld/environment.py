@@ -206,9 +206,9 @@ class GridConfig:
 
     @cached_property
     def moves(self) -> dict[Position, tuple[tuple[Position, StepOutcome], ...]]:
-        """Per cell, per action index: the cell the agent ends in and the
-        outcome unless the move picks up or deposits. An illegal move or a
-        NoOp leaves the agent where it is. Built at first use."""
+        """Per cell, row by row, per action index: the cell the agent ends
+        in and the outcome unless the move picks up or deposits. An illegal
+        move or a NoOp leaves the agent where it is. Built at first use."""
         idle = IDLE_OUTCOMES[self.noop_reward]
         table = {}
         for r in range(self.height):

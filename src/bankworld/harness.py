@@ -7,17 +7,18 @@ seeds (run seed + run index) and never writes to the tables. The loops
 return records and tables: only the file codecs take a path.
 
 `value_iteration_oracle` solves a single sub-task (fetch or deposit)
-exactly over its enumerated projected state space. `SubtaskMDP` keeps no
+exactly over its enumerated projected state space, each state known by
+its integer key, its index in `SubtaskMDP.states`. `SubtaskMDP` keeps no
 dynamics or views of its own: a step is one `step_agent` call projected
 by the controller's `learner.project`, made once per agent cell, action
 and whether the move enters the goal cell, not once per state-action
 pair. Transitions are deterministic, so Bellman sweeps of the state
-values in order of the goal distance read off each state
-(`SubtaskMDP.distance`, nearest first) settle nearly every value in the
-first pass; the loop exits at the literal fixed point, when a sweep
-changes no value, and then writes each row once from those values.
-The oracle doubles as the reference for "optimal episode return",
-obtained by rolling its greedy policy through a real episode.
+values in order of the goal distance (`SubtaskMDP.distances`, nearest
+first) settle nearly every value in the first pass; the loop exits at
+the literal fixed point, when a sweep changes no value, and then writes
+each row once from those values. The oracle doubles as the reference
+for "optimal episode return", obtained by rolling its greedy policy
+through a real episode.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial, wraps
-from itertools import chain, product
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -61,7 +62,6 @@ from .learner import (
     fresh_tables,
     project,
 )
-from .planner import manhattan
 
 ORACLE_PAIR_LIMIT = 1_000_000
 THRESHOLD_WINDOW = 50
@@ -165,6 +165,26 @@ def evaluate(tables: dict[str, QTable], cfg: RunConfig) -> list[EpisodeRecord]:
     return records
 
 
+def _collector_paused(func):
+    """``func`` run with the cyclic collector paused, which is then left as
+    it was found, also when ``func`` raises. The exact solver and the
+    Q-table codecs build many small tracked objects, none of them garbage,
+    and each full collection set off while they are built walks them all,
+    and every other live object too."""
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 # --------------------------- exact solver ---------------------------
 
 
@@ -173,20 +193,31 @@ class SubtaskMDP:
     controller sees it: `environment.step_agent` on a one-agent world, its
     successor projected by `learner.project` into a state of that table's
     kind (`ControllerMode.projection`). The goal event, pickup or deposit,
-    ends the sub-task, as it does for the options learner.
-    """
+    ends the sub-task, as it does for the options learner. Cells go by id,
+    ``r * width + c``, the order of `GridConfig.moves`."""
 
     def __init__(self, grid: GridConfig, task: str):
         if task not in OPTIONS_MODE.table_keys():
             raise ConfigError(f"unknown sub-task {task!r}")
         self.grid, self.task, self.kind = grid, task, OPTIONS_MODE.projection(task)
 
+    def goal_cells(self) -> list[Position]:
+        """The cells whose entry ends the sub-task, by number: to fetch, every
+        cell but the bank, where the gem may lie, by id; to deposit, the bank."""
+        bank = self.grid.bank
+        return [p for p in self.grid.moves if p != bank] if self.task == PICKUP_TABLE else [bank]
+
     def states(self) -> list[AbstractState]:
-        """Each field over every cell, leftmost outermost; no gem on the bank."""
-        g = self.grid
-        cells = [(r, c) for r in range(g.height) for c in range(g.width)]
-        states = map(self.kind._make, product(cells, repeat=len(self.kind._fields)))
-        return [s for s in states if getattr(s, "gem_pos", None) != g.bank]
+        """Per agent cell by id, the state of each goal cell by number: the
+        state at index k has the key k, agent cell id * goals + goal number."""
+        rests = [(gem,) for gem in self.goal_cells()] if self.task == PICKUP_TABLE else [()]
+        return [_new(self.kind, (agent,) + rest) for agent in self.grid.moves for rest in rests]
+
+    def distances(self) -> list[int]:
+        """Per state of `states`, in order, the moves onto its goal cell: the
+        Manhattan distance, or 2 (off and back) from the goal cell itself."""
+        goals = self.goal_cells()
+        return [abs(r - gr) + abs(c - gc) or 2 for r, c in self.grid.moves for gr, gc in goals]
 
     def step(self, s: AbstractState, a: Action) -> tuple[Optional[AbstractState], int, bool]:
         # One agent and one gem: on its cell to fetch, in the agent's hands to deposit.
@@ -198,61 +229,48 @@ class SubtaskMDP:
             return None, outcome.reward, True
         return project(world, 0, self.kind, (0,), self.grid.bank), outcome.reward, False
 
-    def goal(self, s: AbstractState) -> Position:
-        """The cell whose entry ends the sub-task: the gem's for fetch, the bank to deposit."""
-        return getattr(s, "gem_pos", self.grid.bank)
 
-    def distance(self, s: AbstractState) -> int:
-        """Moves onto the goal cell: the Manhattan distance, or 2 (off and
-        back) from the goal cell itself."""
-        return manhattan(s.agent_pos, self.goal(s)) or 2
-
-
+@_collector_paused
 def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
     """Exact action values for one sub-task: in-place Bellman sweeps of the
-    state values in goal-distance order (`SubtaskMDP.distance`), repeated
+    state values in goal-distance order (`SubtaskMDP.distances`), repeated
     until a sweep changes no value; each row is then written once from
     those values. The order only makes the sweeps few; the exit test alone
     certifies the fixed point.
 
     A pair's reward depends only on the agent's cell, the action and
-    whether the move enters the goal cell (`SubtaskMDP.goal`); entering it
-    ends the sub-task, and any other move leads to the state with the agent
-    on the move's cell (`GridConfig.moves`) and the same goal. So
-    `SubtaskMDP.step` runs once per such case, and each step checks its
-    successor against that state. A pair is kept as its reward and its
-    successor's place in the sweep order, -1 when it ends the sub-task,
-    read from one list keyed by the agent's cell id and the goal's number,
-    where the pairs of one cell and action are one slice. Refuses, before
-    building anything, instances beyond `ORACLE_PAIR_LIMIT` pairs.
+    whether the move enters the goal cell; entering it ends the sub-task,
+    and any other move leads to the state with the agent on the move's
+    cell (`GridConfig.moves`) and the same goal. So `SubtaskMDP.step` runs
+    once per such case, and each step checks its successor against that
+    state. A state is known by its key, its index in `SubtaskMDP.states`,
+    so the successors of one cell and action are one slice of the places
+    in the sweep order by key. A pair is kept as its reward and its
+    successor's place, -1 when it ends the sub-task. The collector is
+    paused (`_collector_paused`). Refuses, before building anything,
+    instances beyond `ORACLE_PAIR_LIMIT` pairs.
     """
     mdp = SubtaskMDP(grid, task)
-    width, cells = grid.width, grid.width * grid.height
-    pairs = 5 * (cells * (cells - 1) if task == PICKUP_TABLE else cells)
+    fetch, width, cells = task == PICKUP_TABLE, grid.width, grid.width * grid.height
+    goals = cells - 1 if fetch else 1
+    pairs = 5 * cells * goals
     if pairs > ORACLE_PAIR_LIMIT:
         raise ConfigError(
             f"{pairs} state-action pairs exceed the oracle limit of {ORACLE_PAIR_LIMIT}", "width"
         )
     states = mdp.states()
     # Each state is swept after the states one move nearer its goal: the
-    # i-th state swept is states[order[i]].
-    order = sorted(range(len(states)), key=list(map(mdp.distance, states)).__getitem__)
-    # Cells by id, r * width + c; goal cells by number, in the order of `states`.
-    cell = {(r, c): r * width + c for r in range(grid.height) for c in range(width)}
-    goal_cells = list(map(mdp.goal, states))
-    number = {pos: n for n, pos in enumerate(dict.fromkeys(goal_cells))}
-    goals = len(number)
-    # Per state swept, its key, agent cell id * goals + goal number; per
-    # key, the place in the sweep of the state it names, or -1.
-    keys = [cell[states[k].agent_pos] * goals + number[goal_cells[k]] for k in order]
-    place = [-1] * (cells * goals)
-    for i, key in enumerate(keys):
-        place[key] = i
+    # i-th state swept is states[order[i]], and states[k] is swept place[k]-th.
+    order = sorted(range(len(states)), key=mdp.distances().__getitem__)
+    place = [0] * len(states)
+    for i, k in enumerate(order):
+        place[k] = i
+    bank = grid.bank[0] * width + grid.bank[1]
 
     def reward(here: int, goal: int, a: int, successor: int) -> int:
         """The reward of action ``a`` from the state keyed by ``here`` and
         ``goal``, stepped after checking its successor's place (-1: none)."""
-        s_next, r, _ = mdp.step(states[order[place[here * goals + goal]]], ACTIONS[a])
+        s_next, r, _ = mdp.step(states[here * goals + goal], ACTIONS[a])
         assert s_next == (None if successor < 0 else states[order[successor]]), (here, goal, a)
         return r
 
@@ -260,11 +278,13 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
     sweep = []
     for a in range(5):
         successors, rewards = [], []  # per key
-        for pos, here in cell.items():
-            there_pos = grid.moves[pos][a][0]
-            there = cell[there_pos]
-            # The goal this move enters, if the cell it moves onto is one.
-            entered = number.get(there_pos) if there != here else None
+        for here, moves in enumerate(grid.moves.values()):
+            (r, c), _ = moves[a]
+            there = r * width + c
+            # The goal this move enters, if the cell it moves onto is one:
+            # numbered by id with the bank skipped to fetch, the bank to deposit.
+            onto_goal = there != here and (there != bank if fetch else there == bank)
+            entered = (there - (there > bank) if fetch else 0) if onto_goal else None
             # Per goal, the successor's place: the agent on `there`, the goal
             # the same, or -1 where the move enters the goal.
             row = place[there * goals:(there + 1) * goals]
@@ -272,15 +292,14 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
                 row[entered] = -1
             # Per goal, the reward: stepped from the first state on `here` whose
             # goal the move misses, if any, and from the one whose goal it enters.
-            own = place[here * goals:(here + 1) * goals]
-            missed = next((goal for goal, i in enumerate(own) if i >= 0 and goal != entered), None)
-            rews = [None if missed is None else reward(here, missed, a, row[missed])] * goals
-            if entered is not None and own[entered] >= 0:
+            missed = 1 if entered == 0 else 0
+            rews = [reward(here, missed, a, row[missed]) if missed < goals else None] * goals
+            if entered is not None:
                 rews[entered] = reward(here, entered, a, -1)
             successors += row
             rewards += rews
-        sweep += list(map(successors.__getitem__, keys)), list(map(rewards.__getitem__, keys))
-    del goal_cells, keys, place, successors, rewards
+        sweep += list(map(successors.__getitem__, order)), list(map(rewards.__getitem__, order))
+    del place, successors, rewards
     values = [0.0] * len(states)  # values[i] is the best value of the i-th state swept
     changed = True
     while changed:
@@ -440,26 +459,6 @@ def _hyper_header(mode: ControllerMode, hyper: Hyperparams) -> str:
     values = ((key, getattr(hyper, key)) for key in _HEADER_FIELDS)
     return f"# mode={mode.method.value} planner={planner} " + " ".join(
         f"{key}={'none' if value is None else repr(value)}" for key, value in values)
-
-
-def _collector_paused(func):
-    """``func`` run with the cyclic collector paused, which is then left as
-    it was found, also when ``func`` raises. The Q-table codecs hold every
-    row as many small tracked objects, none of them garbage, and each full
-    collection set off while they are built or sorted walks them all, and
-    every other live object too."""
-
-    @wraps(func)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
 
 
 @_collector_paused

@@ -12,14 +12,16 @@ it is first asked for.
 gem in exactly one place. `is_terminal` and `greedy_subtask_return` are
 the tests' own readings of an episode's end and of a sub-task rollout;
 the program needs neither. `reference_read_qtable` is the tests' plain
-statement of what `read_qtable` reads, and `reference_oracle` of what
-`value_iteration_oracle` solves.
+statement of what `read_qtable` reads, `reference_oracle` of what
+`value_iteration_oracle` solves, and `reference_states` of the states
+`SubtaskMDP.states` lists.
 """
 
 import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -122,13 +124,14 @@ def reference_read_qtable(path: Path):
 def reference_oracle(grid: GridConfig, task: str, gamma: float) -> QTable:
     """What `harness.value_iteration_oracle` solves, said plainly: every
     state-action pair stepped through `SubtaskMDP.step`, then in-place
-    sweeps in `SubtaskMDP.distance` order that rewrite each row from the
+    sweeps in `SubtaskMDP.distances` order that rewrite each row from the
     best values of its successors, the best value of a row set as it is
     written, until a sweep leaves every row equal to what it was."""
     mdp = SubtaskMDP(grid, task)
     q = QTable()
-    rows = q.rows = {s: [0.0] * 5 for s in mdp.states()}
-    order = sorted(rows, key=mdp.distance)
+    states = mdp.states()
+    rows = q.rows = {s: [0.0] * 5 for s in states}
+    order = sorted(rows, key=dict(zip(states, mdp.distances())).__getitem__)
     pairs = {s: [mdp.step(s, a) for a in ACTIONS] for s in order}
     best = dict.fromkeys(order, 0.0)
     changed = True
@@ -140,6 +143,16 @@ def reference_oracle(grid: GridConfig, task: str, gamma: float) -> QTable:
             rows[s][:] = new
             best[s] = max(new)
     return q
+
+
+def reference_states(grid: GridConfig, task: str) -> list[AbstractState]:
+    """What `SubtaskMDP.states` lists, said plainly: each field of the
+    sub-task's state kind over every cell, leftmost outermost, and no gem
+    on the bank."""
+    kind = ControllerMode(Method.OPTIONS).projection(task)
+    cells = [(r, c) for r in range(grid.height) for c in range(grid.width)]
+    states = map(kind._make, product(cells, repeat=len(kind._fields)))
+    return [s for s in states if getattr(s, "gem_pos", None) != grid.bank]
 
 
 def desk_grid() -> GridConfig:

@@ -75,6 +75,7 @@ from conftest import (
     is_terminal,
     reference_oracle,
     reference_read_qtable,
+    reference_states,
 )
 
 
@@ -308,9 +309,9 @@ class TestOracle:
     )
     @settings(max_examples=25, deadline=None)
     def test_distance_is_the_fewest_steps_to_the_goal(self, width, height, pick):
-        """The solver's sweep order rests on it: `SubtaskMDP.distance` equals
-        the fewest `step` calls from the state to a terminal transition,
-        found here breadth-first over predecessors, for every state."""
+        """The solver's sweep order rests on it: `SubtaskMDP.distances` gives
+        each state the fewest `step` calls from it to a terminal transition,
+        found here breadth-first over predecessors."""
         inner = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
         grid = GridConfig(width, height, 1, 1, 100, bank=inner[pick % len(inner)])
         for task in (PICKUP_TABLE, DROP_TABLE):
@@ -331,7 +332,28 @@ class TestOracle:
                     if p not in fewest:
                         fewest[p] = fewest[s] + 1
                         queue.append(p)
-            assert fewest == {s: mdp.distance(s) for s in states}
+            assert fewest == dict(zip(states, mdp.distances()))
+
+    @given(width=st.integers(3, 9), height=st.integers(3, 9), pick=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_states_are_listed_by_key(self, width, height, pick):
+        """`SubtaskMDP.states` lists the states of `reference_states`, in its
+        order, and the state at index k has the key k: its agent's cell id,
+        r * width + c, times the number of goal cells, plus its goal's
+        number, goals numbered as they first appear (`goal_cells`)."""
+        inner = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
+        grid = GridConfig(width, height, 1, 1, 100, bank=inner[pick % len(inner)])
+        for task in (PICKUP_TABLE, DROP_TABLE):
+            mdp = SubtaskMDP(grid, task)
+            states = mdp.states()
+            assert states == reference_states(grid, task)
+            assert {type(s) for s in states} == {mdp.kind}
+            goal_of = [getattr(s, "gem_pos", grid.bank) for s in states]
+            number = {goal: n for n, goal in enumerate(dict.fromkeys(goal_of))}
+            assert list(number) == mdp.goal_cells()
+            keys = [(s.agent_pos[0] * width + s.agent_pos[1]) * len(number) + number[goal]
+                    for s, goal in zip(states, goal_of)]
+            assert keys == list(range(len(states)))
 
     def test_looping_greedy_rollout_reports_negative_infinity(self):
         grid = three_by_three()
@@ -504,7 +526,8 @@ class TestOracle:
 
         def case(s, a):
             there = grid.moves[s.agent_pos][a][0]
-            return s.agent_pos, a, there != s.agent_pos and there == mdp.goal(s)
+            goal = s.gem_pos if task == PICKUP_TABLE else grid.bank
+            return s.agent_pos, a, there != s.agent_pos and there == goal
 
         cells = width * height
         stepped = [case(s, a) for s, a in calls]
@@ -1306,6 +1329,37 @@ def restore_collector():
     enabled = gc.isenabled()
     yield
     (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.usefixtures("restore_collector")
+class TestOraclePausesTheCollector:
+    """`value_iteration_oracle` solves with the cyclic collector paused, and
+    leaves the collector as it found it, also when it refuses an instance."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_left_as_found(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert len(value_iteration_oracle(three_by_three(), PICKUP_TABLE)) == 5 * 9 * 8
+        assert gc.isenabled() is enabled
+
+    def test_enabled_collector_stays_enabled_after_a_refused_instance(self, monkeypatch):
+        monkeypatch.setattr(harness, "ORACLE_PAIR_LIMIT", 5 * 9 - 1)
+        gc.enable()
+        with pytest.raises(ConfigError, match="exceed the oracle limit"):
+            value_iteration_oracle(three_by_three(), DROP_TABLE)
+        assert gc.isenabled()
+
+    def test_paused_while_the_pairs_are_stepped(self, monkeypatch):
+        seen, step = [], SubtaskMDP.step
+
+        def spy(self, s, a):
+            seen.append(gc.isenabled())
+            return step(self, s, a)
+
+        monkeypatch.setattr(SubtaskMDP, "step", spy)
+        gc.enable()
+        value_iteration_oracle(three_by_three(), DROP_TABLE)
+        assert seen and not any(seen) and gc.isenabled()
 
 
 @pytest.mark.usefixtures("restore_collector")
