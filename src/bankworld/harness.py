@@ -131,12 +131,34 @@ def _run_episode(
     return EpisodeRecord(episode, total, state.step, gems_deposited(state), recorded_eps)
 
 
+def _collector_paused(func):
+    """``func`` run with the cyclic collector paused, which is then left as
+    it was found, also when ``func`` raises. Training, the exact solver and
+    the Q-table codecs build many small tracked objects, none of them garbage,
+    and each full collection set off while they are built walks them all,
+    and every other live object too."""
+
+    @wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def train(cfg: RunConfig) -> TrainResult:
     """Run the full training budget and return tables plus the log.
 
     Random-policy runs learn nothing and return empty tables; their
     records carry epsilon 1.0 (every action is a uniform draw). With the
-    planner on, the controller consults it once per agent per step.
+    planner on, the controller consults it once per agent per step. The
+    collector is paused (`_collector_paused`).
     """
     tables = fresh_tables(cfg.mode)
     rng = random.Random(cfg.hyper.seed)
@@ -163,26 +185,6 @@ def evaluate(tables: dict[str, QTable], cfg: RunConfig) -> list[EpisodeRecord]:
         seed = cfg.hyper.seed + run
         records.append(_run_episode(cfg, tables, 0.0, random.Random(seed), seed, run, learn=False))
     return records
-
-
-def _collector_paused(func):
-    """``func`` run with the cyclic collector paused, which is then left as
-    it was found, also when ``func`` raises. The exact solver and the
-    Q-table codecs build many small tracked objects, none of them garbage,
-    and each full collection set off while they are built walks them all,
-    and every other live object too."""
-
-    @wraps(func)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
 
 
 # --------------------------- exact solver ---------------------------

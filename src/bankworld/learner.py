@@ -10,11 +10,12 @@ pick the agent's option with `option_for_agent`, choose an action
 (uniformly for the random baseline, else epsilon-greedily from the state
 `project` gives), apply it, and update the executing table. Then it
 bumps the step, and it stops after the timestep that reaches the step
-limit or the last deposit. A learner makes one projection per acting
-agent-step: the successor an update bootstraps from is kept as the
-agent's state at its next turn, unless something it was projected from
-has changed by then. An option is named by its options-mode table key,
-`PICKUP_TABLE` (fetch) or `DROP_TABLE` (deposit); None means idle.
+limit or the last deposit. A learner's update bootstraps from the
+successor of a step that changes the world, projected and looked up once
+and kept with its row as the agent's state at its next turn while what it
+was projected from is unchanged; a NoOp or illegal move bootstraps from
+the state and row it acted from. An option is named by its options-mode
+table key, `PICKUP_TABLE` (fetch) or `DROP_TABLE` (deposit); None is idle.
 A sub-task ends the moment its goal event fires (pickup for fetch,
 deposit for drop); that transition is updated with a terminal bootstrap,
 and a deposit also frees the depositing agent's slot of ``alloc``.
@@ -163,9 +164,7 @@ class QTable:
         return 0.0 if row is None else max(row)
 
     def best_action(self, s: AbstractState) -> Action:
-        row = self.rows.get(s)
-        # index() finds the first maximum: ties go to the lowest action.
-        return Action.UP if row is None else ACTIONS[row.index(max(row))]
+        return select_action(self.rows.get(s), 0.0, None)
 
     def row(self, s: AbstractState) -> list[float]:
         row = self.rows.get(s)
@@ -199,40 +198,37 @@ def _uniform_action(rng: random.Random) -> Action:
     return ACTIONS[a]
 
 
-def select_action(q: QTable, s: AbstractState, epsilon: float, rng: random.Random) -> Action:
-    """Epsilon-greedy: uniform with probability epsilon, else the argmax
+def select_action(row: Optional[list[float]], epsilon: float, rng: random.Random) -> Action:
+    """Epsilon-greedy over the state's row (None while it has none, which
+    reads as all 0.0): uniform with probability epsilon, else the argmax
     with ties broken toward the lowest action index."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return _uniform_action(rng)
-    return q.best_action(s)
+    # index() finds the first maximum: ties go to the lowest action.
+    return Action.UP if row is None else ACTIONS[row.index(max(row))]
 
 
 def td_update(
-    q: QTable,
-    s: AbstractState,
+    row: list[float],
     a: Action,
     r: float,
-    s_next: Optional[AbstractState],
+    next_row: Optional[list[float]],
     terminal: bool,
     h: Hyperparams,
-) -> QTable:
-    """One-step update toward ``r + gamma * max_a' q(s_next, a')``.
-
-    Terminal transitions bootstrap with 0 and never read ``s_next``.
-    The table is updated in place and returned.
+    visits: Optional[list[int]] = None,
+) -> None:
+    """In-place update of ``row[a]`` toward ``r + gamma * max(next_row)``,
+    where a successor with no row (None) reads as 0.0; terminal transitions
+    bootstrap with 0 and never read ``next_row``. ``visits``, the state's
+    `QTable.visits` row, is read and bumped only under ``alpha_visit_decay``.
     """
-    target = r if terminal else r + h.gamma * q.best_value(s_next)
-    row = q.row(s)
+    target = r if terminal else r + h.gamma * (0.0 if next_row is None else max(next_row))
     if h.alpha_visit_decay is None:
         alpha = h.alpha
     else:
-        visits = q.visits.get(s)
-        if visits is None:
-            visits = q.visits[s] = [0] * 5
         alpha = 1.0 / (1.0 + visits[a] / h.alpha_visit_decay)
         visits[a] += 1
     row[a] += alpha * (target - row[a])
-    return q
 
 
 def option_for_agent(
@@ -286,32 +282,36 @@ def controller_step(
     Returns the new world state, the updated allocation, and one outcome
     per agent-step. ``learn=False`` (evaluation) skips all table writes.
     With the planner on, `planner.assign` runs once per agent-step. A
-    learning call makes one projection per acting agent-step, and one more
-    at an agent's first turn, after its terminal update, and where a pickup
-    or a new allocation slot changed what its kept successor was projected
-    from.
+    learning call makes one projection per acting agent-step that changes
+    the world, and one more at an agent's first turn, after its terminal
+    update, and where a pickup or a new allocation slot changed what its
+    kept successor was projected from. It looks each projection's row up
+    once, and a kept successor's row again only if it had none then.
     """
     outcomes: list[StepOutcome] = []
     method, bank = mode.method, config.bank
     random_policy = method is _RANDOM
     learning = learn and not random_policy
+    decay = h.alpha_visit_decay
     alloc = assignment if mode.planner_enabled else None
     parked = IDLE_OUTCOMES[config.noop_reward]
-    # Each option's executing table and the row kind that table sees.
-    executing = {option: (tables[key], mode.projection(key))
+    # Each option's executing table, as its rows and visits, and row kind.
+    executing = {option: (tables[key].rows, tables[key].visits, mode.projection(key))
                  for option, key in zip((PICKUP_TABLE, DROP_TABLE), _OPTION_TABLES[method])}
     # Read per call, not at import, so that rebinding these names takes effect.
     assign, release, move, update = plan.assign, plan.release, step_agent, td_update
     # No timestep reads state.step (step_agent copies it; the projections and
     # assign ignore it), so it and the deposited count are kept here.
     step, deposited, num_gems = state.step, gems_deposited(state), config.num_gems
-    # Per agent, the successor its last update bootstrapped from, with the
-    # gem cells, allocation slot and row kind it was projected under; None
-    # after a terminal update, which projects no successor. Besides those
+    # Per agent, the successor its last update bootstrapped from and its row
+    # (None if it had none), with the gem cells, allocation slot and row kind
+    # it was projected under; None after a terminal update. Besides those
     # three, `project` reads only the bank and the agent's own cell and load,
     # which only its own move changes; so while the three are unchanged at
     # the agent's next turn, the kept state is its state then. Only a pickup
-    # replaces the gem cells tuple.
+    # replaces the gem cells tuple. A move that returns the state it was
+    # given changes none of it and deposits nothing: its successor is the
+    # state acted from.
     kept: list[Optional[tuple]] = [None] * config.num_agents
 
     for _ in range(timesteps):
@@ -329,14 +329,18 @@ def controller_step(
             if random_policy:
                 action = _uniform_action(rng)
             else:
-                table, kind = executing[option]
+                rows, visits, kind = executing[option]
                 last = kept[agent]
-                if last is not None and last[1] is state.gem_cells and last[2] == gem \
-                        and last[3] is kind:
-                    s = last[0]
+                if last is not None and last[2] is state.gem_cells and last[3] == gem \
+                        and last[4] is kind:
+                    s, row = last[0], last[1]
+                    if row is None:
+                        # Another agent may have made it since.
+                        row = rows.get(s)
                 else:
                     s = project(state, agent, kind, alloc, bank)
-                action = select_action(table, s, epsilon, rng)
+                    row = rows.get(s)
+                action = select_action(row, epsilon, rng)
             next_state, outcome = move(state, config, agent, action, gem)
             event = outcome.event
 
@@ -350,13 +354,20 @@ def controller_step(
                     terminal = event is _ACQUIRED or event is _DROPPED
                 else:
                     terminal = deposited == num_gems
+                if row is None:
+                    row = rows[s] = [0.0] * 5
                 if terminal:
-                    s_next = kept[agent] = None
+                    next_row = kept[agent] = None
+                elif next_state is state:
+                    next_row = row
+                    kept[agent] = (s, row, state.gem_cells, gem, kind)
                 else:
                     s_next = project(next_state, agent, kind, alloc, bank)
-                    kept[agent] = (s_next, next_state.gem_cells,
+                    next_row = rows.get(s_next)
+                    kept[agent] = (s_next, next_row, next_state.gem_cells,
                                    None if alloc is None else alloc[agent], kind)
-                update(table, s, action, outcome.reward, s_next, terminal, h)
+                update(row, action, outcome.reward, next_row, terminal, h,
+                       None if decay is None else visits.setdefault(s, [0] * 5))
 
             state = next_state
             outcomes.append(outcome)

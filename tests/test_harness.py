@@ -767,6 +767,68 @@ class TestPlannerCalls:
         assert events > 0
         assert calls["project"] <= calls["step_agent"] + agents * (episodes + events)
 
+    @pytest.mark.parametrize("method, planner_on",
+                             [(Method.FLAT, True), (Method.OPTIONS, True), (Method.OPTIONS, False)])
+    def test_rows_are_read_once_per_projection(self, monkeypatch, method, planner_on):
+        """A move that returns the state it was given projects no successor,
+        and the rows are read once per projection, plus once per successor
+        kept without a row, which another agent may have made since."""
+        events, reads = [], Counter()
+
+        class CountingRows(dict):
+            def get(self, key, default=None):
+                reads["rows"] += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                reads["rows"] += 1
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                reads["rows"] += 1
+                return super().__contains__(key)
+
+        project, step, update = learner.project, learner.step_agent, learner.td_update
+
+        def counting_project(*args):
+            events.append("project")
+            return project(*args)
+
+        def counting_step(world, *args):
+            after, outcome = step(world, *args)
+            events.append("same" if after is world else "moved")
+            return after, outcome
+
+        def counting_update(row, a, r, next_row, terminal, *args):
+            events.append("update")
+            reads["rowless"] += next_row is None and not terminal
+            return update(row, a, r, next_row, terminal, *args)
+
+        monkeypatch.setattr(learner, "project", counting_project)
+        monkeypatch.setattr(learner, "step_agent", counting_step)
+        monkeypatch.setattr(learner, "td_update", counting_update)
+        cfg = desk_config(1, method, planner_on)
+        tables = fresh_tables(cfg.mode)
+        for table in tables.values():
+            table.rows = CountingRows()
+        rng = random.Random(1)
+        for episode in range(3):
+            harness._run_episode(cfg, tables, 0.5, rng, episode, episode, learn=True)
+        # A projection between a move and its update is that move's successor.
+        successors, window = Counter(), None
+        for event in events:
+            if event == "update":
+                successors[tuple(window)] += 1
+                window = None
+            elif event != "project":
+                window = [event, 0]
+            elif window is not None:
+                window[1] += 1
+        assert successors[("same", 0)] > 0 and successors[("moved", 1)] > 0
+        assert set(successors) <= {("same", 0), ("moved", 0), ("moved", 1)}
+        projections = events.count("project")
+        assert projections <= reads["rows"] <= projections + reads["rowless"]
+
     @pytest.mark.parametrize("method", list(Method))
     def test_planner_off_never_calls_the_planner(self, monkeypatch, method):
         def refuse(*args):
@@ -1359,6 +1421,30 @@ class TestOraclePausesTheCollector:
         monkeypatch.setattr(SubtaskMDP, "step", spy)
         gc.enable()
         value_iteration_oracle(three_by_three(), DROP_TABLE)
+        assert seen and not any(seen) and gc.isenabled()
+
+
+@pytest.mark.usefixtures("restore_collector")
+class TestTrainPausesTheCollector:
+    """`train` runs with the cyclic collector paused, and leaves the
+    collector as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_left_as_found(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert len(train(tiny_run(episodes=3)).records) == 3
+        assert gc.isenabled() is enabled
+
+    def test_paused_during_every_step(self, monkeypatch):
+        seen, step = [], learner.step_agent
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return step(*args)
+
+        monkeypatch.setattr(learner, "step_agent", spy)
+        gc.enable()
+        train(tiny_run(episodes=3))
         assert seen and not any(seen) and gc.isenabled()
 
 

@@ -47,28 +47,34 @@ S2 = PickupState((0, 1), (1, 1))
 class TestSelectAction:
     def test_argmax(self):
         q = table_with(S, [0.1, 0.5, 0.2, 0.0, 0.0])
-        assert select_action(q, S, 0.0, None) is Action.DOWN
+        assert select_action(q.rows[S], 0.0, None) is Action.DOWN
         f = FlatState((0, 0), (1, 1), False)
         row = [0.5, 1.25, 7.5, 2.0, 3.0]
         # a unique maximizer, kept under positive scaling
         for values in ([0.0, 1.0, 7.0, 2.0, 3.0], row, [12.0 * v for v in row]):
-            assert select_action(table_with(f, values), f, 0.0, None) is Action.LEFT
+            assert select_action(table_with(f, values).rows[f], 0.0, None) is Action.LEFT
 
     def test_fresh_table_ties_to_up(self):
-        assert select_action(QTable(), S, 0.0, None) is Action.UP
+        assert select_action(QTable().rows.get(S), 0.0, None) is Action.UP
         for s in (PickupState((0, 0), (4, 4)), DropState((3, 3))):
-            assert select_action(QTable(), s, 0.0, None) is Action.UP
-        assert select_action(table_with(S, [2.0] * 5), S, 0.0, None) is Action.UP
+            assert select_action(QTable().rows.get(s), 0.0, None) is Action.UP
+        assert select_action(table_with(S, [2.0] * 5).rows[S], 0.0, None) is Action.UP
 
     def test_uniform_when_epsilon_one(self):
         rng = random.Random(123)
         counts = [0] * 5
         q = QTable()
         for _ in range(100_000):
-            counts[select_action(q, S, 1.0, rng)] += 1
+            counts[select_action(q.rows.get(S), 1.0, rng)] += 1
         sigma = math.sqrt(0.2 * 0.8 / 100_000)
         for count in counts:
             assert abs(count / 100_000 - 0.2) <= 3 * sigma
+
+    def test_best_action_is_the_greedy_choice(self):
+        for values in ([0.1, 0.5, 0.2, 0.0, 0.0], [2.0] * 5, [0.0, 1.0, 7.0, 7.0, 3.0]):
+            q = table_with(S, values)
+            assert q.best_action(S) is select_action(q.rows[S], 0.0, None)
+        assert QTable().best_action(S) is Action.UP
 
 
 class TestTdUpdate:
@@ -76,42 +82,48 @@ class TestTdUpdate:
         h = Hyperparams(alpha=0.5, gamma=0.9)
         q = QTable()
         q.row(S2)[:] = [10.0, 1.0, 0.0, 0.0, 0.0]
-        td_update(q, S, Action.UP, -1, S2, terminal=False, h=h)
+        td_update(q.row(S), Action.UP, -1, q.rows[S2], terminal=False, h=h)
         assert q.get(S, Action.UP) == pytest.approx(4.0)
+
+    def test_successor_without_a_row_bootstraps_from_zero(self):
+        h = Hyperparams(alpha=0.5, gamma=0.9)
+        q = table_with(S, [2.0, 0.0, 0.0, 0.0, 0.0])
+        td_update(q.rows[S], Action.UP, -1, q.rows.get(S2), terminal=False, h=h)
+        assert q.get(S, Action.UP) == pytest.approx(2.0 + 0.5 * (-1 + 0.9 * 0.0 - 2.0))
 
     def test_terminal_target(self):
         h = Hyperparams(alpha=0.1)
         q = table_with(S, [2.0, 0.0, 0.0, 0.0, 0.0])
-        td_update(q, S, Action.UP, 500, None, terminal=True, h=h)
+        td_update(q.rows[S], Action.UP, 500, None, terminal=True, h=h)
         assert q.get(S, Action.UP) == pytest.approx(51.8)
 
     def test_zero_alpha_freezes_table(self):
         h = Hyperparams(alpha=0.0)
         q = table_with(S, [2.0, 3.0, 4.0, 5.0, 6.0])
-        td_update(q, S, Action.LEFT, 500, S2, terminal=False, h=h)
+        td_update(q.rows[S], Action.LEFT, 500, q.rows.get(S2), terminal=False, h=h)
         assert q.rows[S] == [2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_terminal_never_reads_next_state(self):
         h = Hyperparams(alpha=0.1, gamma=0.95)
         poisoned = table_with(S2, [float("nan")] * 5)
-        td_update(poisoned, S, Action.UP, 50, S2, terminal=True, h=h)
+        td_update(poisoned.row(S), Action.UP, 50, poisoned.rows[S2], terminal=True, h=h)
         assert poisoned.get(S, Action.UP) == pytest.approx(5.0)
 
     def test_visit_decay_schedule(self):
         h = Hyperparams(alpha_visit_decay=100.0)
-        q = QTable()
-        td_update(q, S, Action.UP, 10, None, terminal=True, h=h)
-        assert q.get(S, Action.UP) == pytest.approx(10.0)  # first visit: alpha 1
-        td_update(q, S, Action.UP, 0, None, terminal=True, h=h)
+        row, visits = [0.0] * 5, [0] * 5
+        td_update(row, Action.UP, 10, None, terminal=True, h=h, visits=visits)
+        assert row[Action.UP] == pytest.approx(10.0)  # first visit: alpha 1
+        td_update(row, Action.UP, 0, None, terminal=True, h=h, visits=visits)
         # second visit: alpha = 1 / (1 + 1/100)
-        assert q.get(S, Action.UP) == pytest.approx(10.0 * (1 - 100 / 101))
-        assert q.visits == {S: [2, 0, 0, 0, 0]}
+        assert row[Action.UP] == pytest.approx(10.0 * (1 - 100 / 101))
+        assert visits == [2, 0, 0, 0, 0]
 
     def test_constant_step_size_counts_no_visits(self):
-        q = QTable()
-        td_update(q, S, Action.UP, 10, None, terminal=True, h=Hyperparams(alpha=0.5))
-        assert q.get(S, Action.UP) == 5.0
-        assert q.visits == {}
+        row, visits = [0.0] * 5, [0] * 5
+        td_update(row, Action.UP, 10, None, terminal=True, h=Hyperparams(alpha=0.5), visits=visits)
+        assert row[Action.UP] == 5.0
+        assert visits == [0] * 5
 
 
 class TestEpsilonSchedule:
@@ -323,6 +335,75 @@ class TestControllerStep:
         assert list(tables[PICKUP_TABLE].rows) == [
             NoPlannerState((6, 6), False, (None, (0, 0)))
         ]
+
+
+def spy_on(monkeypatch, name, seen):
+    """Record the arguments of each call of learner function ``name``."""
+    original = getattr(learner, name)
+
+    def spy(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(learner, name, spy)
+
+
+class TestRowsByReference:
+    """The controller hands rows to `select_action` and `td_update`. A move
+    that returns the state it was given changes nothing a projection reads:
+    its update bootstraps from the row acted from, with no projection of the
+    successor and no lookup of its row. A successor kept without a row is
+    looked up again at the agent's next turn."""
+
+    def test_bootstraps_from_the_existing_row(self, monkeypatch):
+        cfg, mode, tables, state = options_setup([(0, 3)], [(5, 5)])
+        s, h = PickupState((0, 3), (5, 5)), Hyperparams(alpha=0.1, gamma=0.95)
+        tables[PICKUP_TABLE].row(s)[:] = [0.0, 0.0, 0.0, 0.0, 2.0]
+        projected = []
+        spy_on(monkeypatch, "project", projected)
+        end, _, outcomes = controller_step(state, cfg, mode, tables, (None,), 0.0, h,
+                                           random.Random(0))
+        assert outcomes[0].event is Event.IDLE and end.agent_positions == ((0, 3),)
+        target = outcomes[0].reward + 0.95 * 2.0
+        assert tables[PICKUP_TABLE].rows == {s: [0.0, 0.0, 0.0, 0.0, 2.0 + 0.1 * (target - 2.0)]}
+        assert len(projected) == 1  # the state acted from, not its successor
+
+    def test_a_new_row_bootstraps_from_zero_and_is_acted_from_next(self, monkeypatch):
+        # A fresh table's argmax is Up, which is illegal on the top row.
+        cfg, mode, tables, state = options_setup([(0, 3)], [(5, 5)])
+        s, h = PickupState((0, 3), (5, 5)), Hyperparams(alpha=0.1, gamma=0.95)
+        projected, selected = [], []
+        spy_on(monkeypatch, "project", projected)
+        spy_on(monkeypatch, "select_action", selected)
+        end, _, outcomes = controller_step(state, cfg, mode, tables, (None,), 0.0, h,
+                                           random.Random(0), timesteps=2)
+        assert [o.event for o in outcomes] == [Event.ILLEGAL, Event.MOVED]
+        row = tables[PICKUP_TABLE].rows[s]
+        # -5 + 0.95 * 0.0, then the second turn moves Down from the same row.
+        assert row == [0.1 * -5, 0.1 * -1, 0.0, 0.0, 0.0]
+        assert selected[0][0] is None and selected[1][0] is row
+        # The first state, then the successor of the second move only.
+        assert [args[0].agent_positions for args in projected] == [((0, 3),), ((1, 3),)]
+
+    def test_a_row_another_agent_made_is_read_at_the_next_turn(self, monkeypatch):
+        cfg = GridConfig(7, 7, 2, 1, 50,
+                         layout=FixedLayout(agents=((1, 1), (1, 2)), gems=((5, 5),)))
+        mode = ControllerMode(Method.OPTIONS, planner_enabled=False)
+        tables = fresh_tables(mode)
+        start = NoPlannerState((1, 1), False, ((5, 5),))
+        shared = NoPlannerState((1, 2), False, ((5, 5),))
+        tables[PICKUP_TABLE].row(start)[Action.RIGHT] = 1.0
+        selected = []
+        spy_on(monkeypatch, "select_action", selected)
+        end, _, outcomes = controller_step(reset(cfg, 0), cfg, mode, tables, (None, None),
+                                           0.0, Hyperparams(), random.Random(0), timesteps=2)
+        # Agent 0 moves Right onto agent 1's cell, whose state has no row yet;
+        # agent 1 then makes that row by acting Up from it, and agent 0 acts
+        # from that row (Down) at its next turn, not from the None it kept.
+        row = tables[PICKUP_TABLE].rows[shared]
+        assert row[Action.UP] < 0.0
+        assert selected[1][0] is None and selected[2][0] is row
+        assert end.agent_positions[0] == (2, 2)
 
 
 class TestQTableBounds:
