@@ -4,8 +4,9 @@
 Each case is one `value_iteration_oracle` solve. The script prints one
 line per case: the case, the sha256 over every
 ``(serialize_state(s), a, type(v).__name__, repr(v))`` in ``q.items()``
-order, and the seconds the solve took. Two trees solve alike when the
-first two columns agree:
+order, the seconds the solve took, and the number of distinct value
+objects in the solved table, which shows how far equal values share one
+object. Two trees solve alike when the first two columns agree:
 
     PYTHONPATH=src python3 scripts/oracle_digests.py > new.txt
     diff <(cut -d' ' -f1,2 old.txt) <(cut -d' ' -f1,2 new.txt)
@@ -53,7 +54,8 @@ def main() -> int:
         seconds = perf_counter() - start
         bank = "%d,%d" % grid.bank
         label = f"{grid.width}x{grid.height}/bank={bank}/{task}/noop={grid.noop_reward}/gamma={gamma!r}"
-        print(f"{label} {digest(q)} {seconds:.3f}", flush=True)
+        objects = len({id(v) for _, _, v in q.items()})
+        print(f"{label} {digest(q)} {seconds:.3f} {objects}", flush=True)
     return 0
 
 

@@ -16,9 +16,10 @@ pair. Transitions are deterministic, so Bellman sweeps of the state
 values in order of the goal distance (`SubtaskMDP.distances`, nearest
 first) settle nearly every value in the first pass; the loop exits at
 the literal fixed point, when a sweep changes no value, and then writes
-each row once from those values. The oracle doubles as the reference
-for "optimal episode return", obtained by rolling its greedy policy
-through a real episode.
+each row once from those values. Each distinct (reward, successor value)
+entry is made once, so equal values in a solved table share one object.
+The oracle doubles as the reference for "optimal episode return",
+obtained by rolling its greedy policy through a real episode.
 """
 
 from __future__ import annotations
@@ -238,7 +239,11 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
     state values in goal-distance order (`SubtaskMDP.distances`), repeated
     until a sweep changes no value; each row is then written once from
     those values. The order only makes the sweeps few; the exit test alone
-    certifies the fixed point.
+    certifies the fixed point. The rows are the state's own lists, but
+    each distinct (reward, successor value) entry is made once and equal
+    values share one object: the values are numbered by type and value,
+    since 50 == 50.0 prints otherwise (-0.0 meets 0.0 only added to an int
+    reward, which gives the same entry for both).
 
     A pair's reward depends only on the agent's cell, the action and
     whether the move enters the goal cell; entering it ends the sub-task,
@@ -249,9 +254,11 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
     so the successors of one cell and action are one slice of the places
     in the sweep order by key. A pair is kept as its reward and its
     successor's place, -1 when it ends the sub-task. The collector is
-    paused (`_collector_paused`). Refuses, before building anything,
-    instances beyond `ORACLE_PAIR_LIMIT` pairs.
+    paused (`_collector_paused`). Refuses, before building anything, a
+    gamma outside [0, 1] and instances beyond `ORACLE_PAIR_LIMIT` pairs.
     """
+    if not 0 <= gamma <= 1:
+        raise ConfigError(f"gamma must be in [0, 1], got {gamma}", "gamma")
     mdp = SubtaskMDP(grid, task)
     fetch, width, cells = task == PICKUP_TABLE, grid.width, grid.width * grid.height
     goals = cells - 1 if fetch else 1
@@ -269,11 +276,14 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
         place[k] = i
     bank = grid.bank[0] * width + grid.bank[1]
 
+    ends, goes = set(), set()  # the rewards of the pairs that end the sub-task, and of the rest
+
     def reward(here: int, goal: int, a: int, successor: int) -> int:
         """The reward of action ``a`` from the state keyed by ``here`` and
         ``goal``, stepped after checking its successor's place (-1: none)."""
         s_next, r, _ = mdp.step(states[here * goals + goal], ACTIONS[a])
         assert s_next == (None if successor < 0 else states[order[successor]]), (here, goal, a)
+        (goes if successor >= 0 else ends).add(r)
         return r
 
     # Per action, in sweep order: a column of successor places and one of rewards.
@@ -315,14 +325,22 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
             if v != values[i]:
                 changed = True
             values[i] = v
+    # Per reward of a pair that goes on, its entry for each distinct value;
+    # equal entries, a goal reward among them, are one object.
+    number = {}
+    numbered = [number.setdefault((type(v), v), len(number)) for v in values]
+    del values
+    made = {(type(r), r): r for r in ends}
+    entry = {r: [made.setdefault((type(e), e), e) for e in (r + gamma * v for _, v in number)]
+             for r in goes}
     rows = [None] * len(states)
     for k, j0, r0, j1, r1, j2, r2, j3, r3, j4, r4 in zip(order, *sweep):
-        rows[k] = [r0 if j0 < 0 else r0 + gamma * values[j0],
-                   r1 if j1 < 0 else r1 + gamma * values[j1],
-                   r2 if j2 < 0 else r2 + gamma * values[j2],
-                   r3 if j3 < 0 else r3 + gamma * values[j3],
-                   r4 if j4 < 0 else r4 + gamma * values[j4]]
-    del sweep, values
+        rows[k] = [r0 if j0 < 0 else entry[r0][numbered[j0]],
+                   r1 if j1 < 0 else entry[r1][numbered[j1]],
+                   r2 if j2 < 0 else entry[r2][numbered[j2]],
+                   r3 if j3 < 0 else entry[r3][numbered[j3]],
+                   r4 if j4 < 0 else entry[r4][numbered[j4]]]
+    del sweep, numbered
     q = QTable()
     q.rows = dict(zip(states, rows))
     return q

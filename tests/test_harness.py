@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import os
 import random
 import statistics
@@ -480,7 +481,7 @@ class TestOracle:
             else:
                 assert value == reward + gamma * max(q.rows[s_next]), (s, a)
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.95, 0.99, 1.0])
+    @pytest.mark.parametrize("gamma", [0, 0.0, 0.5, 0.95, 0.99, 1, 1.0])
     @pytest.mark.parametrize("noop", [0, -1])
     @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
     @given(width=st.integers(3, 8), height=st.integers(3, 8), pick=st.integers(0, 10**6))
@@ -490,7 +491,9 @@ class TestOracle:
         whole rows: the same states in the same order, and every value the
         same to the bit and of the same type. At gamma 1 with no-op reward 0
         the fixed point is not unique (idling forever keeps any value), so
-        the exact-fixed-point test alone would not tell two of them apart."""
+        the exact-fixed-point test alone would not tell two of them apart.
+        The int gammas make int entries beside equal floats (50 and 50.0),
+        which a solver sharing equal values by value alone would merge."""
         inner = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
         grid = GridConfig(width, height, 1, 1, 100, noop_reward=noop,
                           bank=inner[pick % len(inner)])
@@ -500,6 +503,37 @@ class TestOracle:
 
         want = exact(reference_oracle(grid, task, gamma))
         assert exact(value_iteration_oracle(grid, task, gamma)) == want
+
+    @pytest.mark.parametrize("gamma", [0, 0.5, 0.95, 1, 1.0])
+    @pytest.mark.parametrize("noop", [0, -1])
+    @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
+    def test_equal_values_share_one_object_in_rows_of_their_own(self, task, noop, gamma):
+        """Within a solve, a value object stands for exactly one (type, repr)
+        pair, so equal entries are one object and 50 is never 50.0; yet every
+        state has its own row list, and writing into one row changes no
+        other."""
+        grid = GridConfig(5, 7, 1, 1, 100, bank=(1, 2), noop_reward=noop)
+        q = value_iteration_oracle(grid, task, gamma)
+        values = [v for _, _, v in q.items()]
+        assert len({id(v) for v in values}) == len({(type(v), repr(v)) for v in values})
+        rows = list(q.rows.values())
+        assert len({id(row) for row in rows}) == len(rows) == len(SubtaskMDP(grid, task).states())
+        before = [list(row) for row in rows]
+        rows[0][:] = [12345.5] * 5
+        assert [list(row) for row in rows[1:]] == before[1:]
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, -0.5, math.inf, math.nan])
+    def test_refuses_a_gamma_outside_the_unit_interval(self, gamma, monkeypatch):
+        """Before it enumerates a state: past 1 the values grow without
+        bound (or to inf), and below 0 the discount means nothing. The ends,
+        0, 1, 0.0 and 1.0, solve in the bit-for-bit test."""
+        def enumerate_nothing(mdp):
+            raise AssertionError("states enumerated before the gamma check")
+
+        monkeypatch.setattr(SubtaskMDP, "states", enumerate_nothing)
+        with pytest.raises(ConfigError, match="gamma must be in") as info:
+            value_iteration_oracle(three_by_three(), DROP_TABLE, gamma)
+        assert info.value.field == "gamma"
 
     @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
     @pytest.mark.parametrize("width, height, bank", [(5, 7, (1, 2)), (15, 15, None)],
