@@ -4,9 +4,10 @@
 Each case is one `value_iteration_oracle` solve. The script prints one
 line per case: the case, the sha256 over every
 ``(serialize_state(s), a, type(v).__name__, repr(v))`` in ``q.items()``
-order, the seconds the solve took, and the number of distinct value
-objects in the solved table, which shows how far equal values share one
-object. Two trees solve alike when the first two columns agree:
+order, the median seconds of three solves, and the number of distinct
+value objects in the solved table, which shows how far equal values
+share one object. The median keeps one slow solve on a shared machine
+from hiding or faking a change of a case's time. Two trees solve alike when the first two columns agree:
 
     PYTHONPATH=src python3 scripts/oracle_digests.py > new.txt
     diff <(cut -d' ' -f1,2 old.txt) <(cut -d' ' -f1,2 new.txt)
@@ -14,12 +15,13 @@ object. Two trees solve alike when the first two columns agree:
 The cases are four grids (5x7 with the bank at 1,2; 7x7; 9x7 with the
 bank at 2,6; 13x9 with the bank at 1,1), both sub-tasks, no-op rewards 0
 and -1 and gammas 0, 0.5, 0.95, 0.99 and 1, then 11x11 and 15x15 at
-gamma 0.95 with no-op reward 0. The 15x15 pickup solve, the slowest
-case, took 0.18-0.32 s in four runs on 2 cores with Python 3.11.7, and
-the whole run a few seconds.
+gamma 0.95 with no-op reward 0. The slowest cases are the 13x9 pickup
+at no-op reward -1 and gamma 0.5, which sweeps 16 times, and the 15x15
+pickup.
 """
 
 import hashlib
+import statistics
 import sys
 from itertools import product
 from time import perf_counter
@@ -49,9 +51,12 @@ def digest(q) -> str:
 
 def main() -> int:
     for grid, task, gamma in cases():
-        start = perf_counter()
-        q = value_iteration_oracle(grid, task, gamma)
-        seconds = perf_counter() - start
+        times = []
+        for _ in range(3):
+            start = perf_counter()
+            q = value_iteration_oracle(grid, task, gamma)
+            times.append(perf_counter() - start)
+        seconds = statistics.median(times)
         bank = "%d,%d" % grid.bank
         label = f"{grid.width}x{grid.height}/bank={bank}/{task}/noop={grid.noop_reward}/gamma={gamma!r}"
         objects = len({id(v) for _, _, v in q.items()})

@@ -15,9 +15,10 @@ and whether the move enters the goal cell, not once per state-action
 pair. Transitions are deterministic, so Bellman sweeps of the state
 values in order of the goal distance (`SubtaskMDP.distances`, nearest
 first) settle nearly every value in the first pass; the loop exits at
-the literal fixed point, when a sweep changes no value, and then writes
-each row once from those values. Each distinct (reward, successor value)
-entry is made once, so equal values in a solved table share one object.
+the literal fixed point, certified by the rows written from the values
+of the last sweep that changes one, or else by a sweep that changes none.
+Each distinct (reward, successor value) entry is made once, so equal
+values in a solved table share one object.
 The oracle doubles as the reference for "optimal episode return",
 obtained by rolling its greedy policy through a real episode.
 """
@@ -233,13 +234,37 @@ class SubtaskMDP:
         return project(world, 0, self.kind, (0,), self.grid.bank), outcome.reward, False
 
 
+def _last_row_holds(sweep: list, values: list, gamma: float) -> bool:
+    """Whether the row of the state swept last, written from ``values``, has
+    that state's value as its best entry, of the same type. It is the first
+    row of the certificate that `value_iteration_oracle` tries after each
+    sweep that changed some value, checked before the values are numbered:
+    where a sweep's rows did not certify the fixed point, this row failed
+    in every solve tried. The arithmetic is the sweep's, written out there
+    for its speed."""
+    j0, r0, j1, r1, j2, r2, j3, r3, j4, r4 = (column[-1] for column in sweep)
+    v = max(r0 if j0 < 0 else r0 + gamma * values[j0],
+            r1 if j1 < 0 else r1 + gamma * values[j1],
+            r2 if j2 < 0 else r2 + gamma * values[j2],
+            r3 if j3 < 0 else r3 + gamma * values[j3],
+            r4 if j4 < 0 else r4 + gamma * values[j4])
+    return v == values[-1] and type(v) is type(values[-1])
+
+
 @_collector_paused
 def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
     """Exact action values for one sub-task: in-place Bellman sweeps of the
-    state values in goal-distance order (`SubtaskMDP.distances`), repeated
-    until a sweep changes no value; each row is then written once from
-    those values. The order only makes the sweeps few; the exit test alone
-    certifies the fixed point. The rows are the state's own lists, but
+    state values in goal-distance order (`SubtaskMDP.distances`) until they
+    are the fixed point, then each row written once from them. The order
+    only makes the sweeps few. A sweep that changes no value certifies the
+    fixed point. So do the rows written after a sweep that changed some,
+    when each row's best entry equals its state's value and has its type:
+    the next sweep would read those values, the earlier states' stored
+    again, and store every value again, so it is not run. Those rows are
+    written only where the row of the state swept last holds
+    (`_last_row_holds`), one row's arithmetic; where they failed, that row
+    failed in every solve tried. Rows that fail are dropped, and the sweeps
+    go on from the same values. The rows are the state's own lists, but
     each distinct (reward, successor value) entry is made once and equal
     values share one object: the values are numbered by type and value,
     since 50 == 50.0 prints otherwise (-0.0 meets 0.0 only added to an int
@@ -313,8 +338,7 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
         sweep += list(map(successors.__getitem__, order)), list(map(rewards.__getitem__, order))
     del place, successors, rewards
     values = [0.0] * len(states)  # values[i] is the best value of the i-th state swept
-    changed = True
-    while changed:
+    while True:
         changed = False
         for i, (j0, r0, j1, r1, j2, r2, j3, r3, j4, r4) in enumerate(zip(*sweep)):
             v = max(r0 if j0 < 0 else r0 + gamma * values[j0],
@@ -325,21 +349,34 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
             if v != values[i]:
                 changed = True
             values[i] = v
-    # Per reward of a pair that goes on, its entry for each distinct value;
-    # equal entries, a goal reward among them, are one object.
-    number = {}
-    numbered = [number.setdefault((type(v), v), len(number)) for v in values]
-    del values
-    made = {(type(r), r): r for r in ends}
-    entry = {r: [made.setdefault((type(e), e), e) for e in (r + gamma * v for _, v in number)]
-             for r in goes}
-    rows = [None] * len(states)
-    for k, j0, r0, j1, r1, j2, r2, j3, r3, j4, r4 in zip(order, *sweep):
-        rows[k] = [r0 if j0 < 0 else entry[r0][numbered[j0]],
-                   r1 if j1 < 0 else entry[r1][numbered[j1]],
-                   r2 if j2 < 0 else entry[r2][numbered[j2]],
-                   r3 if j3 < 0 else entry[r3][numbered[j3]],
-                   r4 if j4 < 0 else entry[r4][numbered[j4]]]
+        if changed and not _last_row_holds(sweep, values, gamma):
+            continue
+        # Per reward of a pair that goes on, its entry for each distinct value;
+        # equal entries, a goal reward among them, are one object.
+        number = {}
+        numbered = [number.setdefault((type(v), v), len(number)) for v in values]
+        del values
+        value = [v for _, v in number]
+        made = {(type(r), r): r for r in ends}
+        entry = {r: [made.setdefault((type(e), e), e) for e in (r + gamma * v for v in value)]
+                 for r in goes}
+        rows = [None] * len(states)
+        for k, n, j0, r0, j1, r1, j2, r2, j3, r3, j4, r4 in zip(order, numbered, *sweep):
+            row = rows[k] = [r0 if j0 < 0 else entry[r0][numbered[j0]],
+                             r1 if j1 < 0 else entry[r1][numbered[j1]],
+                             r2 if j2 < 0 else entry[r2][numbered[j2]],
+                             r3 if j3 < 0 else entry[r3][numbered[j3]],
+                             r4 if j4 < 0 else entry[r4][numbered[j4]]]
+            # After a sweep that changed some value, the rows stand only if
+            # the next sweep would store every value again, type and all.
+            if changed:
+                best = max(row)
+                if best != value[n] or type(best) is not type(value[n]):
+                    break
+        else:
+            break
+        del rows, entry
+        values = list(map(value.__getitem__, numbered))
     del sweep, numbered
     q = QTable()
     q.rows = dict(zip(states, rows))

@@ -155,23 +155,6 @@ class QTable:
         self.rows: dict[AbstractState, list[float]] = {}
         self.visits: dict[AbstractState, list[int]] = {}
 
-    def get(self, s: AbstractState, a: int) -> float:
-        row = self.rows.get(s)
-        return 0.0 if row is None else row[a]
-
-    def best_value(self, s: AbstractState) -> float:
-        row = self.rows.get(s)
-        return 0.0 if row is None else max(row)
-
-    def best_action(self, s: AbstractState) -> Action:
-        return select_action(self.rows.get(s), 0.0, None)
-
-    def row(self, s: AbstractState) -> list[float]:
-        row = self.rows.get(s)
-        if row is None:
-            row = self.rows[s] = [0.0] * 5
-        return row
-
     def items(self):
         for s, row in self.rows.items():
             for a, value in enumerate(row):

@@ -8,7 +8,10 @@ first use the fixture trains all of `DESK_KEYS` at once in worker
 processes, one per core; on one core it trains each run in-process when
 it is first asked for.
 
-`gem_places` is the shared check of the world state's invariant: every
+`q_value`, `best_value`, `best_action` and `table_row` are the tests' way
+of reading and seeding a `QTable`, where a state with no row reads as 0.0
+in every action; the program reads rows by reference and needs none of
+them. `gem_places` is the shared check of the world state's invariant: every
 gem in exactly one place. `is_terminal` and `greedy_subtask_return` are
 the tests' own readings of an episode's end and of a sub-task rollout;
 the program needs neither. `reference_read_qtable` is the tests' plain
@@ -28,9 +31,35 @@ import pytest
 
 from bankworld import harness
 from bankworld.abstraction import AbstractState, parse_state
-from bankworld.environment import ACTIONS, GridConfig, WorldState, gems_deposited
+from bankworld.environment import ACTIONS, Action, GridConfig, WorldState, gems_deposited
 from bankworld.harness import ParseError, RunConfig, SubtaskMDP, evaluate, train
-from bankworld.learner import ControllerMode, Hyperparams, Method, QTable
+from bankworld.learner import ControllerMode, Hyperparams, Method, QTable, select_action
+
+
+def q_value(q: QTable, s: AbstractState, a: int) -> float:
+    """The value of action ``a`` in state ``s``."""
+    row = q.rows.get(s)
+    return 0.0 if row is None else row[a]
+
+
+def best_value(q: QTable, s: AbstractState) -> float:
+    """The best action value of state ``s``."""
+    row = q.rows.get(s)
+    return 0.0 if row is None else max(row)
+
+
+def best_action(q: QTable, s: AbstractState) -> Action:
+    """The greedy action in state ``s``, ties to the lowest action, as
+    `select_action` chooses with epsilon 0."""
+    return select_action(q.rows.get(s), 0.0, None)
+
+
+def table_row(q: QTable, s: AbstractState) -> list:
+    """The row of state ``s``, made all 0.0 if it has none."""
+    row = q.rows.get(s)
+    if row is None:
+        row = q.rows[s] = [0.0] * 5
+    return row
 
 
 def gem_places(state: WorldState, num_gems: int) -> tuple[int, int, int]:
@@ -65,7 +94,7 @@ def greedy_subtask_return(
     s = start
     limit = 5 * (mdp.grid.width * mdp.grid.height + 10)
     for _ in range(limit):
-        s, reward, terminal = mdp.step(s, q.best_action(s))
+        s, reward, terminal = mdp.step(s, best_action(q, s))
         rewards.append(reward)
         if terminal:
             ret = 0.0

@@ -38,7 +38,16 @@ from bankworld.learner import (
     fresh_tables,
 )
 
-from conftest import SEEDS, desk_grid, gem_places, greedy_subtask_return, is_terminal
+from conftest import (
+    SEEDS,
+    best_action,
+    best_value,
+    desk_grid,
+    gem_places,
+    greedy_subtask_return,
+    is_terminal,
+    q_value,
+)
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -170,7 +179,7 @@ class TestOracleEquivalence:
             for s, a, value in tables[key].items():
                 if tables[key].visits[s][a] == 0:
                     continue
-                worst = max(worst, abs(value - oracles[key].get(s, a)))
+                worst = max(worst, abs(value - q_value(oracles[key], s, a)))
                 checked += 1
         # every decision state must actually have been visited
         bank = grid.bank
@@ -187,7 +196,7 @@ class TestOracleEquivalence:
             mdp = SubtaskMDP(grid, key)
             for start in list(tables[key].rows)[:20]:
                 learned = greedy_subtask_return(tables[key], mdp, start, gamma)
-                rollout_ok = rollout_ok and learned == oracles[key].best_value(start)
+                rollout_ok = rollout_ok and learned == best_value(oracles[key], start)
 
         passed = worst <= 1e-2 and rollout_ok
         report(
@@ -340,7 +349,7 @@ class TestNoOpEconomics:
         ]
         noop_share = (
             sum(1 for s in idle_states
-                if off.tables[PICKUP_TABLE].best_action(s) is Action.NOOP)
+                if best_action(off.tables[PICKUP_TABLE], s) is Action.NOOP)
             / len(idle_states)
             if idle_states else float("nan")
         )

@@ -71,12 +71,15 @@ from bankworld.learner import (
 )
 
 from conftest import (
+    best_value,
     desk_config,
     greedy_subtask_return,
     is_terminal,
+    q_value,
     reference_oracle,
     reference_read_qtable,
     reference_states,
+    table_row,
 )
 
 
@@ -254,14 +257,50 @@ def three_by_three():
                       layout=FixedLayout(agents=((0, 0),), gems=((2, 2),)))
 
 
+def exact(q: QTable) -> list:
+    """Every entry of ``q`` as (state, action, type, repr): two tables give
+    the same list only if every value is the same to the bit and type."""
+    return [(s, a, type(v), repr(v)) for s, a, v in q.items()]
+
+
+class CountingGamma(float):
+    """A discount that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        self.products += 1
+        return float.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+def counted_solve(grid: GridConfig, task: str, gamma: float):
+    """The solver's table at ``gamma`` and the products it made, with the
+    products of one sweep, one per pair that goes on, and those of writing
+    the rows, one per reward of such a pair and distinct state value."""
+    mdp = SubtaskMDP(grid, task)
+    steps = [mdp.step(s, a) for s in mdp.states() for a in ACTIONS]
+    goes = {r for _, r, terminal in steps if not terminal}
+    counted = CountingGamma(gamma)
+    q = value_iteration_oracle(grid, task, counted)
+    values = {(type(v), v) for v in map(max, q.rows.values())}
+    sweep = sum(not terminal for _, _, terminal in steps)
+    return q, counted.products, sweep, len(goes) * len(values)
+
+
+# The products of checking one row from the values: at most one per action.
+ONE_ROW = 5
+
+
 class TestOracle:
     def test_one_step_drop_value(self):
         q = value_iteration_oracle(three_by_three(), DROP_TABLE, gamma=0.95)
-        assert q.get(DropState((1, 0)), 3) == pytest.approx(500.0)  # Right into bank
+        assert q_value(q, DropState((1, 0)), 3) == pytest.approx(500.0)  # Right into bank
 
     def test_two_step_drop_value(self):
         q = value_iteration_oracle(three_by_three(), DROP_TABLE, gamma=0.95)
-        assert q.get(DropState((0, 0)), 3) == pytest.approx(-1 + 0.95 * 500)
+        assert q_value(q, DropState((0, 0)), 3) == pytest.approx(-1 + 0.95 * 500)
 
     def test_reflection_symmetry_for_centered_bank(self):
         grid = three_by_three()
@@ -270,7 +309,7 @@ class TestOracle:
         for s in SubtaskMDP(grid, DROP_TABLE).states():
             mirrored = DropState((2 - s.agent_pos[0], 2 - s.agent_pos[1]))
             for a in range(5):
-                assert q.get(s, a) == pytest.approx(q.get(mirrored, flip[a]))
+                assert q_value(q, s, a) == pytest.approx(q_value(q, mirrored, flip[a]))
 
     def test_solver_keeps_no_visit_counts(self):
         q = value_iteration_oracle(three_by_three(), PICKUP_TABLE)
@@ -361,7 +400,7 @@ class TestOracle:
         mdp = SubtaskMDP(grid, DROP_TABLE)
         noop_forever = QTable()
         for s in mdp.states():
-            noop_forever.row(s)[:] = [0.0, 0.0, 0.0, 0.0, 1.0]
+            table_row(noop_forever, s)[:] = [0.0, 0.0, 0.0, 0.0, 1.0]
         ret = greedy_subtask_return(noop_forever, mdp, DropState((0, 0)), gamma=0.95)
         assert ret == float("-inf")
 
@@ -372,7 +411,7 @@ class TestOracle:
             q = value_iteration_oracle(grid, task, gamma=0.95)
             for start in mdp.states():
                 ret = greedy_subtask_return(q, mdp, start, gamma=0.95)
-                assert ret == q.best_value(start)
+                assert ret == best_value(q, start)
 
     @pytest.mark.parametrize("task", [PICKUP_TABLE, DROP_TABLE])
     def test_values_match_closed_form(self, task):
@@ -445,8 +484,8 @@ class TestOracle:
         # same transition: one TD step on that entry and no other.
         mode, h = ControllerMode(Method.OPTIONS), Hyperparams()
         tables = fresh_tables(mode)
-        tables[task].row(s)[action] = 1.0
-        target = reward if terminal else reward + h.gamma * tables[task].best_value(s_next)
+        table_row(tables[task], s)[action] = 1.0
+        target = reward if terminal else reward + h.gamma * best_value(tables[task], s_next)
         controller_step(ground, grid, mode, tables, (0,), 0.0, h, random.Random(0), learn=True)
         want = 1.0 + h.alpha * (target - 1.0)
         expected = [want if a == action else 0.0 for a in ACTIONS]
@@ -498,11 +537,66 @@ class TestOracle:
         grid = GridConfig(width, height, 1, 1, 100, noop_reward=noop,
                           bank=inner[pick % len(inner)])
 
-        def exact(q):
-            return [(s, a, type(v), repr(v)) for s, a, v in q.items()]
-
         want = exact(reference_oracle(grid, task, gamma))
         assert exact(value_iteration_oracle(grid, task, gamma)) == want
+
+    @pytest.mark.parametrize("noop, gamma, changing", [(0, 0.95, 1), (-1, 0.5, 7)],
+                             ids=["certified", "swept-on"])
+    def test_a_certifying_sweep_is_not_run(self, noop, gamma, changing):
+        """Counted on a 7x7 fetch by a gamma that counts its products, which
+        changes no value: a solve runs only the sweeps that change a value,
+        one here at no-op reward 0 and seven at no-op reward -1 and gamma
+        0.5, and the rows written after the last of them certify the fixed
+        point, so the sweep that would change none is not run (with it, the
+        two solves made 23,228 and 92,792 products). Trying the rows costs
+        at most one row's products per sweep: the row of the state swept
+        last is checked first, from the values."""
+        grid = GridConfig(7, 7, 1, 1, 100, noop_reward=noop)
+        q, products, sweep, rows = counted_solve(grid, PICKUP_TABLE, gamma)
+        assert exact(q) == exact(value_iteration_oracle(grid, PICKUP_TABLE, gamma))
+        assert products <= changing * (sweep + ONE_ROW) + rows
+
+    @pytest.mark.parametrize("width, height, bank, noop, gamma, first", [
+        (9, 7, (2, 6), 0, 0.99, True),
+        (5, 7, (1, 2), -1, 0.5, False),
+    ], ids=["certified-after-one-sweep", "swept-on"])
+    def test_each_path_equals_the_reference_bit_for_bit(
+        self, width, height, bank, noop, gamma, first
+    ):
+        """The bit-for-bit test draws solves of both kinds; these fetches pin
+        one of each, told apart by the products: one certified by the rows
+        written after its first sweep, and one whose first sweep's rows do
+        not certify it, so it sweeps on. No solve whose rows fail by type
+        alone was found to pin: with int gammas 0 and 1, every solve tried
+        was certified after its first sweep (every bank of every grid from
+        3x3 to 100 cells, six or seven banks of each larger one up to 15x15,
+        and three banks each of 16x16 to 21x21, 25x17 and 30x14, both
+        tasks, no-op rewards 0 and -1)."""
+        grid = GridConfig(width, height, 1, 1, 100, bank=bank, noop_reward=noop)
+        q, products, sweep, rows = counted_solve(grid, PICKUP_TABLE, gamma)
+        assert (products <= sweep + ONE_ROW + rows) == first
+        assert exact(q) == exact(reference_oracle(grid, PICKUP_TABLE, gamma))
+
+    @pytest.mark.parametrize("holds", [True, False], ids=["tried-in-full", "never-tried"])
+    @pytest.mark.parametrize("width, height, bank, task, noop, gamma", [
+        (9, 7, (2, 6), PICKUP_TABLE, 0, 0.99),
+        (5, 7, (1, 2), PICKUP_TABLE, -1, 0.5),
+        (9, 7, (2, 6), DROP_TABLE, -1, 0.5),
+        (7, 7, (3, 3), DROP_TABLE, 0, 1),
+    ])
+    def test_the_last_row_check_only_saves_work(
+        self, monkeypatch, holds, width, height, bank, task, noop, gamma
+    ):
+        """`harness._last_row_holds` decides only whether the rows are tried
+        as the certificate. Forced to say yes, they are written and checked
+        in full after every sweep that changed a value, and where they fail
+        they are dropped and the sweeps go on from the same values; forced to
+        say no, the solver sweeps until a sweep changes no value. Either way
+        it solves as the reference."""
+        monkeypatch.setattr(harness, "_last_row_holds", lambda sweep, values, gamma: holds)
+        grid = GridConfig(width, height, 1, 1, 100, bank=bank, noop_reward=noop)
+        assert exact(value_iteration_oracle(grid, task, gamma)) == exact(
+            reference_oracle(grid, task, gamma))
 
     @pytest.mark.parametrize("gamma", [0, 0.5, 0.95, 1, 1.0])
     @pytest.mark.parametrize("noop", [0, -1])
@@ -978,7 +1072,7 @@ class TestPersistence:
         )
         _, _, tables = read_qtable(path)
         table = tables["pickup"]
-        assert table.best_value(PickupState((3, 3), (1, 1))) == 0.0
+        assert best_value(table, PickupState((3, 3), (1, 1))) == 0.0
         assert list(table.rows.values()) == [[0.0, 0.0, 0.0, 2.5, 0.0]]
 
     def test_missing_header_rejected(self, tmp_path):
@@ -1109,7 +1203,7 @@ class TestPersistence:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_is_bit_exact_for_arbitrary_floats(self, tmp_path_factory, values, row, col):
         q = QTable()
-        q.row(PickupState((row, col), (1, 1)))[:] = values
+        table_row(q, PickupState((row, col), (1, 1)))[:] = values
         tables = {PICKUP_TABLE: q}
         path = tmp_path_factory.mktemp("qt") / "q.csv"
         write_qtable(tables, path, ControllerMode(Method.OPTIONS, True), Hyperparams())
@@ -1261,8 +1355,8 @@ class TestQTableCodec:
 
     def test_a_state_that_cannot_be_written_leaves_no_file(self, tmp_path):
         q = QTable()
-        q.row(PickupState((0, 0), (1, 1)))
-        q.row(("not", "a state"))
+        table_row(q, PickupState((0, 0), (1, 1)))
+        table_row(q, ("not", "a state"))
         path = tmp_path / "q.csv"
         with pytest.raises(TypeError, match="not an abstract state"):
             write_qtable({PICKUP_TABLE: q}, path, ControllerMode(Method.OPTIONS), Hyperparams())
@@ -1526,7 +1620,7 @@ class TestWritePausesTheCollector:
     def write(self, tmp_path, *states):
         q = QTable()
         for s in states:
-            q.row(s)
+            table_row(q, s)
         path = tmp_path / "q.csv"
         write_qtable({PICKUP_TABLE: q}, path, ControllerMode(Method.OPTIONS), Hyperparams())
         return path

@@ -33,10 +33,12 @@ from bankworld.learner import (
 from bankworld import learner, planner
 from bankworld.cli import main
 
+from conftest import best_action, q_value, table_row
+
 
 def table_with(s, values):
     q = QTable()
-    q.row(s)[:] = values
+    table_row(q, s)[:] = values
     return q
 
 
@@ -73,29 +75,29 @@ class TestSelectAction:
     def test_best_action_is_the_greedy_choice(self):
         for values in ([0.1, 0.5, 0.2, 0.0, 0.0], [2.0] * 5, [0.0, 1.0, 7.0, 7.0, 3.0]):
             q = table_with(S, values)
-            assert q.best_action(S) is select_action(q.rows[S], 0.0, None)
-        assert QTable().best_action(S) is Action.UP
+            assert best_action(q, S) is select_action(q.rows[S], 0.0, None)
+        assert best_action(QTable(), S) is Action.UP
 
 
 class TestTdUpdate:
     def test_bootstrapped_target(self):
         h = Hyperparams(alpha=0.5, gamma=0.9)
         q = QTable()
-        q.row(S2)[:] = [10.0, 1.0, 0.0, 0.0, 0.0]
-        td_update(q.row(S), Action.UP, -1, q.rows[S2], terminal=False, h=h)
-        assert q.get(S, Action.UP) == pytest.approx(4.0)
+        table_row(q, S2)[:] = [10.0, 1.0, 0.0, 0.0, 0.0]
+        td_update(table_row(q, S), Action.UP, -1, q.rows[S2], terminal=False, h=h)
+        assert q_value(q, S, Action.UP) == pytest.approx(4.0)
 
     def test_successor_without_a_row_bootstraps_from_zero(self):
         h = Hyperparams(alpha=0.5, gamma=0.9)
         q = table_with(S, [2.0, 0.0, 0.0, 0.0, 0.0])
         td_update(q.rows[S], Action.UP, -1, q.rows.get(S2), terminal=False, h=h)
-        assert q.get(S, Action.UP) == pytest.approx(2.0 + 0.5 * (-1 + 0.9 * 0.0 - 2.0))
+        assert q_value(q, S, Action.UP) == pytest.approx(2.0 + 0.5 * (-1 + 0.9 * 0.0 - 2.0))
 
     def test_terminal_target(self):
         h = Hyperparams(alpha=0.1)
         q = table_with(S, [2.0, 0.0, 0.0, 0.0, 0.0])
         td_update(q.rows[S], Action.UP, 500, None, terminal=True, h=h)
-        assert q.get(S, Action.UP) == pytest.approx(51.8)
+        assert q_value(q, S, Action.UP) == pytest.approx(51.8)
 
     def test_zero_alpha_freezes_table(self):
         h = Hyperparams(alpha=0.0)
@@ -106,8 +108,8 @@ class TestTdUpdate:
     def test_terminal_never_reads_next_state(self):
         h = Hyperparams(alpha=0.1, gamma=0.95)
         poisoned = table_with(S2, [float("nan")] * 5)
-        td_update(poisoned.row(S), Action.UP, 50, poisoned.rows[S2], terminal=True, h=h)
-        assert poisoned.get(S, Action.UP) == pytest.approx(5.0)
+        td_update(table_row(poisoned, S), Action.UP, 50, poisoned.rows[S2], terminal=True, h=h)
+        assert q_value(poisoned, S, Action.UP) == pytest.approx(5.0)
 
     def test_visit_decay_schedule(self):
         h = Hyperparams(alpha_visit_decay=100.0)
@@ -230,7 +232,7 @@ class TestControllerStep:
         assert outcomes[0].event is Event.ACQUIRED
         assert (next_state.held, next_state.gem_cells) == ((0,), (None,))
         s = PickupState((2, 3), (1, 3))
-        assert tables[PICKUP_TABLE].get(s, Action.UP) == pytest.approx(0.1 * 50)
+        assert q_value(tables[PICKUP_TABLE], s, Action.UP) == pytest.approx(0.1 * 50)
         assert assignment == (0,)  # kept while carrying
 
     def test_drop_releases_assignment(self):
@@ -243,7 +245,7 @@ class TestControllerStep:
         assert outcomes[0].event is Event.DROPPED
         assert assignment == (None,)
         s = DropState((2, 3))
-        assert tables[DROP_TABLE].get(s, Action.UP) == pytest.approx(0.1 * 500)
+        assert q_value(tables[DROP_TABLE], s, Action.UP) == pytest.approx(0.1 * 500)
 
     def test_random_mode_is_repeatable_and_learns_nothing(self):
         cfg = GridConfig(7, 7, 2, 2, 50)
@@ -358,7 +360,7 @@ class TestRowsByReference:
     def test_bootstraps_from_the_existing_row(self, monkeypatch):
         cfg, mode, tables, state = options_setup([(0, 3)], [(5, 5)])
         s, h = PickupState((0, 3), (5, 5)), Hyperparams(alpha=0.1, gamma=0.95)
-        tables[PICKUP_TABLE].row(s)[:] = [0.0, 0.0, 0.0, 0.0, 2.0]
+        table_row(tables[PICKUP_TABLE], s)[:] = [0.0, 0.0, 0.0, 0.0, 2.0]
         projected = []
         spy_on(monkeypatch, "project", projected)
         end, _, outcomes = controller_step(state, cfg, mode, tables, (None,), 0.0, h,
@@ -392,7 +394,7 @@ class TestRowsByReference:
         tables = fresh_tables(mode)
         start = NoPlannerState((1, 1), False, ((5, 5),))
         shared = NoPlannerState((1, 2), False, ((5, 5),))
-        tables[PICKUP_TABLE].row(start)[Action.RIGHT] = 1.0
+        table_row(tables[PICKUP_TABLE], start)[Action.RIGHT] = 1.0
         selected = []
         spy_on(monkeypatch, "select_action", selected)
         end, _, outcomes = controller_step(reset(cfg, 0), cfg, mode, tables, (None, None),
