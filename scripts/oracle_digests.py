@@ -3,14 +3,18 @@
 
 Each case is one `value_iteration_oracle` solve. The script prints one
 line per case: the case, the sha256 over every
-``(serialize_state(s), a, type(v).__name__, repr(v))`` in ``q.items()``
-order, the median seconds of three solves, and the number of distinct
-value objects in the solved table, which shows how far equal values
-share one object. The median keeps one slow solve on a shared machine
-from hiding or faking a change of a case's time. Two trees solve alike when the first two columns agree:
+``(state text, a, type(v).__name__, repr(v))`` in ``q.items()`` order
+(the state text as a `StateCodec` writes it), the median seconds of
+three solves, and the number of distinct value objects in the solved
+table, which shows how far equal values share one object. The median
+keeps one slow solve on a shared machine from hiding or faking a change
+of a case's time:
 
-    PYTHONPATH=src python3 scripts/oracle_digests.py > new.txt
-    diff <(cut -d' ' -f1,2 old.txt) <(cut -d' ' -f1,2 new.txt)
+    PYTHONPATH=src python3 scripts/oracle_digests.py
+
+The first two columns of every case are pinned in
+``tests/oracle_digests.txt``, which the test suite checks through
+`cases`, `label` and `digest` here.
 
 The cases are four grids (5x7 with the bank at 1,2; 7x7; 9x7 with the
 bank at 2,6; 13x9 with the bank at 1,1), both sub-tasks, no-op rewards 0
@@ -26,7 +30,7 @@ import sys
 from itertools import product
 from time import perf_counter
 
-from bankworld.abstraction import serialize_state
+from bankworld.abstraction import StateCodec
 from bankworld.environment import GridConfig
 from bankworld.harness import value_iteration_oracle
 
@@ -42,11 +46,15 @@ def cases():
         yield GridConfig(size, size, 1, 1, 100), task, 0.95
 
 
+def label(grid: GridConfig, task: str, gamma: float) -> str:
+    bank = "%d,%d" % grid.bank
+    return f"{grid.width}x{grid.height}/bank={bank}/{task}/noop={grid.noop_reward}/gamma={gamma!r}"
+
+
 def digest(q) -> str:
-    h = hashlib.sha256()
-    for s, a, v in q.items():
-        h.update(f"{serialize_state(s)},{a},{type(v).__name__},{v!r}\n".encode())
-    return h.hexdigest()
+    serialize = StateCodec().serialize
+    text = "".join(f"{serialize(s)},{a},{type(v).__name__},{v!r}\n" for s, a, v in q.items())
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> int:
@@ -57,10 +65,8 @@ def main() -> int:
             q = value_iteration_oracle(grid, task, gamma)
             times.append(perf_counter() - start)
         seconds = statistics.median(times)
-        bank = "%d,%d" % grid.bank
-        label = f"{grid.width}x{grid.height}/bank={bank}/{task}/noop={grid.noop_reward}/gamma={gamma!r}"
         objects = len({id(v) for _, _, v in q.items()})
-        print(f"{label} {digest(q)} {seconds:.3f} {objects}", flush=True)
+        print(f"{label(grid, task, gamma)} {digest(q)} {seconds:.3f} {objects}", flush=True)
     return 0
 
 

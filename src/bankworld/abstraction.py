@@ -18,16 +18,15 @@ lands in shared table rows:
 
 Q-table files hold each state as canonical text, its tag then its fields
 (``P,1,2,4,4``, ``D,7,3``, ``F,0,0,_,_,0``, ``N,1,1,0,0:2,_,_``; ``_`` is
-an absent position); `parse_state` reads back only that text. A
-`StateCodec` does both through one memo per field kind, so each distinct
-field value or text of one file is coded once; the one-off functions use
-a codec whose memo maker keeps nothing.
+an absent position). A `StateCodec` writes that text and reads back only
+that text, through one memo per field kind, so each distinct field value
+or text of one file is coded once; each file gets a codec of its own.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Union, get_args, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_type_hints
 
 from .environment import Position, WorldState
 
@@ -57,7 +56,7 @@ class NoPlannerState(NamedTuple):
     gem_cells: tuple[Optional[Position], ...]
 
 
-AbstractState = Union[PickupState, DropState, FlatState, NoPlannerState]
+AbstractState = PickupState | DropState | FlatState | NoPlannerState
 
 
 # Projections are built through tuple.__new__, skipping the Python-level
@@ -160,31 +159,29 @@ class _Memo(dict):
 
 
 class StateCodec:
-    """`serialize_state` and `parse_state` for the states of one file.
+    """Writes and reads the canonical text of the states of one file.
 
     Each projection's writer and reader are built from `_KINDS`, each field
-    kind's encoder and decoder passed through ``memo``: it takes a function
-    of one argument and returns the callable that codes with it. The
-    default keeps a `_Memo`, so each distinct field value is encoded once,
-    and each distinct field text decoded once, for as long as the codec
-    lives. A run field is coded one element at a time, and equal runs read
-    go through ``memo`` too; so equal field values read back are one
-    object. The whole-text pattern alone decides which text is canonical: a
-    field's text reaches its decoder only after the pattern has accepted
-    the whole text.
+    kind's encoder and decoder kept behind a `_Memo`, so each distinct field
+    value is encoded once, and each distinct field text decoded once, for
+    as long as the codec lives. A run field is coded one element at a time,
+    and equal runs read go through a `_Memo` too; so equal field values
+    read back are one object, and two codecs share none. The whole-text
+    pattern alone decides which text is canonical: a field's text reaches
+    its decoder only after the pattern has accepted the whole text.
     """
 
     __slots__ = ("_writers", "_readers")
 
-    def __init__(self, memo=lambda make: _Memo(make).__getitem__):
+    def __init__(self):
         coders = {}
         for kind, (encode, _, decode) in _KINDS.items():
-            encode, decode = memo(encode), memo(decode)
+            encode, decode = _Memo(encode).__getitem__, _Memo(decode).__getitem__
             if _is_run(kind):
                 def encode(run, one=encode):
                     return ",".join(map(one, run))
 
-                def decode(text, one=decode, runs=memo(lambda run: run)):
+                def decode(text, one=decode, runs=_Memo(lambda run: run).__getitem__):
                     return runs(tuple(map(one, text.split(","))))
             coders[kind] = encode, decode
         self._writers = {cls: (cls.tag, [coders[k][0] for k in kinds])
@@ -207,15 +204,3 @@ class StateCodec:
             raise ValueError(f"unparseable abstract state: {text!r}")
         return _new(reader[0], [decode(t) for decode, t in zip(reader[2], match.groups())])
 
-
-# The codec of the one-off functions below: it keeps nothing between calls.
-_ONE_OFF = StateCodec(lambda make: make)
-
-
-def serialize_state(s: AbstractState) -> str:
-    return _ONE_OFF.serialize(s)
-
-
-def parse_state(text: str) -> AbstractState:
-    """Inverse of `serialize_state`; accepts only the text it writes."""
-    return _ONE_OFF.parse(text)

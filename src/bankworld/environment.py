@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 Position = tuple[int, int]
 
@@ -97,7 +97,7 @@ class RandomLayout:
     """Seeded per-episode placement at distinct non-bank cells."""
 
 
-Layout = Union[FixedLayout, RandomLayout]
+Layout = FixedLayout | RandomLayout
 
 
 class WorldState(NamedTuple):

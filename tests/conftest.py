@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from bankworld import harness
-from bankworld.abstraction import AbstractState, parse_state
+from bankworld.abstraction import AbstractState, StateCodec
 from bankworld.environment import ACTIONS, Action, GridConfig, WorldState, gems_deposited
 from bankworld.harness import ParseError, RunConfig, SubtaskMDP, evaluate, train
 from bankworld.learner import ControllerMode, Hyperparams, Method, QTable, select_action
@@ -107,15 +107,15 @@ def greedy_subtask_return(
 def reference_read_qtable(path: Path):
     """What `harness.read_qtable` reads, said plainly: the whole text split
     into lines as `str.splitlines` splits it, and every record parsed and
-    checked on its own, with `parse_state`, the header parser and the number
-    rule of the harness. It returns what the reader returns, or raises the
-    `ParseError` it raises."""
+    checked on its own, with one `StateCodec` for the file, the header
+    parser and the number rule of the harness. It returns what the reader
+    returns, or raises the `ParseError` it raises."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ParseError(f"{path}:1: missing header line")
     mode, hyper = harness._parse_header(lines[0], path)
     sections: dict[str, dict] = {}  # per table key, the value of each (state, action)
-    key = None
+    parse, key = StateCodec().parse, None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -129,7 +129,7 @@ def reference_read_qtable(path: Path):
             raise ParseError(f"{path}:{lineno}: record before any option section")
         try:
             text, action_text, value_text = line.rsplit(",", 2)
-            state, kind = parse_state(text), mode.projection(key)
+            state, kind = parse(text), mode.projection(key)
             if type(state) is not kind:
                 raise ValueError(f"{text} is not a {kind.__name__}, the rows of {key!r}")
             if action_text not in ("0", "1", "2", "3", "4"):

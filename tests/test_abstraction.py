@@ -16,8 +16,6 @@ from bankworld.abstraction import (
     abstract_flat,
     abstract_no_planner,
     abstract_pickup,
-    parse_state,
-    serialize_state,
 )
 from bankworld.environment import GridConfig, WorldState
 from bankworld.environment import RandomLayout, reset
@@ -214,7 +212,7 @@ abstract_states = st.one_of(
 def mutated_state_texts(draw):
     """A canonical state text with a span of up to two characters replaced
     by up to two others."""
-    text = serialize_state(draw(abstract_states))
+    text = StateCodec().serialize(draw(abstract_states))
     i = draw(st.integers(0, len(text)))
     j = draw(st.integers(i, min(len(text), i + 2)))
     return text[:i] + draw(st.text("0123456789,:_+- PDFN\n\u0663", max_size=2)) + text[j:]
@@ -222,54 +220,48 @@ def mutated_state_texts(draw):
 
 class TestSerialization:
     def test_documented_forms(self):
-        assert serialize_state(PickupState((1, 2), (4, 4))) == "P,1,2,4,4"
-        assert serialize_state(DropState((7, 3))) == "D,7,3"
-        assert serialize_state(FlatState((0, 0), (3, 3), False)) == "F,0,0,3,3,0"
-        assert (
-            serialize_state(NoPlannerState((1, 1), False, ((0, 2), None, None)))
-            == "N,1,1,0,0:2,_,_"
-        )
+        serialize = StateCodec().serialize
+        assert serialize(PickupState((1, 2), (4, 4))) == "P,1,2,4,4"
+        assert serialize(DropState((7, 3))) == "D,7,3"
+        assert serialize(FlatState((0, 0), (3, 3), False)) == "F,0,0,3,3,0"
+        assert serialize(NoPlannerState((1, 1), False, ((0, 2), None, None))) == "N,1,1,0,0:2,_,_"
 
     def test_absent_flat_target(self):
-        assert serialize_state(FlatState((9, 9), None, False)) == "F,9,9,_,_,0"
+        assert StateCodec().serialize(FlatState((9, 9), None, False)) == "F,9,9,_,_,0"
 
     @given(s=abstract_states)
     @settings(max_examples=200)
     def test_round_trip_exact(self, s):
-        assert parse_state(serialize_state(s)) == s
+        codec = StateCodec()
+        assert codec.parse(codec.serialize(s)) == s
 
     def test_garbage_rejected(self):
+        parse = StateCodec().parse
         for text in ("", "X,1,2", "P,1,2", "D,a,b", "F,1,2,3"):
             with pytest.raises(ValueError):
-                parse_state(text)
+                parse(text)
         # Non-canonical: a flag of 2, '_', '+', ' ' or a leading zero in an
-        # integer, and no gem cells. None is text that serialize_state writes.
+        # integer, and no gem cells. None is text that `serialize` writes.
         for text in ("F,0,0,_,_,2", "P,1_0,2,4,4", "D,+1, 2", "D,01,2", "N,1,1,0"):
             with pytest.raises(ValueError):
-                parse_state(text)
+                parse(text)
 
     @given(text=mutated_state_texts())
     @settings(max_examples=300)
     def test_only_canonical_text_parses(self, text):
+        codec = StateCodec()
         try:
-            s = parse_state(text)
+            s = codec.parse(text)
         except ValueError:
             return
-        assert serialize_state(s) == text
+        assert codec.serialize(s) == text
 
 
 class TestCodecMemo:
-    """`parse_state` and `serialize_state` keep nothing between calls; a
-    `StateCodec` shares equal field values between the states it reads,
-    and two codecs share nothing."""
+    """A `StateCodec` shares equal field values between the states it
+    reads, and two codecs share nothing."""
 
     TEXT = "N,1,1,0,0:2,_,_"
-
-    def test_one_off_parse_keeps_nothing(self):
-        first, second = parse_state(self.TEXT), parse_state(self.TEXT)
-        assert first == second
-        assert first.agent_pos is not second.agent_pos
-        assert first.gem_cells is not second.gem_cells
 
     def test_one_codec_reads_equal_fields_as_one_object(self):
         codec = StateCodec()
@@ -290,8 +282,6 @@ class TestCodecMemo:
     def test_only_abstract_states_serialize(self, value):
         message = f"^{re.escape(f'not an abstract state: {value!r}')}$"
         with pytest.raises(TypeError, match=message):
-            serialize_state(value)
-        with pytest.raises(TypeError, match=message):
             StateCodec().serialize(value)
 
 
@@ -304,20 +294,19 @@ def projection_lines(size: int, planner: bool, seed: int) -> list[str]:
     mode = ControllerMode(Method.RANDOM, planner_enabled=planner)
     h, rng = Hyperparams(seed=seed), random.Random(seed)
     state, assignment = reset(grid, seed), (None,) * grid.num_agents
-    lines = []
+    serialize, lines = StateCodec().serialize, []
     while True:
         alloc = assignment if planner else None
         for agent in range(grid.num_agents):
             view = abstract_no_planner(state, agent)
-            texts = [serialize_state(view),
-                     serialize_state(abstract_flat(state, agent, assignment, grid.bank))]
+            texts = [serialize(view), serialize(abstract_flat(state, agent, assignment, grid.bank))]
             option = option_for_agent(state, agent, alloc)
             if option is DROP_TABLE:
-                texts.append(serialize_state(abstract_drop(state, agent)))
+                texts.append(serialize(abstract_drop(state, agent)))
             elif option is PICKUP_TABLE:
                 gems = ([alloc[agent]] if planner else
                         [j for j, cell in enumerate(view.gem_cells) if cell is not None])
-                texts += [serialize_state(abstract_pickup(state, agent, j)) for j in gems]
+                texts += [serialize(abstract_pickup(state, agent, j)) for j in gems]
             lines.append(f"{state.step} {agent} {option or 'idle'} " + " ".join(texts))
         if is_terminal(state, grid):
             return lines
@@ -340,6 +329,7 @@ class TestProjectionsPinned:
         # a gem held by the other agent, and a deposited gem.
         assert " D," in text
         assert any(" drop " in a and " pickup " in b for a, b in zip(lines[::2], lines[1::2]))
-        views = [parse_state(t) for t in text.split() if t.startswith("N,")]
+        parse = StateCodec().parse
+        views = [parse(t) for t in text.split() if t.startswith("N,")]
         assert any(None in view.gem_cells for view in views)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import random
+import runpy
 import statistics
 import tracemalloc
 import warnings
@@ -22,9 +23,9 @@ from bankworld.abstraction import (
     FlatState,
     NoPlannerState,
     PickupState,
+    StateCodec,
     abstract_drop,
     abstract_pickup,
-    serialize_state,
 )
 from bankworld.environment import (
     ACTIONS,
@@ -667,6 +668,26 @@ class TestOracle:
             assert len(calls) == 5 * cells + onto_gems
         else:
             assert len(calls) == 5 * cells
+
+
+class TestOracleDigests:
+    """Every case of `scripts/oracle_digests.py` solves to the digest pinned
+    in `oracle_digests.txt`: the exact solver's Q maps, value types and
+    reprs to the byte, on grids, banks, no-op rewards and gammas that
+    `TestOracleGoldenBytes` does not reach."""
+
+    def test_every_case_solves_to_its_pinned_digest(self):
+        tests = Path(__file__).resolve().parent
+        script = runpy.run_path(str(tests.parent / "scripts" / "oracle_digests.py"))
+        pinned = dict(line.split() for line in (tests / "oracle_digests.txt").read_text().splitlines())
+        solved = {script["label"](grid, task, gamma):
+                  script["digest"](value_iteration_oracle(grid, task, gamma))
+                  for grid, task, gamma in script["cases"]()}
+        assert len(solved) == 84
+        mismatches = [f"{label}: pinned {pinned.get(label)}, solved {solved.get(label)}"
+                      for label in sorted(pinned.keys() | solved.keys())
+                      if pinned.get(label) != solved.get(label)]
+        assert not mismatches, "\n".join(mismatches)
 
 
 class TestThreshold:
@@ -1319,9 +1340,10 @@ class TestQTableCodec:
             assert body == sorted(body)
         # Every record line of every section sorted as text, then joined.
         lines = [harness._hyper_header(mode, hyper)]
+        serialize = StateCodec().serialize
         for key in sorted(tables):
             lines.append(f"# option={key}")
-            lines.extend(sorted(f"{serialize_state(s)},{a},{v!r}"
+            lines.extend(sorted(f"{serialize(s)},{a},{v!r}"
                                 for s, row in tables[key].rows.items() for a, v in enumerate(row)))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert read_qtable(path)[2] == tables
