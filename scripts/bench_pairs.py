@@ -14,7 +14,9 @@ A metric is marked unresolved when the parent's interquartile range,
 over its median, exceeds the metric's bound, unless every change run did
 better than every parent run: its runs then spread too widely to tell a
 shift within the bound. A median shift for the worse beyond the bound is
-marked as such.
+marked as such. Each run's batch count, from the benchmark's
+``perfbench ... batches=N`` line, is printed per run and per side, since
+``peak_rss_mb`` can follow it.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload desk-fixed --pairs 10 --seed 7 --seconds 35
@@ -26,6 +28,7 @@ exits non-zero stops the script. Runs go one after another.
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -33,13 +36,16 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, command: list[str], args) -> dict:
-    """One benchmark run in ``checkout``: its last stdout line, as JSON."""
+    """One benchmark run in ``checkout``: its last stdout line, as JSON,
+    with the run's batch count under ``batches``."""
     argv = command + ["--workload", args.workload, "--seed", str(args.seed),
                       "--seconds", str(args.seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(argv)} exited {done.returncode}\n{done.stderr[-2000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["batches"] = int(re.search(r"^perfbench .* batches=(\d+)", done.stdout, re.M)[1])
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -74,13 +80,14 @@ def main(argv=None) -> int:
             runs[side].append(result)
             shown = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
             print(f"pair {pair} {side}: failed checks {result['failed']} of {result['attempted']},"
-                  f" {shown}", file=sys.stderr)
+                  f" batches {result['batches']}, {shown}", file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, --seconds {args.seconds:g}")
     for side, results in runs.items():
         failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)
-        print(f"  {side}: {failed} of {attempted} output checks failed")
+        batches = " ".join(str(r["batches"]) for r in results)
+        print(f"  {side}: {failed} of {attempted} output checks failed; batches per run {batches}")
     for spec in bench["end_to_end"]:
         name, bound, lower = spec["name"], spec["bound"], spec["better"] == "lower"
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]

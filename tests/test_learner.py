@@ -128,6 +128,42 @@ class TestTdUpdate:
         assert visits == [0] * 5
 
 
+# Ties, signed zeros and equal int/float pairs, as an exact solver's table
+# holds them: entries that compare equal but print differently.
+POOL = (0, 0.0, -0.0, 50, 50.0, 500, 500.0, -1.0, 2.5)
+ROWS = st.lists(st.sampled_from(POOL), min_size=5, max_size=5)
+
+
+class TestFirstMaximum:
+    """Greedy selection and the TD bootstrap take a row's first maximal
+    entry, as builtin `max` takes it."""
+
+    @given(ROWS)
+    def test_greedy_action_is_the_first_maximum(self, row):
+        assert select_action(row, 0.0, None) is ACTIONS[row.index(max(row))]
+
+    @given(row=ROWS, a=st.sampled_from(ACTIONS), r=st.sampled_from(POOL + (-1, 1)),
+           next_row=st.none() | ROWS, terminal=st.booleans(),
+           alpha=st.sampled_from((0, 0.1, 1, 1.0)), gamma=st.sampled_from((0, 0.95, 1, 1.0)))
+    def test_update_matches_a_builtin_max_update_to_the_type(
+        self, row, a, r, next_row, terminal, alpha, gamma
+    ):
+        expected = list(row)
+        target = r if terminal else r + gamma * (0.0 if next_row is None else max(next_row))
+        expected[a] += alpha * (target - expected[a])
+        td_update(row, a, r, next_row, terminal, Hyperparams(alpha=alpha, gamma=gamma))
+        assert (type(row[a]), repr(row[a])) == (type(expected[a]), repr(expected[a]))
+
+    @given(ROWS)
+    def test_update_bootstraps_from_the_first_maximum_type_included(self, next_row):
+        # With r = 0 and integer alpha = gamma = 1, row[0] becomes the best
+        # entry itself: 50 and 50.0 tie, and only the first one is right.
+        row = [0] * 5
+        td_update(row, Action.UP, 0, next_row, False, Hyperparams(alpha=1, gamma=1))
+        best = max(next_row)
+        assert (type(row[0]), row[0]) == (type(best), best)
+
+
 class TestEpsilonSchedule:
     def test_linear_anneal(self):
         h = Hyperparams(eps_start=1.0, eps_end=0.05, eps_decay_fraction=0.8)

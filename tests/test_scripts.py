@@ -1,0 +1,74 @@
+"""The experiment scripts under `scripts/`, run with their benchmark calls
+replaced by canned results."""
+
+import json
+import runpy
+import subprocess
+from pathlib import Path
+from types import SimpleNamespace
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PAIRS = 10
+
+# Per metric, ten parent and ten change values (lower is better, bound 25%).
+CANNED = {
+    "gain": ([10.0 + 0.01 * k for k in range(PAIRS)], [9.0 + 0.01 * k for k in range(PAIRS)]),
+    "flat": ([10.0 + 0.01 * k for k in range(PAIRS)], [10.0 + 0.01 * k for k in range(PAIRS)]),
+    "wide": ([5.0, 15.0] * (PAIRS // 2), [10.0] * PAIRS),
+    "worse": ([10.0] * PAIRS, [20.0] * PAIRS),
+}
+
+
+def bench_pairs():
+    return runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+
+
+class TestBenchPairs:
+    def run_script(self, tmp_path, capsys):
+        bench = {"command": ["true"], "workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": name, "unit": "s", "better": "lower", "bound": 0.25}
+                                for name in CANNED]}
+        sides = {tmp_path / "parent": 0, tmp_path / "change": 1}
+        for checkout in sides:
+            checkout.mkdir()
+        (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(bench))
+        calls = {checkout: 0 for checkout in sides}
+
+        def run_once(checkout, command, args):
+            k = calls[checkout]
+            calls[checkout] += 1
+            return {"failed": 0, "attempted": 3, "batches": 5 + sides[checkout] + k % 2,
+                    "metrics": {name: {"value": values[sides[checkout]][k]}
+                                for name, values in CANNED.items()}}
+
+        script = bench_pairs()
+        script["main"].__globals__["run_once"] = run_once
+        assert script["main"](["--parent", str(tmp_path / "parent"), "--change",
+                               str(tmp_path / "change"), "--workload", "w",
+                               "--pairs", str(PAIRS), "--seed", "1"]) == 0
+        out, err = capsys.readouterr()
+        return {line.split()[0]: line for line in out.splitlines()[1:]}, err
+
+    def test_verdict_per_metric(self, tmp_path, capsys):
+        lines, _ = self.run_script(tmp_path, capsys)
+        assert lines["gain"].endswith("change better in 10 of 10; gain shown")
+        assert lines["flat"].endswith("change better in 0 of 10; gain not shown")
+        assert lines["wide"].endswith("gain not shown; unresolved: parent spread exceeds bound")
+        assert lines["worse"].endswith("gain not shown; worse beyond bound")
+
+    def test_batch_counts_per_run_and_per_side(self, tmp_path, capsys):
+        lines, err = self.run_script(tmp_path, capsys)
+        assert lines["parent:"].endswith("batches per run 5 6 5 6 5 6 5 6 5 6")
+        assert lines["change:"].endswith("batches per run 6 7 6 7 6 7 6 7 6 7")
+        assert "pair 0 parent: failed checks 0 of 3, batches 5, " in err
+        assert "pair 0 change: failed checks 0 of 3, batches 6, " in err
+
+    def test_run_once_reads_the_batch_count(self, tmp_path):
+        stdout = ("perfbench w seed=1 trace=0 batches=12 nproc=2 python=3.11.7\n"
+                  '{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}\n')
+        run_once = bench_pairs()["run_once"]
+        run_once.__globals__["subprocess"] = SimpleNamespace(
+            run=lambda argv, **kw: subprocess.CompletedProcess(argv, 0, stdout, ""))
+        args = SimpleNamespace(workload="w", seed=1, seconds=1.0)
+        assert run_once(tmp_path, ["true"], args) == {
+            "correct": True, "attempted": 3, "failed": 0, "metrics": {}, "batches": 12}
