@@ -256,9 +256,11 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> Parsed:
     return Parsed(args, _build_run_config(values, args.config), given)
 
 
-def _final_mean(records, window=100) -> float:
-    tail = records[-window:]
-    return statistics.fmean(r.total_reward for r in tail)
+_FINAL_WINDOW = 100  # episodes in the trailing mean reward that `train` prints
+
+
+def _final_mean(records) -> float:
+    return statistics.fmean(r.total_reward for r in records[-_FINAL_WINDOW:])
 
 
 def _run_dir(out: str, run: RunConfig) -> Path:

@@ -408,19 +408,17 @@ class SummaryRow:
     episodes_to_threshold: Optional[int]
 
 
-def episodes_to_threshold(
-    records: Sequence[EpisodeRecord], threshold: float, window: int = THRESHOLD_WINDOW
-) -> Optional[int]:
-    """First episode whose trailing-window mean reward meets the
-    threshold, or None when it never does."""
-    if len(records) < window:
+def episodes_to_threshold(records: Sequence[EpisodeRecord], threshold: float) -> Optional[int]:
+    """First episode whose mean reward over the trailing `THRESHOLD_WINDOW`
+    episodes meets the threshold, or None when it never does."""
+    if len(records) < THRESHOLD_WINDOW:
         return None
-    running = sum(r.total_reward for r in records[:window])
-    if running / window >= threshold:
-        return records[window - 1].episode
-    for i in range(window, len(records)):
-        running += records[i].total_reward - records[i - window].total_reward
-        if running / window >= threshold:
+    running = sum(r.total_reward for r in records[:THRESHOLD_WINDOW])
+    if running / THRESHOLD_WINDOW >= threshold:
+        return records[THRESHOLD_WINDOW - 1].episode
+    for i in range(THRESHOLD_WINDOW, len(records)):
+        running += records[i].total_reward - records[i - THRESHOLD_WINDOW].total_reward
+        if running / THRESHOLD_WINDOW >= threshold:
             return records[i].episode
     return None
 

@@ -307,14 +307,15 @@ def controller_step(
     # assign ignore it), so it and the deposited count are kept here.
     step, deposited, num_gems = state.step, gems_deposited(state), config.num_gems
     # Per agent, the successor its last update bootstrapped from and its row
-    # (None if it had none), with the gem cells, allocation slot and row kind
-    # it was projected under; None after a terminal update. Besides those
-    # three, `project` reads only the bank and the agent's own cell and load,
-    # which only its own move changes; so while the three are unchanged at
-    # the agent's next turn, the kept state is its state then. Only a pickup
-    # replaces the gem cells tuple. A move that returns the state it was
-    # given changes none of it and deposits nothing: its successor is the
-    # state acted from.
+    # (None if it had none), with the gem cells and allocation slot it was
+    # projected under; None after a terminal update. Under options every
+    # pickup and deposit, the only steps that change an agent's table and
+    # row kind, is terminal. Besides those two, `project` reads only the
+    # bank and the agent's own cell and load, which only its own move
+    # changes; so while the two are unchanged at the agent's next turn, the
+    # kept state is its state then. Only a pickup replaces the gem cells
+    # tuple. A move that returns the state it was given changes none of it
+    # and deposits nothing: its successor is the state acted from.
     kept: list[Optional[tuple]] = [None] * config.num_agents
 
     for _ in range(timesteps):
@@ -334,8 +335,7 @@ def controller_step(
             else:
                 rows, visits, kind = executing[option]
                 last = kept[agent]
-                if last is not None and last[2] is state.gem_cells and last[3] == gem \
-                        and last[4] is kind:
+                if last is not None and last[2] is state.gem_cells and last[3] == gem:
                     s, row = last[0], last[1]
                     if row is None:
                         # Another agent may have made it since.
@@ -363,12 +363,12 @@ def controller_step(
                     next_row = kept[agent] = None
                 elif next_state is state:
                     next_row = row
-                    kept[agent] = (s, row, state.gem_cells, gem, kind)
+                    kept[agent] = (s, row, state.gem_cells, gem)
                 else:
                     s_next = project(next_state, agent, kind, alloc, bank)
                     next_row = rows.get(s_next)
                     kept[agent] = (s_next, next_row, next_state.gem_cells,
-                                   None if alloc is None else alloc[agent], kind)
+                                   None if alloc is None else alloc[agent])
                 update(row, action, outcome.reward, next_row, terminal, h,
                        None if decay is None else visits.setdefault(s, [0] * 5))
 

@@ -3,7 +3,6 @@ import hashlib
 import math
 import os
 import random
-import runpy
 import statistics
 import tracemalloc
 import warnings
@@ -617,6 +616,15 @@ class TestOracle:
         rows[0][:] = [12345.5] * 5
         assert [list(row) for row in rows[1:]] == before[1:]
 
+    @pytest.mark.parametrize("task, entries, objects", [
+        (PICKUP_TABLE, 252_000, 79), (DROP_TABLE, 1_125, 37)])
+    def test_a_15x15_solve_shares_its_values_in_few_objects(self, task, entries, objects):
+        """At the size README quotes, one value object per (type, repr) pair."""
+        q = value_iteration_oracle(GridConfig(15, 15, 1, 1, 100), task, 0.95)
+        values = [v for _, _, v in q.items()]
+        assert len(values) == entries
+        assert len({id(v) for v in values}) == len({(type(v), repr(v)) for v in values}) == objects
+
     @pytest.mark.parametrize("gamma", [1.5, 2.0, -0.5, math.inf, math.nan])
     def test_refuses_a_gamma_outside_the_unit_interval(self, gamma, monkeypatch):
         """Before it enumerates a state: past 1 the values grow without
@@ -670,19 +678,40 @@ class TestOracle:
             assert len(calls) == 5 * cells
 
 
+def oracle_cases():
+    """The 84 solves whose digests `oracle_digests.txt` pins."""
+    grids = ((5, 7, (1, 2)), (7, 7, None), (9, 7, (2, 6)), (13, 9, (1, 1)))
+    for (width, height, bank), task, noop, gamma in product(
+            grids, (PICKUP_TABLE, DROP_TABLE), (0, -1), (0.0, 0.5, 0.95, 0.99, 1.0)):
+        yield GridConfig(width, height, 1, 1, 100, bank=bank, noop_reward=noop), task, gamma
+    for size, task in product((11, 15), (PICKUP_TABLE, DROP_TABLE)):
+        yield GridConfig(size, size, 1, 1, 100), task, 0.95
+
+
+def oracle_label(grid: GridConfig, task: str, gamma: float) -> str:
+    bank = "%d,%d" % grid.bank
+    return f"{grid.width}x{grid.height}/bank={bank}/{task}/noop={grid.noop_reward}/gamma={gamma!r}"
+
+
+def oracle_digest(q: QTable) -> str:
+    """sha256 over each entry's `StateCodec` text, action, value type and repr."""
+    serialize = StateCodec().serialize
+    text = "".join(f"{serialize(s)},{a},{type(v).__name__},{v!r}\n" for s, a, v in q.items())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestOracleDigests:
-    """Every case of `scripts/oracle_digests.py` solves to the digest pinned
-    in `oracle_digests.txt`: the exact solver's Q maps, value types and
-    reprs to the byte, on grids, banks, no-op rewards and gammas that
+    """Every case of `oracle_cases` solves to the digest pinned in
+    `oracle_digests.txt`: the exact solver's Q maps, value types and reprs
+    to the byte, on grids, banks, no-op rewards and gammas that
     `TestOracleGoldenBytes` does not reach."""
 
     def test_every_case_solves_to_its_pinned_digest(self):
-        tests = Path(__file__).resolve().parent
-        script = runpy.run_path(str(tests.parent / "scripts" / "oracle_digests.py"))
-        pinned = dict(line.split() for line in (tests / "oracle_digests.txt").read_text().splitlines())
-        solved = {script["label"](grid, task, gamma):
-                  script["digest"](value_iteration_oracle(grid, task, gamma))
-                  for grid, task, gamma in script["cases"]()}
+        pinned_file = Path(__file__).resolve().parent / "oracle_digests.txt"
+        pinned = dict(line.split() for line in pinned_file.read_text().splitlines())
+        solved = {oracle_label(grid, task, gamma):
+                  oracle_digest(value_iteration_oracle(grid, task, gamma))
+                  for grid, task, gamma in oracle_cases()}
         assert len(solved) == 84
         mismatches = [f"{label}: pinned {pinned.get(label)}, solved {solved.get(label)}"
                       for label in sorted(pinned.keys() | solved.keys())

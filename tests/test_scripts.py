@@ -1,11 +1,15 @@
-"""The experiment scripts under `scripts/`, run with their benchmark calls
-replaced by canned results."""
+"""The scripts under `scripts/`, run with their benchmark and `bankworld`
+calls replaced by canned results."""
 
 import json
 import runpy
 import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import Mock
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PAIRS = 10
@@ -72,3 +76,28 @@ class TestBenchPairs:
         args = SimpleNamespace(workload="w", seed=1, seconds=1.0)
         assert run_once(tmp_path, ["true"], args) == {
             "correct": True, "attempted": 3, "failed": 0, "metrics": {}, "batches": 12}
+
+
+def comparisons(scale, seed):
+    """The argv lists of the desk and full-scale scripts that `run_experiments.py` replaced."""
+    flags = {"desk": "--grid 7x7 --agents 2 --gems 2 --episodes 2000 --steps 300",
+             "full": "--grid 11x11 --agents 2 --gems 3 --episodes 6000 --steps 1000"}[scale]
+    return [f"compare-{c} {flags} --seed {seed} --out runs/{scale}-{c}-s{seed}".split()
+            for c in ("methods", "planner")]
+
+
+class TestRunExperiments:
+    @pytest.mark.parametrize("argv, seed", [
+        (["desk"], 1), (["desk", "5"], 5), (["full"], 0), (["full", "5"], 5)])
+    @pytest.mark.parametrize("codes", [(0, 0), (3,), (0, 4)],
+                             ids=["ok", "methods-fail", "planner-fail"])
+    def test_issues_the_replaced_scripts_argv(self, monkeypatch, argv, seed, codes):
+        """Both comparisons, or only the methods one when it fails; the
+        script exits with the last one's code."""
+        main = Mock(side_effect=codes)
+        monkeypatch.setattr("bankworld.cli.main", main)
+        monkeypatch.setattr(sys, "argv", ["run_experiments.py", *argv])
+        with pytest.raises(SystemExit) as exit:
+            runpy.run_path(str(SCRIPTS / "run_experiments.py"), run_name="__main__")
+        assert exit.value.code == codes[-1]
+        assert [c.args[0] for c in main.call_args_list] == comparisons(argv[0], seed)[:len(codes)]
