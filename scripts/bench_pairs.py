@@ -21,7 +21,8 @@ marked as such. Each run's batch count, from the benchmark's
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload desk-fixed --pairs 10 --seed 7 --seconds 35
 
-The bounds and the command are read from the parent's ``BENCHMARK.json``.
+The bounds, the command and the default ``--seconds`` (its ``run_seconds``)
+are read from the parent's ``BENCHMARK.json``.
 Each run's failed output checks are counted and printed; a run that
 exits non-zero stops the script. Runs go one after another.
 """
@@ -63,7 +64,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seconds", type=float,
+                        help="run length of each benchmark run (default: run_seconds)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -71,6 +73,8 @@ def main(argv=None) -> int:
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in bench["workloads"]}:
         parser.error(f"--workload: not a workload of {args.parent / 'BENCHMARK.json'}")
+    if args.seconds is None:
+        args.seconds = float(bench["run_seconds"])
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {side: [] for side in sides}
     for pair in range(args.pairs):

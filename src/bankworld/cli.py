@@ -35,6 +35,7 @@ from .harness import (
     compare,
     evaluate,
     read_qtable,
+    reward_mean_std,
     train,
     value_iteration_oracle,
     write_metrics,
@@ -307,10 +308,9 @@ def _run_eval(args, run: RunConfig, given) -> None:
     out = _run_dir(args.out, cfg)
     records = evaluate(tables, cfg)
     _write_curve(records, out / "metrics.csv")
-    rewards = [r.total_reward for r in records]
-    std = statistics.stdev(rewards) if len(rewards) > 1 else 0.0
+    mean, std = reward_mean_std(records)
     print(
-        f"eval {mode.method.value}: mean reward {statistics.fmean(rewards):.1f}"
+        f"eval {mode.method.value}: mean reward {mean:.1f}"
         f" (std {std:.1f}) over {len(records)} greedy runs; artifacts in {out}"
     )
 

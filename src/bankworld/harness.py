@@ -32,7 +32,6 @@ import os
 import random
 import re
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial, wraps
 from itertools import chain
@@ -435,8 +434,15 @@ def _run_arms(configs: list[RunConfig]) -> list[tuple[Records, Records]]:
     workers = min(len(configs), os.cpu_count() or 1)
     if workers == 1:
         return [_arm_worker(cfg) for cfg in configs]
+    from concurrent.futures import ProcessPoolExecutor  # here: only a fan-out needs its ~36 modules
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_arm_worker, configs))
+
+
+def reward_mean_std(records: Sequence[EpisodeRecord]) -> tuple[float, float]:
+    """Mean and sample standard deviation of the records' rewards; a lone record's is 0."""
+    rewards = [r.total_reward for r in records]
+    return statistics.fmean(rewards), statistics.stdev(rewards) if len(rewards) > 1 else 0.0
 
 
 def _summary_row(
@@ -445,14 +451,11 @@ def _summary_row(
     eval_records: Sequence[EpisodeRecord],
     threshold: float,
 ) -> SummaryRow:
-    rewards = [r.total_reward for r in eval_records]
-    mean = statistics.fmean(rewards)
-    std = statistics.stdev(rewards) if len(rewards) > 1 else 0.0
+    mean, std = reward_mean_std(eval_records)
     return SummaryRow(
         method=mode.method.value,
         planner="on" if mode.planner_enabled else "off",
-        mean_eval_reward=mean,
-        std_eval_reward=std,
+        mean_eval_reward=mean, std_eval_reward=std,
         episodes_to_threshold=episodes_to_threshold(train_records, threshold),
     )
 

@@ -233,7 +233,7 @@ class TestPoolSize:
             return ThreadPoolExecutor(max_workers)
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_pool)
         monkeypatch.setattr(harness, "_arm_worker", lambda cfg: cfg)
         assert harness._run_arms(list(range(arms))) == list(range(arms))
         assert pools == ([] if workers is None else [workers])

@@ -33,6 +33,33 @@ gc.collect()
 print(" ".join(sorted(name for name, ref in first.items() if ref() is not None)))
 """
 
+# Imports the CLI, then trains, evaluates, solves and runs `oracle` as a
+# process that never compares would, and prints which of the process
+# pool's modules it loaded, on its last line.
+CLOSURE = """
+import sys, tempfile
+from bankworld import cli
+from bankworld.environment import GridConfig
+from bankworld.harness import RunConfig, evaluate, train, value_iteration_oracle
+from bankworld.learner import ControllerMode, Hyperparams, Method
+
+cfg = RunConfig(GridConfig(5, 5, 2, 2, 20), ControllerMode(Method.OPTIONS), Hyperparams(seed=1),
+                episodes=3, eval_runs=2)
+evaluate(train(cfg).tables, cfg)
+value_iteration_oracle(GridConfig(3, 3, 1, 1, 20), "pickup")
+with tempfile.TemporaryDirectory() as tmp:
+    assert cli.main(["oracle", "--grid", "3x3", "--task", "drop", "--out", f"{tmp}/q.csv"]) == 0
+print([m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules])
+"""
+
+
+def fresh_python(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this package."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout
+
 
 def absolute_imports(tree: ast.Module):
     for node in ast.walk(tree):
@@ -62,8 +89,12 @@ class TestReimport:
     module-level object is kept by a cache outside the package."""
 
     def test_first_copy_is_collected(self):
-        result = subprocess.run(
-            [sys.executable, "-c", REIMPORT], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-        )
-        assert result.stdout.split() == []
+        assert fresh_python(REIMPORT).split() == []
+
+
+class TestImportClosure:
+    """Only a compare that fans out loads the process pool: a process that
+    trains, evaluates or solves never pays for its modules."""
+
+    def test_no_pool_modules_outside_compare(self):
+        assert fresh_python(CLOSURE).splitlines()[-1] == "[]"

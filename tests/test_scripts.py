@@ -28,8 +28,10 @@ def bench_pairs():
 
 
 class TestBenchPairs:
-    def run_script(self, tmp_path, capsys):
-        bench = {"command": ["true"], "workloads": [{"name": "w"}],
+    def run_script(self, tmp_path, capsys, *argv):
+        """The script's summary lines by first word, its stderr, and the
+        run length that each run was given."""
+        bench = {"command": ["true"], "run_seconds": 12, "workloads": [{"name": "w"}],
                  "end_to_end": [{"name": name, "unit": "s", "better": "lower", "bound": 0.25}
                                 for name in CANNED]}
         sides = {tmp_path / "parent": 0, tmp_path / "change": 1}
@@ -37,8 +39,10 @@ class TestBenchPairs:
             checkout.mkdir()
         (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(bench))
         calls = {checkout: 0 for checkout in sides}
+        seconds = []
 
         def run_once(checkout, command, args):
+            seconds.append(args.seconds)
             k = calls[checkout]
             calls[checkout] += 1
             return {"failed": 0, "attempted": 3, "batches": 5 + sides[checkout] + k % 2,
@@ -49,23 +53,28 @@ class TestBenchPairs:
         script["main"].__globals__["run_once"] = run_once
         assert script["main"](["--parent", str(tmp_path / "parent"), "--change",
                                str(tmp_path / "change"), "--workload", "w",
-                               "--pairs", str(PAIRS), "--seed", "1"]) == 0
+                               "--pairs", str(PAIRS), "--seed", "1", *argv]) == 0
         out, err = capsys.readouterr()
-        return {line.split()[0]: line for line in out.splitlines()[1:]}, err
+        return {line.split()[0]: line for line in out.splitlines()[1:]}, err, seconds
 
     def test_verdict_per_metric(self, tmp_path, capsys):
-        lines, _ = self.run_script(tmp_path, capsys)
+        lines, *_ = self.run_script(tmp_path, capsys)
         assert lines["gain"].endswith("change better in 10 of 10; gain shown")
         assert lines["flat"].endswith("change better in 0 of 10; gain not shown")
         assert lines["wide"].endswith("gain not shown; unresolved: parent spread exceeds bound")
         assert lines["worse"].endswith("gain not shown; worse beyond bound")
 
     def test_batch_counts_per_run_and_per_side(self, tmp_path, capsys):
-        lines, err = self.run_script(tmp_path, capsys)
+        lines, err, _ = self.run_script(tmp_path, capsys)
         assert lines["parent:"].endswith("batches per run 5 6 5 6 5 6 5 6 5 6")
         assert lines["change:"].endswith("batches per run 6 7 6 7 6 7 6 7 6 7")
         assert "pair 0 parent: failed checks 0 of 3, batches 5, " in err
         assert "pair 0 change: failed checks 0 of 3, batches 6, " in err
+
+    @pytest.mark.parametrize("argv, seconds", [((), 12.0), (("--seconds", "2"), 2.0)])
+    def test_run_length_defaults_to_run_seconds(self, tmp_path, capsys, argv, seconds):
+        _, _, given = self.run_script(tmp_path, capsys, *argv)
+        assert given == [seconds] * (2 * PAIRS)
 
     def test_run_once_reads_the_batch_count(self, tmp_path):
         stdout = ("perfbench w seed=1 trace=0 batches=12 nproc=2 python=3.11.7\n"
