@@ -23,8 +23,10 @@ marked as such. Each run's batch count, from the benchmark's
 
 The bounds, the command and the default ``--seconds`` (its ``run_seconds``)
 are read from the parent's ``BENCHMARK.json``.
-Each run's failed output checks are counted and printed; a run that
-exits non-zero stops the script. Runs go one after another.
+Each run's failed output checks are counted and printed, with a verdict
+on whether the change failed a larger share of its output checks than the
+parent, which alone refuses a change. A run that exits non-zero stops the
+script. Runs go one after another.
 """
 
 import argparse
@@ -87,11 +89,16 @@ def main(argv=None) -> int:
                   f" batches {result['batches']}, {shown}", file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, --seconds {args.seconds:g}")
+    share = {}
     for side, results in runs.items():
         failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)
+        share[side] = failed / attempted if attempted else 0.0
         batches = " ".join(str(r["batches"]) for r in results)
         print(f"  {side}: {failed} of {attempted} output checks failed; batches per run {batches}")
+    larger = share["change"] > share["parent"]
+    print(f"  failed checks: parent {share['parent']:.1%}, change {share['change']:.1%};"
+          f" {'the change fails a larger share' if larger else 'no larger share failed'}")
     for spec in bench["end_to_end"]:
         name, bound, lower = spec["name"], spec["bound"], spec["better"] == "lower"
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]

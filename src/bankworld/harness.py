@@ -463,14 +463,13 @@ def _summary_row(
 def compare(
     base: RunConfig,
     modes: Sequence[ControllerMode],
-    threshold: Optional[float] = None,
 ) -> list[tuple[SummaryRow, Records, Records]]:
     """Train and test each mode under the grid, budget and seed of ``base``.
     Returns, per mode in order, its summary row, its training records and
-    its greedy records.
+    its greedy records; the learning-speed threshold is 0.8 times
+    `oracle_episode_return`.
     """
-    if threshold is None:
-        threshold = 0.8 * oracle_episode_return(base.grid, base.hyper.gamma)
+    threshold = 0.8 * oracle_episode_return(base.grid, base.hyper.gamma)
     results = _run_arms([replace(base, mode=mode) for mode in modes])
     return [
         (_summary_row(mode, train_recs, eval_recs, threshold), train_recs, eval_recs)
@@ -507,16 +506,19 @@ def write_summary(rows: Sequence[SummaryRow], path: Path) -> None:
     _write_rows(SUMMARY_HEADER, rows, path)
 
 
-# The `Hyperparams` fields a Q-table header carries, in the order written.
+# The settings a Q-table header carries, in the order written: each
+# `Hyperparams` field, and `_STEP_SCHEDULE`, always ``none`` since the step
+# size is the constant ``alpha``; a reader takes that one absent or ``none``.
 _HEADER_FIELDS = tuple(
     "alpha gamma eps_start eps_end eps_decay_fraction alpha_visit_decay seed".split())
+_STEP_SCHEDULE = "alpha_visit_decay"
 
 
 def _hyper_header(mode: ControllerMode, hyper: Hyperparams) -> str:
     planner = "on" if mode.planner_enabled else "off"
-    values = ((key, getattr(hyper, key)) for key in _HEADER_FIELDS)
     return f"# mode={mode.method.value} planner={planner} " + " ".join(
-        f"{key}={'none' if value is None else repr(value)}" for key, value in values)
+        f"{key}={'none' if key == _STEP_SCHEDULE else repr(getattr(hyper, key))}"
+        for key in _HEADER_FIELDS)
 
 
 @_collector_paused
@@ -566,8 +568,7 @@ def _number(name: str, text: str, parse=float):
 
 def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
     """The settings `_hyper_header` writes, each once and no others, after
-    the ``# `` it writes; a header without ``alpha_visit_decay`` reads it as
-    none."""
+    the ``# `` it writes; `_STEP_SCHEDULE` may be absent."""
     pairs = {}
     try:
         if not line.startswith("# mode="):
@@ -580,12 +581,11 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
         if pairs["planner"] not in ("on", "off"):
             raise ValueError(f"planner must be on or off, got {pairs['planner']!r}")
         mode = ControllerMode(Method(pairs["mode"]), pairs["planner"] == "on")
-        decay = pairs.get("alpha_visit_decay", "none")
-        hyper = Hyperparams(
-            **{key: _number(key, pairs[key], int if key == "seed" else float)
-               for key in _HEADER_FIELDS if key != "alpha_visit_decay"},
-            alpha_visit_decay=None if decay == "none" else _number("alpha_visit_decay", decay),
-        )
+        schedule = pairs.pop(_STEP_SCHEDULE, "none")
+        if schedule != "none":
+            raise ValueError(f"{_STEP_SCHEDULE} must be none, got {schedule!r}")
+        hyper = Hyperparams(**{key: _number(key, pairs[key], int if key == "seed" else float)
+                               for key in _HEADER_FIELDS if key != _STEP_SCHEDULE})
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}:1: bad header ({exc})") from None
     return mode, hyper
@@ -651,7 +651,9 @@ def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTab
                         continue
                     if current is None:
                         raise ValueError("record before any option section")
-                    text, _, _ = record
+                    if len(record) < 3:
+                        raise ValueError("expected state,action,value")
+                    text = record[0]
                     state = parse(text)
                     if type(state) is not kind:
                         raise ValueError(f"{text} is not a {kind.__name__}, the rows of {key!r}")

@@ -28,7 +28,6 @@ always acts.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -98,10 +97,9 @@ class ControllerMode:
 class Hyperparams:
     """Learning-rate, discount, and exploration settings.
 
-    ``alpha_visit_decay=v`` switches the step size to ``1/(1 + n/v)``
-    where n counts prior updates of the entry; None keeps ``alpha``
-    constant. Epsilon anneals linearly from ``eps_start`` to ``eps_end``
-    over the first ``eps_decay_fraction`` of training episodes.
+    The step size ``alpha`` is constant. Epsilon anneals linearly from
+    ``eps_start`` to ``eps_end`` over the first ``eps_decay_fraction`` of
+    training episodes.
     """
 
     alpha: float = 0.1
@@ -110,7 +108,6 @@ class Hyperparams:
     eps_end: float = 0.05
     eps_decay_fraction: float = 0.8
     seed: int = 0
-    alpha_visit_decay: Optional[float] = None
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "eps_start", "eps_decay_fraction"):
@@ -125,11 +122,6 @@ class Hyperparams:
         if self.seed < 0:
             # random.Random seeds with abs(seed): -5 would replay the run of 5.
             raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
-        decay = self.alpha_visit_decay
-        if decay is not None and not (0.0 < decay < math.inf):
-            raise ConfigError(
-                f"alpha_visit_decay must be finite and > 0, got {decay}", "alpha_visit_decay"
-            )
 
 
 def epsilon_at(episode: int, total_episodes: int, h: Hyperparams) -> float:
@@ -143,17 +135,13 @@ def epsilon_at(episode: int, total_episodes: int, h: Hyperparams) -> float:
 class QTable:
     """Sparse state-action value table; unseen rows read as 0.0.
 
-    Rows are 5-long lists indexed by action. ``visits`` counts `td_update`
-    calls per entry for the visit-count step-size decay alone
-    (``Hyperparams.alpha_visit_decay``), and stays empty under a constant
-    step size; it is bookkeeping, not part of value equality or persistence.
+    Rows are 5-long lists indexed by action.
     """
 
-    __slots__ = ("rows", "visits")
+    __slots__ = ("rows",)
 
     def __init__(self):
         self.rows: dict[AbstractState, list[float]] = {}
-        self.visits: dict[AbstractState, list[int]] = {}
 
     def items(self):
         for s, row in self.rows.items():
@@ -207,13 +195,10 @@ def td_update(
     next_row: Optional[list[float]],
     terminal: bool,
     h: Hyperparams,
-    visits: Optional[list[int]] = None,
 ) -> None:
     """In-place update of ``row[a]`` toward ``r + gamma * max(next_row)``,
     where a successor with no row (None) reads as 0.0; terminal transitions
-    bootstrap with 0 and never read ``next_row``. ``visits``, the state's
-    `QTable.visits` row, is read and bumped only under ``alpha_visit_decay``.
-    The best entry is taken as builtin `max` takes it, by replacing it only
+    bootstrap with 0 and never read ``next_row``. The best entry is taken as builtin `max` takes it, by replacing it only
     with a strictly greater one, so the first maximal entry is kept, type
     included (an exact solver's int goal entry stays an int). The chain is
     unrolled: with builtin `max` a call took about 395 ns, with the chain 250.
@@ -226,12 +211,7 @@ def td_update(
         if q3 > best: best = q3
         if q4 > best: best = q4
     target = r if terminal else r + h.gamma * best
-    if h.alpha_visit_decay is None:
-        alpha = h.alpha
-    else:
-        alpha = 1.0 / (1.0 + visits[a] / h.alpha_visit_decay)
-        visits[a] += 1
-    row[a] += alpha * (target - row[a])
+    row[a] += h.alpha * (target - row[a])
 
 
 def option_for_agent(
@@ -295,11 +275,10 @@ def controller_step(
     method, bank = mode.method, config.bank
     random_policy = method is _RANDOM
     learning = learn and not random_policy
-    decay = h.alpha_visit_decay
     alloc = assignment if mode.planner_enabled else None
     parked = IDLE_OUTCOMES[config.noop_reward]
-    # Each option's executing table, as its rows and visits, and row kind.
-    executing = {option: (tables[key].rows, tables[key].visits, mode.projection(key))
+    # Each option's executing table's rows and row kind.
+    executing = {option: (tables[key].rows, mode.projection(key))
                  for option, key in zip((PICKUP_TABLE, DROP_TABLE), _OPTION_TABLES[method])}
     # Read per call, not at import, so that rebinding these names takes effect.
     assign, release, move, update = plan.assign, plan.release, step_agent, td_update
@@ -333,7 +312,7 @@ def controller_step(
             if random_policy:
                 action = _uniform_action(rng)
             else:
-                rows, visits, kind = executing[option]
+                rows, kind = executing[option]
                 last = kept[agent]
                 if last is not None and last[2] is state.gem_cells and last[3] == gem:
                     s, row = last[0], last[1]
@@ -369,8 +348,7 @@ def controller_step(
                     next_row = rows.get(s_next)
                     kept[agent] = (s_next, next_row, next_state.gem_cells,
                                    None if alloc is None else alloc[agent])
-                update(row, action, outcome.reward, next_row, terminal, h,
-                       None if decay is None else visits.setdefault(s, [0] * 5))
+                update(row, action, outcome.reward, next_row, terminal, h)
 
             state = next_state
             outcomes.append(outcome)

@@ -128,6 +128,8 @@ def reference_read_qtable(path: Path):
         if key is None:
             raise ParseError(f"{path}:{lineno}: record before any option section")
         try:
+            if line.count(",") < 2:
+                raise ValueError("expected state,action,value")
             text, action_text, value_text = line.rsplit(",", 2)
             state, kind = parse(text), mode.projection(key)
             if type(state) is not kind:

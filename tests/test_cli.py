@@ -241,6 +241,18 @@ class TestEndToEnd:
             f"error: {path}: no {missing} section, which mode q-options needs\n")
         assert not out.exists()
 
+    def test_eval_rejects_a_short_record_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "# mode=q-options planner=on alpha=0.1 gamma=0.95 eps_start=1.0 eps_end=0.05"
+            " eps_decay_fraction=0.8 alpha_visit_decay=none seed=0\n# option=drop\ngarbage\n"
+        )
+        out = tmp_path / "e"
+        code = main(f"eval --qtable {path} --grid 5x5 --agents 1 --gems 1 --out {out}".split())
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}:3: expected state,action,value\n"
+        assert not out.exists()
+
     def test_compare_methods_writes_summary_and_arms(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         out = tmp_path / "cmp"

@@ -8,7 +8,6 @@ import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import get_type_hints
@@ -94,11 +93,6 @@ def tiny_run(method=Method.OPTIONS, planner=True, episodes=30, seed=3, gems=1, a
     )
 
 
-def with_visit_decay(cfg, decay):
-    """``cfg`` with the visit-count step size ``decay`` (None: constant alpha)."""
-    return replace(cfg, hyper=replace(cfg.hyper, alpha_visit_decay=decay))
-
-
 class TestTrain:
     def test_random_mode_logs_without_learning(self):
         cfg = tiny_run(Method.RANDOM, episodes=10)
@@ -108,17 +102,11 @@ class TestTrain:
         assert [r.episode for r in result.records] == list(range(10))
         assert all(r.epsilon == 1.0 for r in result.records)
 
-    @pytest.mark.parametrize("decay", [None, 100.0], ids=["constant", "visit-decay"])
-    def test_same_config_bit_identical(self, decay):
-        cfg = with_visit_decay(tiny_run(episodes=20), decay)
+    def test_same_config_bit_identical(self):
+        cfg = tiny_run(episodes=20)
         a, b = train(cfg), train(cfg)
         assert a.records == b.records
         assert a.tables == b.tables
-        assert {k: t.visits for k, t in a.tables.items()} == {
-            k: t.visits for k, t in b.tables.items()
-        }
-        if decay is not None:  # the visit counts compared are real ones
-            assert all(t.visits for t in a.tables.values())
 
     def test_different_seeds_differ(self):
         a = train(tiny_run(seed=1, episodes=20))
@@ -163,18 +151,13 @@ class TestTrain:
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("decay", [None, 100.0], ids=["constant", "visit-decay"])
-    def test_tables_untouched_and_run_count(self, decay):
-        cfg = with_visit_decay(tiny_run(episodes=40), decay)
+    def test_tables_untouched_and_run_count(self):
+        cfg = tiny_run(episodes=40)
         result = train(cfg)
-        if decay is not None:  # the visit counts compared are real ones
-            assert all(t.visits for t in result.tables.values())
         rows_before = {k: {s: list(r) for s, r in t.rows.items()} for k, t in result.tables.items()}
-        visits_before = {k: {s: list(v) for s, v in t.visits.items()} for k, t in result.tables.items()}
         records = evaluate(result.tables, cfg)
         assert len(records) == 4
         assert {k: t.rows for k, t in result.tables.items()} == rows_before
-        assert {k: t.visits for k, t in result.tables.items()} == visits_before
 
     def test_random_policy_evaluable(self):
         cfg = tiny_run(Method.RANDOM, episodes=1)
@@ -310,10 +293,6 @@ class TestOracle:
             mirrored = DropState((2 - s.agent_pos[0], 2 - s.agent_pos[1]))
             for a in range(5):
                 assert q_value(q, s, a) == pytest.approx(q_value(q, mirrored, flip[a]))
-
-    def test_solver_keeps_no_visit_counts(self):
-        q = value_iteration_oracle(three_by_three(), PICKUP_TABLE)
-        assert q.rows and q.visits == {}
 
     def test_refuses_oversized_spaces(self):
         with pytest.raises(ConfigError):
@@ -747,12 +726,12 @@ PLANNER_ARMS = [ControllerMode(Method.OPTIONS, True), ControllerMode(Method.OPTI
 
 class TestCompare:
     def test_three_rows_one_per_method(self):
-        rows = [row for row, _, _ in compare(tiny_run(episodes=8), method_arms(), threshold=100.0)]
+        rows = [row for row, _, _ in compare(tiny_run(episodes=8), method_arms())]
         assert [row.method for row in rows] == ["random", "q", "q-options"]
         assert all(row.planner == "on" for row in rows)
 
     def test_planner_rows_and_ablation_hygiene(self):
-        results = compare(tiny_run(episodes=8, gems=2), PLANNER_ARMS, threshold=1e9)
+        results = compare(tiny_run(episodes=8, gems=2), PLANNER_ARMS)
         rows = [row for row, _, _ in results]
         assert [row.planner for row in rows] == ["on", "off"]
         assert all(row.episodes_to_threshold is None for row in rows)
@@ -760,9 +739,9 @@ class TestCompare:
     def test_parallel_and_serial_execution_agree(self, monkeypatch):
         cfg = tiny_run(episodes=8)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        serial = compare(cfg, method_arms(), threshold=100.0)
+        serial = compare(cfg, method_arms())
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        parallel = compare(cfg, method_arms(), threshold=100.0)
+        parallel = compare(cfg, method_arms())
         assert serial == parallel
 
     def test_arms_share_resets(self):
@@ -793,7 +772,6 @@ class TestEpisodeLoop:
     """`_run_episode` runs a whole episode in one `controller_step` call. It
     must give the record, tables and random stream of one timestep per call."""
 
-    decay = None  # the step size: constant alpha
     agents = gems = 2
 
     @pytest.mark.parametrize("step_limit, ends_by", [(10, "limit"), (400, "deposit")])
@@ -805,7 +783,7 @@ class TestEpisodeLoop:
     ):
         gems = self.gems
         grid = GridConfig(5, 5, self.agents, gems, step_limit, layout=layout)
-        hyper = Hyperparams(seed=3, alpha_visit_decay=self.decay)
+        hyper = Hyperparams(seed=3)
         cfg = RunConfig(grid, ControllerMode(method, planner_on), hyper, episodes=1)
         runs = []
         for run in (harness._run_episode, stepwise_episode):
@@ -814,23 +792,14 @@ class TestEpisodeLoop:
                 learn = episode < 3  # the last episode replays greedily
                 eps = 0.3 if learn else 0.0
                 records.append(run(cfg, tables, eps, rng, 40 + episode, episode, learn))
-            state = {key: (t.rows, t.visits) for key, t in tables.items()}
+            state = {key: t.rows for key, t in tables.items()}
             runs.append((records, state, rng.getstate()))
         assert runs[0] == runs[1]
-        # Visit counts are kept for the step size that reads them, and only then.
-        for rows, visits in runs[0][1].values():
-            assert visits.keys() == (rows.keys() if self.decay else set())
         records = runs[0][0]
         if ends_by == "limit":
             assert any(r.steps_used == step_limit and r.gems_dropped < gems for r in records)
         else:
             assert any(r.gems_dropped == gems and r.steps_used < step_limit for r in records)
-
-
-class TestEpisodeLoopVisitDecay(TestEpisodeLoop):
-    """The same, with the visit-count step size, whose counts the tables keep."""
-
-    decay = 100.0
 
 
 class TestEpisodeLoopThreeAgents(TestEpisodeLoop):
@@ -1161,7 +1130,7 @@ class TestPersistence:
         with pytest.raises(ParseError, match=r"bad.csv:1: bad header \("):
             read_qtable(path)
 
-    @pytest.mark.parametrize("decay", ["0.0", "-1.0", "nan"])
+    @pytest.mark.parametrize("decay", ["0.0", "-1.0", "nan", "100.0"])
     def test_bad_visit_decay_names_line_1(self, tmp_path, decay):
         path = tmp_path / "bad.csv"
         header = self.HEADER.replace("alpha_visit_decay=none", f"alpha_visit_decay={decay}")
@@ -1438,6 +1407,13 @@ class TestQTableCodec:
             f.write("P,0,0,1,1,9,1.0\n")
         with pytest.raises(ParseError, match=r"spaced.csv:8: action '9'"):
             read_qtable(spaced)
+
+    @pytest.mark.parametrize("line", ["garbage", "1,2"])
+    def test_a_record_short_of_two_commas_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.HEADER}\n{self.RECORDS}{line}\n")
+        with pytest.raises(ParseError, match=r"^\S*bad.csv:6: expected state,action,value$"):
+            read_qtable(path)
 
     @pytest.mark.parametrize("text", [
         "",

@@ -111,22 +111,6 @@ class TestTdUpdate:
         td_update(table_row(poisoned, S), Action.UP, 50, poisoned.rows[S2], terminal=True, h=h)
         assert q_value(poisoned, S, Action.UP) == pytest.approx(5.0)
 
-    def test_visit_decay_schedule(self):
-        h = Hyperparams(alpha_visit_decay=100.0)
-        row, visits = [0.0] * 5, [0] * 5
-        td_update(row, Action.UP, 10, None, terminal=True, h=h, visits=visits)
-        assert row[Action.UP] == pytest.approx(10.0)  # first visit: alpha 1
-        td_update(row, Action.UP, 0, None, terminal=True, h=h, visits=visits)
-        # second visit: alpha = 1 / (1 + 1/100)
-        assert row[Action.UP] == pytest.approx(10.0 * (1 - 100 / 101))
-        assert visits == [2, 0, 0, 0, 0]
-
-    def test_constant_step_size_counts_no_visits(self):
-        row, visits = [0.0] * 5, [0] * 5
-        td_update(row, Action.UP, 10, None, terminal=True, h=Hyperparams(alpha=0.5), visits=visits)
-        assert row[Action.UP] == 5.0
-        assert visits == [0] * 5
-
 
 # Ties, signed zeros and equal int/float pairs, as an exact solver's table
 # holds them: entries that compare equal but print differently.
@@ -188,13 +172,6 @@ class TestEpsilonSchedule:
         with pytest.raises(ConfigError) as info:
             Hyperparams(**kwargs)
         assert info.value.field == field
-
-    @pytest.mark.parametrize("decay", [0.0, -1.0, math.nan, math.inf])
-    def test_visit_decay_must_be_finite_and_positive(self, decay):
-        # 0 and negative values divided by zero in `td_update`; NaN wrote NaN values.
-        with pytest.raises(ConfigError) as info:
-            Hyperparams(alpha_visit_decay=decay)
-        assert info.value.field == "alpha_visit_decay"
 
     def test_negative_seed_rejected(self):
         # random.Random seeds with abs(seed), so -5 would train the run of 5.

@@ -1,13 +1,17 @@
-"""The package as a whole: what it imports, and what a fresh import of it
-leaves behind."""
+"""The package as a whole: what it imports, what a fresh import of it
+leaves behind, and which of its settings a command sets."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import bankworld
+from bankworld import cli, harness
+from bankworld.learner import Hyperparams
 
 PACKAGE = Path(bankworld.__file__).resolve().parent
 
@@ -98,3 +102,14 @@ class TestImportClosure:
 
     def test_no_pool_modules_outside_compare(self):
         assert fresh_python(CLOSURE).splitlines()[-1] == "[]"
+
+
+class TestSettingsReach:
+    """Every `Hyperparams` field is a setting a command sets and a Q-table
+    header records: none is left that only code can change."""
+
+    def test_each_field_has_one_setting_row_and_a_header_field(self):
+        names = [f.name for f in fields(Hyperparams)]
+        filled = Counter(name for s in cli._SETTINGS for part, name in s.paths() if part == "hyper")
+        assert filled == Counter(names)
+        assert set(names) <= set(harness._HEADER_FIELDS)

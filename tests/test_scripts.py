@@ -28,9 +28,10 @@ def bench_pairs():
 
 
 class TestBenchPairs:
-    def run_script(self, tmp_path, capsys, *argv):
+    def run_script(self, tmp_path, capsys, *argv, failed=(0, 0)):
         """The script's summary lines by first word, its stderr, and the
-        run length that each run was given."""
+        run length that each run was given; each run of the parent and of
+        the change fails ``failed[0]`` and ``failed[1]`` of its 3 checks."""
         bench = {"command": ["true"], "run_seconds": 12, "workloads": [{"name": "w"}],
                  "end_to_end": [{"name": name, "unit": "s", "better": "lower", "bound": 0.25}
                                 for name in CANNED]}
@@ -45,7 +46,7 @@ class TestBenchPairs:
             seconds.append(args.seconds)
             k = calls[checkout]
             calls[checkout] += 1
-            return {"failed": 0, "attempted": 3, "batches": 5 + sides[checkout] + k % 2,
+            return {"failed": failed[sides[checkout]], "attempted": 3, "batches": 5 + sides[checkout] + k % 2,
                     "metrics": {name: {"value": values[sides[checkout]][k]}
                                 for name, values in CANNED.items()}}
 
@@ -63,6 +64,17 @@ class TestBenchPairs:
         assert lines["flat"].endswith("change better in 0 of 10; gain not shown")
         assert lines["wide"].endswith("gain not shown; unresolved: parent spread exceeds bound")
         assert lines["worse"].endswith("gain not shown; worse beyond bound")
+
+    @pytest.mark.parametrize("failed, verdict", [
+        ((0, 0), "parent 0.0%, change 0.0%; no larger share failed"),
+        ((0, 1), "parent 0.0%, change 33.3%; the change fails a larger share"),
+        ((1, 1), "parent 33.3%, change 33.3%; no larger share failed"),
+        ((2, 1), "parent 66.7%, change 33.3%; no larger share failed"),
+    ], ids=["none", "change-more", "equal", "parent-more"])
+    def test_failed_share_verdict(self, tmp_path, capsys, failed, verdict):
+        lines, err, _ = self.run_script(tmp_path, capsys, failed=failed)
+        assert lines["failed"].endswith(verdict)
+        assert f"pair 0 change: failed checks {failed[1]} of 3," in err
 
     def test_batch_counts_per_run_and_per_side(self, tmp_path, capsys):
         lines, err, _ = self.run_script(tmp_path, capsys)
