@@ -773,6 +773,7 @@ class TestEpisodeLoop:
     must give the record, tables and random stream of one timestep per call."""
 
     agents = gems = 2
+    alpha = 0.1  # the default step size
 
     @pytest.mark.parametrize("step_limit, ends_by", [(10, "limit"), (400, "deposit")])
     @pytest.mark.parametrize("layout", [None, RandomLayout()], ids=["fixed", "random"])
@@ -783,7 +784,7 @@ class TestEpisodeLoop:
     ):
         gems = self.gems
         grid = GridConfig(5, 5, self.agents, gems, step_limit, layout=layout)
-        hyper = Hyperparams(seed=3)
+        hyper = Hyperparams(seed=3, alpha=self.alpha)
         cfg = RunConfig(grid, ControllerMode(method, planner_on), hyper, episodes=1)
         runs = []
         for run in (harness._run_episode, stepwise_episode):
@@ -800,6 +801,15 @@ class TestEpisodeLoop:
             assert any(r.steps_used == step_limit and r.gems_dropped < gems for r in records)
         else:
             assert any(r.gems_dropped == gems and r.steps_used < step_limit for r in records)
+
+
+class TestEpisodeLoopUnitStep(TestEpisodeLoop):
+    """The same with step size 1, the one the 3x3 oracle-equivalence test
+    trains with: each update overwrites its entry with the target, so a
+    row's greedy action turns over within an episode far more often, and
+    a greedy entry carried between updates must follow every turn."""
+
+    alpha = 1.0
 
 
 class TestEpisodeLoopThreeAgents(TestEpisodeLoop):
@@ -1130,7 +1140,7 @@ class TestPersistence:
         with pytest.raises(ParseError, match=r"bad.csv:1: bad header \("):
             read_qtable(path)
 
-    @pytest.mark.parametrize("decay", ["0.0", "-1.0", "nan", "100.0"])
+    @pytest.mark.parametrize("decay", ["0.0", "-1.0", "nan", "inf", "100.0"])
     def test_bad_visit_decay_names_line_1(self, tmp_path, decay):
         path = tmp_path / "bad.csv"
         header = self.HEADER.replace("alpha_visit_decay=none", f"alpha_visit_decay={decay}")
