@@ -191,7 +191,7 @@ class GridConfig:
             object.__setattr__(self, "bank", ((self.height - 1) // 2, (self.width - 1) // 2))
         br, bc = self.bank
         if not (1 <= br < self.height - 1 and 1 <= bc < self.width - 1):
-            raise ConfigError(f"bank {self.bank} must be strictly inside the grid")
+            raise ConfigError(f"bank {self.bank} must be strictly inside the grid", "bank")
         if self.layout is None:
             object.__setattr__(
                 self,

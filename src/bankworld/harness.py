@@ -12,13 +12,13 @@ its integer key, its index in `SubtaskMDP.states`. `SubtaskMDP` keeps no
 dynamics or views of its own: a step is one `step_agent` call projected
 by the controller's `learner.project`, made once per agent cell, action
 and whether the move enters the goal cell, not once per state-action
-pair. Transitions are deterministic, so Bellman sweeps of the state
-values in order of the goal distance (`SubtaskMDP.distances`, nearest
-first) settle nearly every value in the first pass; the loop exits at
-the literal fixed point, certified by the rows written from the values
-of the last sweep that changes one, or else by a sweep that changes none.
-Each distinct (reward, successor value) entry is made once, so equal
-values in a solved table share one object.
+pair. `_columns` gathers the steps into sweep columns, and `_solve`, which
+reads nothing of the sub-task, sweeps them: transitions are deterministic,
+so Bellman sweeps of the state values in order of the goal distance
+(`SubtaskMDP.distances`, nearest first) settle nearly every value in the
+first pass. It exits at the literal fixed point, certified by the rows
+written from the values of the last sweep that changes one, or else by a
+sweep that changes none. Equal values in a solved table share one object.
 The oracle doubles as the reference for "optimal episode return",
 obtained by rolling its greedy policy through a real episode.
 """
@@ -197,7 +197,8 @@ class SubtaskMDP:
     successor projected by `learner.project` into a state of that table's
     kind (`ControllerMode.projection`). The goal event, pickup or deposit,
     ends the sub-task, as it does for the options learner. Cells go by id,
-    ``r * width + c``, the order of `GridConfig.moves`."""
+    ``r * width + c``, the order of `GridConfig.moves`. It alone states which
+    cells end the sub-task and how they are numbered (`goal_cells`)."""
 
     def __init__(self, grid: GridConfig, task: str):
         if task not in OPTIONS_MODE.table_keys():
@@ -209,6 +210,10 @@ class SubtaskMDP:
         cell but the bank, where the gem may lie, by id; to deposit, the bank."""
         bank = self.grid.bank
         return [p for p in self.grid.moves if p != bank] if self.task == PICKUP_TABLE else [bank]
+
+    def goal_count(self) -> int:
+        """How many cells `goal_cells` lists, counted without listing a cell."""
+        return self.grid.width * self.grid.height - 1 if self.task == PICKUP_TABLE else 1
 
     def states(self) -> list[AbstractState]:
         """Per agent cell by id, the state of each goal cell by number: the
@@ -236,11 +241,10 @@ class SubtaskMDP:
 def _last_row_holds(sweep: list, values: list, gamma: float) -> bool:
     """Whether the row of the state swept last, written from ``values``, has
     that state's value as its best entry, of the same type. It is the first
-    row of the certificate that `value_iteration_oracle` tries after each
-    sweep that changed some value, checked before the values are numbered:
-    where a sweep's rows did not certify the fixed point, this row failed
-    in every solve tried. The arithmetic is the sweep's, written out there
-    for its speed."""
+    row of the certificate that `_solve` tries after each sweep that changed
+    some value, checked before the values are numbered: where a sweep's rows
+    did not certify the fixed point, this row failed in every solve tried.
+    The arithmetic is the sweep's, written out there for its speed."""
     j0, r0, j1, r1, j2, r2, j3, r3, j4, r4 = (column[-1] for column in sweep)
     v = max(r0 if j0 < 0 else r0 + gamma * values[j0],
             r1 if j1 < 0 else r1 + gamma * values[j1],
@@ -250,93 +254,23 @@ def _last_row_holds(sweep: list, values: list, gamma: float) -> bool:
     return v == values[-1] and type(v) is type(values[-1])
 
 
-@_collector_paused
-def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
-    """Exact action values for one sub-task: in-place Bellman sweeps of the
-    state values in goal-distance order (`SubtaskMDP.distances`) until they
-    are the fixed point, then each row written once from them. The order
-    only makes the sweeps few. A sweep that changes no value certifies the
-    fixed point. So do the rows written after a sweep that changed some,
-    when each row's best entry equals its state's value and has its type:
-    the next sweep would read those values, the earlier states' stored
-    again, and store every value again, so it is not run. Those rows are
-    written only where the row of the state swept last holds
-    (`_last_row_holds`), one row's arithmetic; where they failed, that row
-    failed in every solve tried. Rows that fail are dropped, and the sweeps
-    go on from the same values. The rows are the state's own lists, but
-    each distinct (reward, successor value) entry is made once and equal
-    values share one object: the values are numbered by type and value,
-    since 50 == 50.0 prints otherwise (-0.0 meets 0.0 only added to an int
-    reward, which gives the same entry for both).
-
-    A pair's reward depends only on the agent's cell, the action and
-    whether the move enters the goal cell; entering it ends the sub-task,
-    and any other move leads to the state with the agent on the move's
-    cell (`GridConfig.moves`) and the same goal. So `SubtaskMDP.step` runs
-    once per such case, and each step checks its successor against that
-    state. A state is known by its key, its index in `SubtaskMDP.states`,
-    so the successors of one cell and action are one slice of the places
-    in the sweep order by key. A pair is kept as its reward and its
-    successor's place, -1 when it ends the sub-task. The collector is
-    paused (`_collector_paused`). Refuses, before building anything, a
-    gamma outside [0, 1] and instances beyond `ORACLE_PAIR_LIMIT` pairs.
-    """
-    if not 0 <= gamma <= 1:
-        raise ConfigError(f"gamma must be in [0, 1], got {gamma}", "gamma")
-    mdp = SubtaskMDP(grid, task)
-    fetch, width, cells = task == PICKUP_TABLE, grid.width, grid.width * grid.height
-    goals = cells - 1 if fetch else 1
-    pairs = 5 * cells * goals
-    if pairs > ORACLE_PAIR_LIMIT:
-        raise ConfigError(
-            f"{pairs} state-action pairs exceed the oracle limit of {ORACLE_PAIR_LIMIT}", "width"
-        )
-    states = mdp.states()
-    # Each state is swept after the states one move nearer its goal: the
-    # i-th state swept is states[order[i]], and states[k] is swept place[k]-th.
-    order = sorted(range(len(states)), key=mdp.distances().__getitem__)
-    place = [0] * len(states)
-    for i, k in enumerate(order):
-        place[k] = i
-    bank = grid.bank[0] * width + grid.bank[1]
-
-    ends, goes = set(), set()  # the rewards of the pairs that end the sub-task, and of the rest
-
-    def reward(here: int, goal: int, a: int, successor: int) -> int:
-        """The reward of action ``a`` from the state keyed by ``here`` and
-        ``goal``, stepped after checking its successor's place (-1: none)."""
-        s_next, r, _ = mdp.step(states[here * goals + goal], ACTIONS[a])
-        assert s_next == (None if successor < 0 else states[order[successor]]), (here, goal, a)
-        (goes if successor >= 0 else ends).add(r)
-        return r
-
-    # Per action, in sweep order: a column of successor places and one of rewards.
-    sweep = []
-    for a in range(5):
-        successors, rewards = [], []  # per key
-        for here, moves in enumerate(grid.moves.values()):
-            (r, c), _ = moves[a]
-            there = r * width + c
-            # The goal this move enters, if the cell it moves onto is one:
-            # numbered by id with the bank skipped to fetch, the bank to deposit.
-            onto_goal = there != here and (there != bank if fetch else there == bank)
-            entered = (there - (there > bank) if fetch else 0) if onto_goal else None
-            # Per goal, the successor's place: the agent on `there`, the goal
-            # the same, or -1 where the move enters the goal.
-            row = place[there * goals:(there + 1) * goals]
-            if entered is not None:
-                row[entered] = -1
-            # Per goal, the reward: stepped from the first state on `here` whose
-            # goal the move misses, if any, and from the one whose goal it enters.
-            missed = 1 if entered == 0 else 0
-            rews = [reward(here, missed, a, row[missed]) if missed < goals else None] * goals
-            if entered is not None:
-                rews[entered] = reward(here, entered, a, -1)
-            successors += row
-            rewards += rews
-        sweep += list(map(successors.__getitem__, order)), list(map(rewards.__getitem__, order))
-    del place, successors, rewards
-    values = [0.0] * len(states)  # values[i] is the best value of the i-th state swept
+def _solve(sweep: list, order: Sequence[int], ends: set, goes: set, gamma: float) -> list:
+    """The rows, by key, of the exact action values of a deterministic
+    five-action task, known only by its pairs: ``sweep`` holds per action a
+    column of successor places (-1 where the pair ends the task) and one of
+    rewards, both in the order of the keys ``order``; ``ends`` and ``goes``
+    hold the rewards of the pairs that end the task and of the rest.
+    In-place Bellman sweeps in that order run until one changes no value, or
+    until the rows written after one that changed some certify the fixed
+    point: each row's best entry is its state's value, type and all, so the
+    next sweep would store every value again. Rows that fail are dropped and
+    the sweeps go on; they are tried only where the row of the state swept
+    last holds (`_last_row_holds`). Each distinct value, (reward, successor
+    value) entry and end reward is one object, made once by type and value
+    (50 == 50.0 prints otherwise; -0.0 meets 0.0 only added to an int
+    reward, which gives the same entry for both), so the certificate tests
+    each best entry's identity. Each row is its state's own list."""
+    values = [0.0] * len(order)  # values[i] is the best value of the i-th state swept
     while True:
         changed = False
         for i, (j0, r0, j1, r1, j2, r2, j3, r3, j4, r4) in enumerate(zip(*sweep)):
@@ -350,16 +284,14 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
             values[i] = v
         if changed and not _last_row_holds(sweep, values, gamma):
             continue
-        # Per reward of a pair that goes on, its entry for each distinct value;
-        # equal entries, a goal reward among them, are one object.
         number = {}
         numbered = [number.setdefault((type(v), v), len(number)) for v in values]
         del values
-        value = [v for _, v in number]
         made = {(type(r), r): r for r in ends}
+        value = [made.setdefault(key, key[1]) for key in number]
         entry = {r: [made.setdefault((type(e), e), e) for e in (r + gamma * v for v in value)]
                  for r in goes}
-        rows = [None] * len(states)
+        rows = [None] * len(order)
         for k, n, j0, r0, j1, r1, j2, r2, j3, r3, j4, r4 in zip(order, numbered, *sweep):
             row = rows[k] = [r0 if j0 < 0 else entry[r0][numbered[j0]],
                              r1 if j1 < 0 else entry[r1][numbered[j1]],
@@ -368,15 +300,81 @@ def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> 
                              r4 if j4 < 0 else entry[r4][numbered[j4]]]
             # After a sweep that changed some value, the rows stand only if
             # the next sweep would store every value again, type and all.
-            if changed:
-                best = max(row)
-                if best != value[n] or type(best) is not type(value[n]):
-                    break
+            if changed and max(row) is not value[n]:
+                break
         else:
-            break
+            return rows
         del rows, entry
         values = list(map(value.__getitem__, numbered))
-    del sweep, numbered
+
+
+def _columns(mdp: SubtaskMDP, states: list, order: list[int]) -> tuple[list, set, set]:
+    """``mdp``'s pairs as `_solve` takes them, ``states[order[i]]`` swept
+    i-th. A pair's reward depends only on the agent's cell, the action and
+    whether the move enters a goal cell from another, which ends the
+    sub-task; any other move leads to the state with the agent on the move's
+    cell and the same goal, one slice of the places by key. So
+    `SubtaskMDP.step` runs once per such case, checked against that state."""
+    number = {cell: n for n, cell in enumerate(mdp.goal_cells())}
+    goals, width = len(number), mdp.grid.width
+    place = [0] * len(states)  # states[k] is swept place[k]-th
+    for i, k in enumerate(order):
+        place[k] = i
+    ends, goes = set(), set()
+
+    def reward(here: int, goal: int, a: int, successor: int) -> int:
+        """The reward of action ``a`` from the state keyed by ``here`` and
+        ``goal``, stepped after checking its successor's place (-1: none)."""
+        s_next, r, _ = mdp.step(states[here * goals + goal], ACTIONS[a])
+        assert s_next == (None if successor < 0 else states[order[successor]]), (here, goal, a)
+        (goes if successor >= 0 else ends).add(r)
+        return r
+
+    sweep, gather = [], itemgetter(*order)
+    for a in range(5):
+        successors, rewards = [], []  # per key
+        for here, (cell, moves) in enumerate(mdp.grid.moves.items()):
+            onto = moves[a][0]
+            there = onto[0] * width + onto[1]
+            entered = number.get(onto) if onto != cell else None  # the goal the move enters
+            # Per goal, the successor's place: the agent on `there`, the goal
+            # the same, or -1 where the move enters the goal.
+            row = place[there * goals:(there + 1) * goals]
+            if entered is not None:
+                row[entered] = -1
+            # Per goal, the reward: stepped from the first state on `here` whose
+            # goal the move misses, if any, and from the one whose goal it enters.
+            missed = 1 if entered == 0 else 0
+            rews = [reward(here, missed, a, row[missed]) if missed < goals else None] * goals
+            if entered is not None:
+                rews[entered] = reward(here, entered, a, -1)
+            successors += row
+            rewards += rews
+        sweep += gather(successors), gather(rewards)
+    return sweep, ends, goes
+
+
+@_collector_paused
+def value_iteration_oracle(grid: GridConfig, task: str, gamma: float = 0.95) -> QTable:
+    """Exact action values for one sub-task, `SubtaskMDP(grid, task)`: its
+    pairs gathered into columns (`_columns`) in order of the goal distance
+    (`SubtaskMDP.distances`, nearest first), so that the first sweep settles
+    nearly every value, and solved by `_solve`. The collector is paused
+    (`_collector_paused`). Refuses, before it enumerates a state, a gamma
+    outside [0, 1] and instances beyond `ORACLE_PAIR_LIMIT` pairs."""
+    if not 0 <= gamma <= 1:
+        raise ConfigError(f"gamma must be in [0, 1], got {gamma}", "gamma")
+    mdp = SubtaskMDP(grid, task)
+    pairs = 5 * grid.width * grid.height * mdp.goal_count()
+    if pairs > ORACLE_PAIR_LIMIT:
+        raise ConfigError(
+            f"{pairs} state-action pairs exceed the oracle limit of {ORACLE_PAIR_LIMIT}", "width"
+        )
+    states = mdp.states()
+    order = sorted(range(len(states)), key=mdp.distances().__getitem__)
+    sweep, ends, goes = _columns(mdp, states, order)
+    rows = _solve(sweep, order, ends, goes, gamma)
+    del sweep  # before the table is built: the columns and the table never coexist
     q = QTable()
     q.rows = dict(zip(states, rows))
     return q

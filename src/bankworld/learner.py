@@ -156,9 +156,6 @@ class QTable:
             return NotImplemented
         return self.rows == other.rows
 
-    def __repr__(self) -> str:
-        return f"QTable({len(self.rows)} states)"
-
 
 def _uniform_action(rng: random.Random) -> Action:
     """``ACTIONS[rng.randrange(5)]``, drawn the way `randrange` draws: three

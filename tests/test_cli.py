@@ -1,5 +1,7 @@
 import hashlib
 import os
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -488,6 +490,23 @@ class TestExitCodeRule:
         assert err.startswith("error: --grid: ") and "exceed the oracle limit" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["oracle", "--grid", "3x3", "--task", "drop"], 0, ""),
+        (["train", "--grid", "2x5"], 2, "error: --grid: "),
+    ], ids=["solved", "bad-flag"])
+    def test_run_as_main_exits_with_the_code_main_returns(
+        self, tmp_path, capsys, monkeypatch, argv, code, err
+    ):
+        """``python -m bankworld.cli`` runs the module as ``__main__``; a fresh
+        copy is run here, in this process, as `runpy` runs it there."""
+        monkeypatch.delitem(sys.modules, "bankworld.cli")
+        monkeypatch.setattr(sys, "argv", ["bankworld", *argv, "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("bankworld.cli", run_name="__main__")
+        assert info.value.code == code
+        assert capsys.readouterr().err.startswith(err)
+        assert (tmp_path / "out").exists() == (code == 0)
+
     def test_zero_alpha_parses(self):
         assert parse_args("train --alpha 0 --out r".split()).run.hyper.alpha == 0.0
 
@@ -531,6 +550,13 @@ class TestConfigFileStrictness:
     def test_layout_indices_run_from_zero(self, tmp_path, entries, line):
         path = write_text(tmp_path, "bad.cfg", "[layout]\n" + entries + "gem.0 = 0,2\n")
         with pytest.raises(ParseError, match=rf"bad.cfg:{line}:"):
+            read_config_file(path)
+
+    @pytest.mark.parametrize("text", ["seed = 1\nalpha 0.5\n", "[layout]\nagent.0 0,0\n"],
+                             ids=["setting", "layout"])
+    def test_line_without_equals_rejected_with_line(self, tmp_path, text):
+        path = write_text(tmp_path, "bad.cfg", text)
+        with pytest.raises(ParseError, match=r"bad.cfg:2: expected key = value$"):
             read_config_file(path)
 
     def test_layout_section_conflicts_with_random_layout_in_file(self, tmp_path):

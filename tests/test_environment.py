@@ -73,6 +73,13 @@ class TestReset:
         assert GridConfig(11, 11, 2, 3, 100).bank == (5, 5)
         assert GridConfig(8, 6, 1, 1, 100).bank == (2, 3)
 
+    @pytest.mark.parametrize("bank", [(0, 2), (4, 2), (2, 0), (2, 4), (5, 2), (2, -1)])
+    def test_bank_not_strictly_inside_names_the_bank(self, bank):
+        with pytest.raises(ConfigError) as info:
+            GridConfig(5, 5, 1, 1, 100, bank=bank)
+        assert str(info.value) == f"bank {bank} must be strictly inside the grid"
+        assert info.value.field == "bank"
+
     def test_default_layout_scales_past_the_corners(self):
         cfg = GridConfig(5, 5, 6, 4, 100)
         state = reset(cfg, 0)

@@ -321,6 +321,17 @@ class TestOracle:
         with pytest.raises(ConfigError):
             value_iteration_oracle(three_by_three(), task)
 
+    @pytest.mark.parametrize("task, pairs", [
+        (PICKUP_TABLE, 5 * 3000 * 3000 * (3000 * 3000 - 1)), (DROP_TABLE, 5 * 3000 * 3000)])
+    def test_refuses_a_huge_grid_before_listing_a_cell(self, task, pairs):
+        """`SubtaskMDP.goal_count` counts the goal cells without listing
+        them, so the grid's per-cell move table is never built."""
+        grid = GridConfig(3000, 3000, 1, 1, 100,
+                          layout=FixedLayout(agents=((0, 0),), gems=((0, 1),)))
+        with pytest.raises(ConfigError, match=f"^{pairs} state-action pairs exceed"):
+            value_iteration_oracle(grid, task)
+        assert "moves" not in vars(grid)
+
     @given(
         width=st.integers(3, 7),
         height=st.integers(3, 7),
@@ -656,6 +667,84 @@ class TestOracle:
         else:
             assert len(calls) == 5 * cells
 
+    @pytest.mark.parametrize("task", ["flat", "fetch", ""])
+    def test_refuses_an_unknown_sub_task(self, task):
+        with pytest.raises(ConfigError, match=f"^unknown sub-task {task!r}$"):
+            value_iteration_oracle(three_by_three(), task)
+
+    def test_an_11x11_fetch_peaks_under_70_bytes_a_pair(self):
+        """Traced by `tracemalloc`, the solve peaks at 66.6 bytes a pair; the
+        bound is set from the 67.3 (4.89 MB for 72,600 pairs) of the solver
+        written as one function, and keeping the sweep columns alive while
+        the table is built reads 77.0 (Python 3.10 to 3.13 alike)."""
+        grid = GridConfig(11, 11, 1, 1, 100)
+        tracemalloc.start()
+        try:
+            q = value_iteration_oracle(grid, PICKUP_TABLE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(q) == 72_600
+        assert peak < 70 * len(q)
+
+
+def corridor_pair(key: int, action: int) -> tuple:
+    """A corridor of six cells keyed 0-5 from the left, with the grid's five
+    actions: up and down hit a wall (-5) and stay, left and right move (-1)
+    or leave by an end, worth 10 at the left and 20 at the right, and the
+    NoOp loops back to its own cell at 0. Gives the successor's key (None
+    where the pair leaves) and the reward."""
+    if action in (0, 1):
+        return key, -5
+    if action == 4:
+        return key, 0
+    there = key + (-1 if action == 2 else 1)
+    return (there, -1) if 0 <= there < 6 else (None, 10 if there < 0 else 20)
+
+
+def plain_value_iteration(pairs: dict, order: list, gamma: float) -> list:
+    """Value iteration said plainly, as `reference_oracle` says it: in-place
+    sweeps in ``order`` that rewrite each row from the best values of its
+    successors until a sweep leaves every row equal to what it was."""
+    rows = {k: [0.0] * 5 for k in order}
+    best = dict.fromkeys(order, 0.0)
+    changed = True
+    while changed:
+        changed = False
+        for k in order:
+            new = [r if s is None else r + gamma * best[s] for s, r in pairs[k]]
+            changed = changed or new != rows[k]
+            rows[k], best[k] = new, max(new)
+    return [rows[k] for k in sorted(rows)]
+
+
+class TestSolve:
+    """`harness._solve` on a hand-built task that is neither fetch nor
+    deposit: it is given only the sweep columns, the sweep order and the
+    two reward sets."""
+
+    @pytest.mark.parametrize("gamma", [0, 0.5, 0.9, 1, 1.0])
+    @pytest.mark.parametrize("order", [[0, 5, 1, 4, 2, 3], [3, 2, 4, 1, 5, 0]],
+                             ids=["nearest-end-first", "farthest-first"])
+    def test_a_corridor_solves_as_plain_value_iteration(self, order, gamma):
+        """To the bit and the type; the int gammas make int values (at 1 the
+        NoOp ties with every value), and the farthest-first order takes
+        several sweeps."""
+        pairs = {k: [corridor_pair(k, a) for a in range(5)] for k in range(6)}
+        place = {k: i for i, k in enumerate(order)}
+        sweep = []
+        for a in range(5):
+            sweep.append([-1 if pairs[k][a][0] is None else place[pairs[k][a][0]] for k in order])
+            sweep.append([pairs[k][a][1] for k in order])
+        ends = {r for k in order for s, r in pairs[k] if s is None}
+        goes = {r for k in order for s, r in pairs[k] if s is not None}
+        assert (ends, goes) == ({10, 20}, {-5, -1, 0})
+        rows = harness._solve(sweep, order, ends, goes, gamma)
+        want = plain_value_iteration(pairs, order, gamma)
+        assert [[(type(v), repr(v)) for v in row] for row in rows] == [
+            [(type(v), repr(v)) for v in row] for row in want]
+        assert rows[0][2] == 10 and rows[5][3] == 20
+
 
 def oracle_cases():
     """The 84 solves whose digests `oracle_digests.txt` pins."""
@@ -707,6 +796,12 @@ class TestThreshold:
         # the window ending at 99 holds 40 high + 10 low episodes: mean 80
         assert episodes_to_threshold(records, 80.0) == 99
         assert episodes_to_threshold(records, 80.1) == 100
+
+    def test_first_window_meeting_the_threshold_is_its_last_episode(self):
+        records = [self.rec(100 + i, 80) for i in range(60)]
+        assert episodes_to_threshold(records, 80.0) == 149
+        assert episodes_to_threshold(records[:50], 80.0) == 149
+        assert episodes_to_threshold(records, 80.5) is None
 
     def test_not_reached_is_none(self):
         records = [self.rec(i, 0) for i in range(100)]
@@ -1091,6 +1186,14 @@ class TestPersistence:
         with pytest.raises(ParseError, match=rf"bad.csv:{line}:"):
             read_qtable(path)
 
+    @pytest.mark.parametrize("text", ["1e+999", "-1e+999"])
+    def test_a_value_in_repr_form_that_parses_to_inf_names_its_line(self, tmp_path, text):
+        """It has the form `repr` writes, unlike ``1e999`` (repr signs the
+        exponent), so the pattern passes it; its value is not finite."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.HEADER}\n# option=pickup\nP,0,0,1,1,0,3.5\nP,0,0,1,1,1,{text}\n")
+        assert outcome(read_qtable, path) == f"{path}:4: value {text} is not finite"
+
     def test_missing_actions_read_as_zero(self, tmp_path):
         path = tmp_path / "partial.csv"
         path.write_text(
@@ -1470,6 +1573,20 @@ class TestQTableCodec:
         end = data.draw(st.sampled_from([newline, ""]))
         path.write_bytes((newline.join(lines) + end).encode())
         assert outcome(read_qtable, path) == outcome(reference_read_qtable, path)
+
+    @pytest.mark.parametrize("long, error", [
+        (" " * 20_000, "5: repeated record for action 0 of P,0,0,1,1"),
+        ("x" * 20_000, "3: expected state,action,value"),
+    ], ids=["blank", "junk"])
+    def test_a_line_longer_than_a_read_block_is_one_line(self, tmp_path, long, error):
+        """The reader reads 8 KiB blocks; a 20,000-character line spans three
+        of them and is still one line, and the lines after it keep their
+        numbers."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.HEADER}\n# option=pickup\n{long}\n"
+                        "P,0,0,1,1,0,3.5\nP,0,0,1,1,0,4.5\n")
+        got = outcome(read_qtable, path)
+        assert got == outcome(reference_read_qtable, path) == f"{path}:{error}"
 
     @pytest.mark.parametrize("extra", ["", "\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028", "\n\n"],
                              ids=["none", "lf", "crlf", "cr", "vt", "ff", "ls", "blank"])

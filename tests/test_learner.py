@@ -46,6 +46,18 @@ S = PickupState((0, 0), (1, 1))
 S2 = PickupState((0, 1), (1, 1))
 
 
+class TestQTableEquality:
+    def test_a_table_equals_only_a_table_with_the_same_rows(self):
+        """Against anything but a table `__eq__` gives NotImplemented, so
+        ``table == None`` is False where reading ``None.rows`` would raise."""
+        q = table_with(S, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert q == table_with(S, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert q != QTable()
+        assert q.__eq__(None) is NotImplemented
+        assert (q == None) is False  # noqa: E711
+        assert q != q.rows and q != object()
+
+
 class TestSelectAction:
     def test_argmax(self):
         q = table_with(S, [0.1, 0.5, 0.2, 0.0, 0.0])
