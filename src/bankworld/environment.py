@@ -40,6 +40,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional
 
 Position = tuple[int, int]
@@ -141,15 +142,18 @@ def default_layout(
         (0, width - 1), (height - 1, 0), (mid_r, 0), (0, mid_c),
         (height - 1, mid_c), (mid_r, width - 1),
     ]
-    every = [(r, c) for r in range(height) for c in range(width)]
     used: set[Position] = {bank}
 
     def place(count: int, preferred: list[Position]) -> tuple[Position, ...]:
-        """The first ``count`` free cells, preferred cells first."""
-        free = [pos for pos in dict.fromkeys(preferred + every) if pos not in used][:count]
-        if len(free) < count:
-            raise ConfigError("grid too small for the requested agents and gems", _CROWDED)
-        used.update(free)
+        """The first ``count`` free cells, preferred first, then row by row."""
+        free, cells = [], chain(preferred, ((r, c) for r in range(height) for c in range(width)))
+        while len(free) < count:
+            pos = next(cells, None)
+            if pos is None:
+                raise ConfigError("grid too small for the requested agents and gems", _CROWDED)
+            if pos not in used:
+                used.add(pos)
+                free.append(pos)
         return tuple(free)
 
     agents = place(num_agents, agent_candidates)

@@ -408,15 +408,12 @@ class SummaryRow:
 def episodes_to_threshold(records: Sequence[EpisodeRecord], threshold: float) -> Optional[int]:
     """First episode whose mean reward over the trailing `THRESHOLD_WINDOW`
     episodes meets the threshold, or None when it never does."""
-    if len(records) < THRESHOLD_WINDOW:
-        return None
-    running = sum(r.total_reward for r in records[:THRESHOLD_WINDOW])
-    if running / THRESHOLD_WINDOW >= threshold:
-        return records[THRESHOLD_WINDOW - 1].episode
-    for i in range(THRESHOLD_WINDOW, len(records)):
-        running += records[i].total_reward - records[i - THRESHOLD_WINDOW].total_reward
-        if running / THRESHOLD_WINDOW >= threshold:
-            return records[i].episode
+    running = 0
+    for i, record in enumerate(records):
+        dropped = records[i - THRESHOLD_WINDOW].total_reward if i >= THRESHOLD_WINDOW else 0
+        running += record.total_reward - dropped
+        if i >= THRESHOLD_WINDOW - 1 and running / THRESHOLD_WINDOW >= threshold:
+            return record.episode
     return None
 
 

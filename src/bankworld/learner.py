@@ -6,24 +6,28 @@ one for both in flat mode) and each table's row kind, the state
 `project` builds. `controller_step` is the episode loop. Each timestep
 it walks agents in ascending index: refresh the planner allocation
 ``alloc`` (``alloc[i]`` is the gem allocated to agent ``i`` or None),
-pick the agent's option with `option_for_agent`, choose an action
-(uniformly for the random baseline, else epsilon-greedily from the state
-`project` gives), apply it, and update the executing table. Then it
-bumps the step, and it stops after the timestep that reaches the step
-limit or the last deposit. A learner's update bootstraps from the
-successor of a step that changes the world, projected and looked up once
-and kept with its row as the agent's state at its next turn while what it
-was projected from is unchanged; a NoOp or illegal move bootstraps from
-the state and row it acted from. An option is named by its options-mode
-table key, `PICKUP_TABLE` (fetch) or `DROP_TABLE` (deposit); None is idle.
-A sub-task ends the moment its goal event fires (pickup for fetch,
-deposit for drop); that transition is updated with a terminal bootstrap,
-and a deposit also frees the depositing agent's slot of ``alloc``.
+dispatch, choose an action (uniformly for the random baseline, else
+epsilon-greedily from the state `project` gives), apply it, and update
+the executing table. Then it bumps the step, and it stops after the
+timestep that reaches the step limit or the last deposit. A learner's
+update bootstraps from the successor of a step that changes the world,
+projected and looked up once and kept with its row as the agent's state
+at its next turn while what it was projected from is unchanged; a NoOp
+or illegal move bootstraps from the state and row it acted from. An
+option is named by its options-mode table key, `PICKUP_TABLE` (fetch)
+or `DROP_TABLE` (deposit). A sub-task ends the moment its goal event
+fires (pickup for fetch, deposit for drop); that transition is updated
+with a terminal bootstrap, and a deposit also frees the depositing
+agent's slot of ``alloc``.
 
-Unallocated agents under the planner are parked: the controller emits
-NoOp for them directly and learns nothing, since a one-action policy has
-nothing to learn. With the planner off (``alloc=None``) every agent
-always acts.
+The dispatch is stated once, in `controller_step`'s agent loop. Under the
+planner an agent is parked when its slot is empty and it carries nothing:
+it emits NoOp and learns nothing, since a one-action policy has nothing
+to learn. The planner keeps ``alloc[i] == held[i]`` while agent ``i``
+carries, so ``held`` is read only for an empty slot. An acting agent
+executes the deposit option while it carries, else the fetch option; the
+carrier is tested first because a carrier's slot is filled too. With the
+planner off (``alloc=None``) every agent always acts.
 """
 
 from __future__ import annotations
@@ -211,20 +215,6 @@ def td_update(
     row[a] += h.alpha * (target - row[a])
 
 
-def option_for_agent(
-    state: WorldState, agent: int, alloc: Optional[tuple[Optional[int], ...]]
-) -> Optional[str]:
-    """The one dispatch, naming the option by its options-mode table key:
-    deposit (`DROP_TABLE`) while carrying, else fetch (`PICKUP_TABLE`)
-    while allocated or always with the planner off (``alloc=None``), else
-    None: the agent idles."""
-    if state.held[agent] is not None:
-        return DROP_TABLE
-    if alloc is None or alloc[agent] is not None:
-        return PICKUP_TABLE
-    return None
-
-
 def project(
     state: WorldState,
     agent: int,
@@ -267,6 +257,14 @@ def controller_step(
     update, and where a pickup or a new allocation slot changed what its
     kept successor was projected from. It looks each projection's row up
     once, and a kept successor's row again only if it had none then.
+
+    The dispatch lives here. Under the planner an agent whose slot
+    ``alloc[agent]`` is None and who carries nothing is parked (NoOp, no
+    learning). ``held`` is read only for such a slot, since the planner
+    keeps ``alloc[i] == held[i]`` while agent ``i`` carries; reading it keeps
+    a carrier acting under a caller-given allocation that breaks that. A
+    learner executes the deposit table if the agent carries, else the fetch
+    table: the carrier is tested first, as a carrier's slot is filled too.
     """
     outcomes: list[StepOutcome] = []
     method, bank = mode.method, config.bank
@@ -274,14 +272,16 @@ def controller_step(
     learning = learn and not random_policy
     alloc = assignment if mode.planner_enabled else None
     parked = IDLE_OUTCOMES[config.noop_reward]
-    # Each option's executing table's rows and row kind.
-    executing = {option: (tables[key].rows, mode.projection(key))
-                 for option, key in zip((PICKUP_TABLE, DROP_TABLE), _OPTION_TABLES[method])}
+    # The fetch and the deposit option's executing table's rows and row
+    # kind; the random baseline executes none.
+    fetch, deposit = [(tables[key].rows, mode.projection(key))
+                      for key in _OPTION_TABLES[method]] or (None, None)
     # Read per call, not at import, so that rebinding these names takes effect.
     assign, release, move, update = plan.assign, plan.release, step_agent, td_update
     # No timestep reads state.step (step_agent copies it; the projections and
     # assign ignore it), so it and the deposited count are kept here.
     step, deposited, num_gems = state.step, gems_deposited(state), config.num_gems
+    agents, step_limit = range(config.num_agents), config.step_limit
     # Per agent, the successor its last update bootstrapped from and its row
     # (None if it had none), with the gem cells and allocation slot it was
     # projected under; None after a terminal update. Under options every
@@ -295,21 +295,20 @@ def controller_step(
     kept: list[Optional[tuple]] = [None] * config.num_agents
 
     for _ in range(timesteps):
-        for agent in range(config.num_agents):
-            if alloc is not None:
+        for agent in agents:
+            if alloc is None:
+                gem = None
+            else:
                 alloc = assign(state, alloc)
-            option = option_for_agent(state, agent, alloc)
-            if option is None:
-                # Parked: no gem to fetch. Forced NoOp, no learning.
-                outcomes.append(parked)
-                continue
-
-            # A carrier's allocation is its carried gem until the deposit.
-            gem = None if alloc is None else alloc[agent]
+                gem = alloc[agent]
+                if gem is None and state.held[agent] is None:
+                    # Parked: no gem to fetch. Forced NoOp, no learning.
+                    outcomes.append(parked)
+                    continue
             if random_policy:
                 action = _uniform_action(rng)
             else:
-                rows, kind = executing[option]
+                rows, kind = fetch if state.held[agent] is None else deposit
                 last = kept[agent]
                 if last is not None and last[2] is state.gem_cells and last[3] == gem:
                     s, row = last[0], last[1]
@@ -350,7 +349,7 @@ def controller_step(
             state = next_state
             outcomes.append(outcome)
         step += 1
-        if step >= config.step_limit or deposited == num_gems:
+        if step >= step_limit or deposited == num_gems:
             break
 
     return state._replace(step=step), assignment if alloc is None else alloc, outcomes

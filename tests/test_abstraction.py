@@ -27,7 +27,6 @@ from bankworld.learner import (
     Hyperparams,
     Method,
     controller_step,
-    option_for_agent,
 )
 
 from conftest import is_terminal
@@ -300,7 +299,14 @@ def projection_lines(size: int, planner: bool, seed: int) -> list[str]:
         for agent in range(grid.num_agents):
             view = abstract_no_planner(state, agent)
             texts = [serialize(view), serialize(abstract_flat(state, agent, assignment, grid.bank))]
-            option = option_for_agent(state, agent, alloc)
+            # The controller's dispatch: deposit while carrying, else fetch
+            # while allocated or with the planner off, else idle.
+            if state.held[agent] is not None:
+                option = DROP_TABLE
+            elif alloc is None or alloc[agent] is not None:
+                option = PICKUP_TABLE
+            else:
+                option = None
             if option is DROP_TABLE:
                 texts.append(serialize(abstract_drop(state, agent)))
             elif option is PICKUP_TABLE:

@@ -13,6 +13,7 @@ from bankworld.environment import (
     FixedLayout,
     GridConfig,
     RandomLayout,
+    default_layout,
     reset,
     step_agent,
 )
@@ -91,6 +92,32 @@ class TestReset:
         cfg = GridConfig(5, 5, 1, 10, 50, bank=(1, 1))
         assert cfg.bank not in cfg.layout.agents + cfg.layout.gems
         assert len(set(cfg.layout.agents + cfg.layout.gems)) == 11
+
+    @given(width=st.integers(3, 9), height=st.integers(3, 9), agents=st.integers(1, 4),
+           gems=st.integers(1, 4), pick=st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_default_layout_places_as_listing_every_cell_did(
+            self, width, height, agents, gems, pick):
+        """The placement of the rule that listed every cell up front: the
+        preferred cells, then every cell row by row, repeats dropped, each
+        free cell off the bank taken in that order."""
+        inner = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
+        bank = inner[pick % len(inner)]
+        every = [(r, c) for r in range(height) for c in range(width)]
+        mid_r, mid_c = (height - 1) // 2, (width - 1) // 2
+        used = {bank}
+
+        def place(count, preferred):
+            free = [pos for pos in dict.fromkeys(preferred + every) if pos not in used][:count]
+            used.update(free)
+            return tuple(free)
+
+        corners = [(0, 0), (height - 1, width - 1), (0, width - 1), (height - 1, 0)]
+        expected = FixedLayout(
+            agents=place(agents, corners),
+            gems=place(gems, [(0, width - 1), (height - 1, 0), (mid_r, 0), (0, mid_c),
+                              (height - 1, mid_c), (mid_r, width - 1)]))
+        assert default_layout(width, height, agents, gems, bank) == expected
 
     def test_grid_too_small_for_entities_rejected(self):
         with pytest.raises(ConfigError):

@@ -57,7 +57,7 @@ from bankworld.harness import (
     write_plot_script,
     write_summary,
 )
-from bankworld import abstraction, harness, learner, planner
+from bankworld import abstraction, environment, harness, learner, planner
 from bankworld.learner import (
     DROP_TABLE,
     PICKUP_TABLE,
@@ -328,6 +328,24 @@ class TestOracle:
         them, so the grid's per-cell move table is never built."""
         grid = GridConfig(3000, 3000, 1, 1, 100,
                           layout=FixedLayout(agents=((0, 0),), gems=((0, 1),)))
+        with pytest.raises(ConfigError, match=f"^{pairs} state-action pairs exceed"):
+            value_iteration_oracle(grid, task)
+        assert "moves" not in vars(grid)
+
+    @pytest.mark.parametrize("task, pairs", [
+        (PICKUP_TABLE, 5 * 3000 * 3000 * (3000 * 3000 - 1)), (DROP_TABLE, 5 * 3000 * 3000)])
+    def test_refuses_a_huge_default_layout_grid_before_listing_a_cell(
+            self, task, pairs, monkeypatch):
+        """`default_layout` finds one agent's and one gem's cell among its
+        preferred cells, so the grid it lays out lists no row or column."""
+        def bounded_range(*args):
+            for n, i in enumerate(range(*args)):
+                if n == 16:
+                    raise AssertionError(f"the environment listed range{args}")
+                yield i
+
+        monkeypatch.setattr(environment, "range", bounded_range, raising=False)
+        grid = GridConfig(3000, 3000, 1, 1, 100)
         with pytest.raises(ConfigError, match=f"^{pairs} state-action pairs exceed"):
             value_iteration_oracle(grid, task)
         assert "moves" not in vars(grid)

@@ -26,7 +26,6 @@ from bankworld.learner import (
     controller_step,
     epsilon_at,
     fresh_tables,
-    option_for_agent,
     select_action,
     td_update,
 )
@@ -215,28 +214,55 @@ class TestUniformAction:
         assert fast.getstate() == reference.getstate()
 
 
+def one_timestep(state, planner, assignment):
+    """The events of one timestep of an options learner from ``state``, and
+    the keys of the tables it wrote a row in. With fresh tables and epsilon
+    0 a learner moves Up, so only a parked agent's event is IDLE."""
+    n, m = len(state.agent_positions), len(state.gem_cells)
+    cfg = GridConfig(7, 7, n, m, 50, bank=(3, 3), layout=FixedLayout(
+        agents=tuple((0, c) for c in range(n)), gems=tuple((6, c) for c in range(m))))
+    mode = ControllerMode(Method.OPTIONS, planner_enabled=planner)
+    tables = fresh_tables(mode)
+    _, _, outcomes = controller_step(state, cfg, mode, tables, assignment, 0.0,
+                                     Hyperparams(), random.Random(0))
+    return [o.event for o in outcomes], [key for key, q in tables.items() if q.rows]
+
+
 class TestOptionDispatch:
+    """The dispatch as `controller_step` states it: a parked agent emits the
+    idle outcome and writes no row; an acting one writes a row in the
+    deposit table while it carries, else in the fetch table."""
+
     def test_carrying_means_drop(self):
         state = world([(1, 1)], [None], held=[0])
-        assert option_for_agent(state, 0, (0,)) is DROP_TABLE
+        assert one_timestep(state, True, (0,)) == ([Event.MOVED], [DROP_TABLE])
 
     def test_assigned_means_pickup(self):
         state = world([(1, 1)], [(4, 4)])
-        assert option_for_agent(state, 0, (0,)) is PICKUP_TABLE
+        assert one_timestep(state, True, (0,)) == ([Event.MOVED], [PICKUP_TABLE])
 
     def test_unassigned_means_idle(self):
-        state = world([(1, 1), (2, 2)], [(4, 4)])
-        assert option_for_agent(state, 1, (0, None)) is None
+        # The one gem is carried by agent 0, so agent 1 stays unallocated.
+        state = world([(1, 1), (2, 2)], [None], held=[0, None])
+        assert one_timestep(state, True, (0, None)) == ([Event.MOVED, Event.IDLE], [DROP_TABLE])
+        assert one_timestep(world([(1, 1)], [None]), True, (None,)) == ([Event.IDLE], [])
+
+    def test_carrier_under_an_empty_slot_is_not_parked(self):
+        """An assignment that breaks ``alloc[i] == held[i]`` leaves the
+        carrier acting, on the deposit table."""
+        state = world([(1, 1)], [None], held=[0])
+        assert one_timestep(state, True, (None,)) == ([Event.MOVED], [DROP_TABLE])
 
     def test_planner_off_carrying_means_drop(self):
+        # Agent 0 fetches, so the deposit table's row is agent 1's.
         state = world([(1, 1), (2, 2)], [(4, 4), None], held=[None, 1])
-        assert option_for_agent(state, 1, None) is DROP_TABLE
+        assert one_timestep(state, False, (None, None)) == (
+            [Event.MOVED, Event.MOVED], [PICKUP_TABLE, DROP_TABLE])
 
     def test_planner_off_empty_handed_means_pickup(self):
         # No allocation exists, yet nobody idles: every free agent fetches.
-        state = world([(1, 1), (2, 2)], [(4, 4), None], held=[None, 1])
-        assert option_for_agent(state, 0, None) is PICKUP_TABLE
-        assert option_for_agent(world([(1, 1)], [None]), 0, None) is PICKUP_TABLE
+        assert one_timestep(world([(1, 1)], [None]), False, (None,)) == (
+            [Event.MOVED], [PICKUP_TABLE])
 
 
 def options_setup(agents, gems, bank=(3, 3)):

@@ -73,6 +73,33 @@ def absolute_imports(tree: ast.Module):
             yield node.module
 
 
+def names_used(node: ast.AST) -> Counter:
+    """How often each name is read or written under ``node``, as a bare
+    name or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+class TestNoDeadFunctions:
+    """Every public module-level function of the package is used somewhere in
+    it, outside its own body; `cli.main` alone is exempt, as the console
+    entry point."""
+
+    def test_each_public_function_has_a_use(self):
+        trees = {path.stem: ast.parse(path.read_text(), str(path))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+        used = sum((names_used(tree) for tree in trees.values()), Counter())
+        unused = [
+            f"{module}.{node.name}"
+            for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and (module, node.name) != ("cli", "main")
+            and used[node.name] == names_used(node)[node.name]
+        ]
+        assert unused == []
+
+
 class TestRuntimeDependencies:
     """The package runs on the standard library alone."""
 
