@@ -5,8 +5,8 @@ Q-learning, Q-learning with options), then the planner on against off.
     PYTHONPATH=src python3 scripts/run_experiments.py {desk,full} [seed]
 
 desk: 7x7, 2 agents, 2 gems, 2000 episodes of up to 300 steps, seed 1 by
-default; about 2.3 s on 2 cores with Python 3.11. full: 11x11, 2 agents,
-3 gems, 6000 episodes of up to 1000 steps, seed 0 by default; about 20.5 s.
+default. full: 11x11, 2 agents, 3 gems, 6000 episodes of up to 1000
+steps, seed 0 by default.
 Writes runs/<scale>-{methods,planner}-s<seed>. A failed methods
 comparison returns its exit code before the planner comparison runs.
 """

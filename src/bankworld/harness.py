@@ -33,11 +33,11 @@ import random
 import re
 import statistics
 from dataclasses import dataclass, fields, replace
-from functools import partial, wraps
+from functools import wraps
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .abstraction import AbstractState, StateCodec
 from .environment import (
@@ -549,10 +549,6 @@ def write_qtable(
 # A number as `repr` writes an int or a finite float: a minus or no sign, no
 # leading zero, then an optional fraction and exponent; ASCII digits only.
 _NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
-_ACTION_INDEX = {str(a): a for a in range(5)}
-# A row entry no record has set: a NaN, which no record can hold, known by
-# its identity, so a repeated record shows.
-_UNSET = math.nan
 
 
 def _number(name: str, text: str, parse=float):
@@ -586,92 +582,72 @@ def _parse_header(line: str, path: Path) -> tuple[ControllerMode, Hyperparams]:
     return mode, hyper
 
 
-def _whole_lines(f) -> Iterator[str]:
-    """The text of file ``f`` in pieces that end where a line ends: blocks
-    cut after their last ``\\n``. In universal newline mode no ``\\r`` is
-    left, so every line break is one character, and `str.splitlines` splits
-    the pieces into the lines it splits the whole text into."""
-    rest = ""
-    for block in iter(partial(f.read, 1 << 13), ""):
-        cut = block.rfind("\n") + 1
-        if cut:
-            yield rest + block[:cut]
-            rest = block[cut:]
-        else:
-            rest += block
-    yield rest
-
-
 @_collector_paused
 def read_qtable(path: Path) -> tuple[ControllerMode, Hyperparams, dict[str, QTable]]:
-    """Read a file written by `write_qtable`. Every section must name a table
-    of the header's mode, every state must be of that table's projection
-    (`ControllerMode.projection`), every action and value must be written as
-    `write_qtable` writes it, every value must be finite and every
-    (state, action) record unique; a row's missing actions read as 0.0.
+    """Read a file written by `write_qtable`, and only what it writes. Every
+    section must name a table of the header's mode and hold one run of five
+    records per state, as `write_qtable` writes them: a state's records on
+    consecutive lines, actions 0 to 4 in order, and no second run of a
+    state in its table. Every state must be of that table's projection
+    (`ControllerMode.projection`), every value written as `repr` writes a
+    finite float. Blank lines may stand between runs. Lines end only at
+    ``\\n``, ``\\r\\n`` or ``\\r``, the line ends of universal newlines.
 
-    The file is read in blocks of whole lines, its lines split and numbered
-    as `str.splitlines` splits the whole text. A record that continues the run of records
-    of the last state read, as `write_qtable` writes them, costs a split, a
-    look-up of its action and of its value text, and one test that its entry
-    is unset; any other line takes the checks of a blank line, a section
-    line or a new state. Each state text is parsed once for its run, through
-    one `StateCodec` for the file, which decodes each distinct field text
-    once, so equal field values are shared between the rows read, as
-    training shares them; each distinct value text is read once too. The
-    collector is paused (`_collector_paused`)."""
+    The lines are read from the file one at a time. A run's first record
+    parses its state, through one `StateCodec` for the file, which decodes
+    each distinct field text once, so equal field values are shared between
+    the rows read, as training shares them; each record then costs a split,
+    two compares and a look-up of its value text, each distinct value text
+    read once. The collector is paused (`_collector_paused`)."""
     tables: dict[str, QTable] = {}
     parse = StateCodec().parse
+    values: dict[str, float] = {}  # each distinct value text, line end and all, read once
     with open(path) as f:
-        lines = enumerate(chain.from_iterable(map(str.splitlines, _whole_lines(f))), start=1)
-        _, first = next(lines, (1, ""))
+        lines = enumerate(chain(f, ("",)), start=1)  # "" ends the text: no line of it is empty
+        _, first = next(lines)
         if not first.startswith("#"):
             raise ParseError(f"{path}:1: missing header line")
         mode, hyper = _parse_header(first, path)
-        current: Optional[QTable] = None
-        head = row = None  # the last record's state text and its row in this section
-        values: dict[str, float] = {}  # each distinct value text, read once
+        rows = None  # the rows of the current section's table
         for lineno, line in lines:
-            record = line.rsplit(",", 2)
             try:
-                if record[0] != head:  # a blank line, a section line or a new state
-                    if not line.strip():
-                        continue
-                    if line.startswith("# option="):
-                        key = line.partition("=")[2].strip()
-                        if key not in mode.table_keys():
-                            raise ValueError(f"no {key!r} table in mode {mode.method.value}")
-                        current = tables.setdefault(key, QTable())
-                        kind, head = mode.projection(key), None
-                        continue
-                    if current is None:
-                        raise ValueError("record before any option section")
-                    if len(record) < 3:
-                        raise ValueError("expected state,action,value")
-                    text = record[0]
-                    state = parse(text)
-                    if type(state) is not kind:
-                        raise ValueError(f"{text} is not a {kind.__name__}, the rows of {key!r}")
-                    head, row = text, current.rows.setdefault(state, [_UNSET] * 5)
-                _, action_text, value_text = record
-                action = _ACTION_INDEX.get(action_text)
-                if action is None:
-                    raise ValueError(f"action {action_text!r} is not one of 0-4")
-                value = values.get(value_text)
-                if value is None:
-                    value = _number("value", value_text)
-                    if not math.isfinite(value):
-                        raise ValueError(f"value {value_text} is not finite")
-                    values[value_text] = value
-                if row[action] is not _UNSET:
-                    raise ValueError(f"repeated record for action {action} of {head}")
+                if not line.strip():
+                    continue
+                if line.startswith("# option="):
+                    key = line.partition("=")[2].strip()
+                    if key not in mode.table_keys():
+                        raise ValueError(f"no {key!r} table in mode {mode.method.value}")
+                    rows, kind = tables.setdefault(key, QTable()).rows, mode.projection(key)
+                    continue
+                if rows is None:
+                    raise ValueError("record before any option section")
+                record = line.rsplit(",", 2)
+                if len(record) < 3:
+                    raise ValueError("expected state,action,value")
+                text = record[0]
+                state = parse(text)
+                if type(state) is not kind:
+                    raise ValueError(f"{text} is not a {kind.__name__}, the rows of {key!r}")
+                if state in rows:
+                    raise ValueError(f"a second run of {text}")
+                row = [0.0] * 5  # five slots, as training's rows: appends would leave eight
+                for index, action in enumerate("01234"):
+                    if index:
+                        lineno, line = next(lines)
+                        record = line.rsplit(",", 2)
+                    if record[0] != text or record[1] != action:
+                        raise ValueError(f"expected action {action} of {text}")
+                    value = values.get(record[2])
+                    if value is None:
+                        value_text = record[2].rstrip("\n")
+                        value = _number("value", value_text)
+                        if not math.isfinite(value):
+                            raise ValueError(f"value {value_text} is not finite")
+                        values[record[2]] = value
+                    row[index] = value
+                rows[state] = row
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            row[action] = value
-    for table in tables.values():
-        for row in table.rows.values():
-            if _UNSET in row:
-                row[:] = [0.0 if value is _UNSET else value for value in row]
     return mode, hyper, tables
 
 

@@ -21,13 +21,12 @@ with a terminal bootstrap, and a deposit also frees the depositing
 agent's slot of ``alloc``.
 
 The dispatch is stated once, in `controller_step`'s agent loop. Under the
-planner an agent is parked when its slot is empty and it carries nothing:
-it emits NoOp and learns nothing, since a one-action policy has nothing
-to learn. The planner keeps ``alloc[i] == held[i]`` while agent ``i``
-carries, so ``held`` is read only for an empty slot. An acting agent
-executes the deposit option while it carries, else the fetch option; the
-carrier is tested first because a carrier's slot is filled too. With the
-planner off (``alloc=None``) every agent always acts.
+planner an agent whose slot is empty is parked: it emits NoOp and learns
+nothing, since a one-action policy has nothing to learn. No carrier is:
+the planner keeps ``alloc[i] == held[i]`` while agent ``i`` carries, and
+`controller_step` refuses an allocation that breaks it. An acting agent
+executes the deposit option while it carries, else the fetch option.
+With the planner off (``alloc=None``) every agent always acts.
 """
 
 from __future__ import annotations
@@ -259,13 +258,16 @@ def controller_step(
     once, and a kept successor's row again only if it had none then.
 
     The dispatch lives here. Under the planner an agent whose slot
-    ``alloc[agent]`` is None and who carries nothing is parked (NoOp, no
-    learning). ``held`` is read only for such a slot, since the planner
-    keeps ``alloc[i] == held[i]`` while agent ``i`` carries; reading it keeps
-    a carrier acting under a caller-given allocation that breaks that. A
-    learner executes the deposit table if the agent carries, else the fetch
-    table: the carrier is tested first, as a carrier's slot is filled too.
+    ``alloc[agent]`` is None is parked (NoOp, no learning); an
+    ``assignment`` in which a carrier's slot does not hold its gem is
+    refused with a ValueError before any draw. A learner executes the
+    deposit table if the agent carries, else the fetch table.
     """
+    if mode.planner_enabled:
+        for agent, gem in enumerate(state.held):
+            if gem is not None and assignment[agent] != gem:
+                raise ValueError(f"agent {agent} carries gem {gem} but its slot holds"
+                                 f" {assignment[agent]}")
     outcomes: list[StepOutcome] = []
     method, bank = mode.method, config.bank
     random_policy = method is _RANDOM
@@ -301,7 +303,7 @@ def controller_step(
             else:
                 alloc = assign(state, alloc)
                 gem = alloc[agent]
-                if gem is None and state.held[agent] is None:
+                if gem is None:
                     # Parked: no gem to fetch. Forced NoOp, no learning.
                     outcomes.append(parked)
                     continue

@@ -17,7 +17,8 @@ the tests' own readings of an episode's end and of a sub-task rollout;
 the program needs neither. `reference_read_qtable` is the tests' plain
 statement of what `read_qtable` reads, `reference_oracle` of what
 `value_iteration_oracle` solves, and `reference_states` of the states
-`SubtaskMDP.states` lists.
+`SubtaskMDP.states` lists. `run_of` is a row's five records as
+`write_qtable` writes them.
 """
 
 import math
@@ -104,51 +105,68 @@ def greedy_subtask_return(
     return float("-inf")
 
 
+def run_of(state: str, value: str = "1.0") -> str:
+    """The five records of ``state``, each holding ``value``, as
+    `write_qtable` writes a row: actions 0 to 4 in order."""
+    return "".join(f"{state},{action},{value}\n" for action in range(5))
+
+
 def reference_read_qtable(path: Path):
-    """What `harness.read_qtable` reads, said plainly: the whole text split
-    into lines as `str.splitlines` splits it, and every record parsed and
-    checked on its own, with one `StateCodec` for the file, the header
-    parser and the number rule of the harness. It returns what the reader
-    returns, or raises the `ParseError` it raises."""
-    lines = Path(path).read_text().splitlines()
+    """What `harness.read_qtable` reads, said plainly: the whole text, in
+    universal newlines, split at each ``\\n``, and one line at a time either
+    the next record of the run of five being read or, between runs, a blank
+    line, a section line or a run's first record; one `StateCodec` for the
+    file, the header parser and the number rule of the harness. It returns
+    what the reader returns, or raises the `ParseError` it raises."""
+    lines = Path(path).read_text().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the text ends with a line end, or is empty
     if not lines or not lines[0].startswith("#"):
         raise ParseError(f"{path}:1: missing header line")
     mode, hyper = harness._parse_header(lines[0], path)
-    sections: dict[str, dict] = {}  # per table key, the value of each (state, action)
-    parse, key = StateCodec().parse, None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("# option="):
-            key = line.partition("=")[2].strip()
-            if key not in mode.table_keys():
-                raise ParseError(f"{path}:{lineno}: no {key!r} table in mode {mode.method.value}")
-            sections.setdefault(key, {})
-            continue
-        if key is None:
-            raise ParseError(f"{path}:{lineno}: record before any option section")
+    tables: dict[str, QTable] = {}
+    parse, key, run = StateCodec().parse, None, None  # run: state, text, values so far
+
+    def value_of(value_text):
+        value = harness._number("value", value_text)
+        if not math.isfinite(value):
+            raise ValueError(f"value {value_text} is not finite")
+        return value
+
+    # One line past the last stands for the end of the file, which cuts a run.
+    for lineno, line in enumerate(lines[1:] + [""], start=2):
         try:
+            if run is not None:
+                state, text, values = run
+                if line.rsplit(",", 2)[:2] != [text, str(len(values))]:
+                    raise ValueError(f"expected action {len(values)} of {text}")
+                values.append(value_of(line.rsplit(",", 2)[2]))
+                if len(values) == 5:
+                    tables[key].rows[state], run = values, None
+                continue
+            if not line.strip():
+                continue
+            if line.startswith("# option="):
+                key = line.partition("=")[2].strip()
+                if key not in mode.table_keys():
+                    raise ValueError(f"no {key!r} table in mode {mode.method.value}")
+                tables.setdefault(key, QTable())
+                continue
+            if key is None:
+                raise ValueError("record before any option section")
             if line.count(",") < 2:
                 raise ValueError("expected state,action,value")
             text, action_text, value_text = line.rsplit(",", 2)
             state, kind = parse(text), mode.projection(key)
             if type(state) is not kind:
                 raise ValueError(f"{text} is not a {kind.__name__}, the rows of {key!r}")
-            if action_text not in ("0", "1", "2", "3", "4"):
-                raise ValueError(f"action {action_text!r} is not one of 0-4")
-            value = harness._number("value", value_text)
-            if not math.isfinite(value):
-                raise ValueError(f"value {value_text} is not finite")
-            if (state, int(action_text)) in sections[key]:
-                raise ValueError(f"repeated record for action {action_text} of {text}")
+            if state in tables[key].rows:
+                raise ValueError(f"a second run of {text}")
+            if action_text != "0":
+                raise ValueError(f"expected action 0 of {text}")
+            run = state, text, [value_of(value_text)]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
-        sections[key][state, int(action_text)] = value
-    tables = {}
-    for key, entries in sections.items():
-        table = tables[key] = QTable()
-        for (state, action), value in entries.items():
-            table.rows.setdefault(state, [0.0] * 5)[action] = value
     return mode, hyper, tables
 
 

@@ -24,6 +24,8 @@ from bankworld.harness import (
 )
 from bankworld.learner import ControllerMode, Hyperparams, Method
 
+from conftest import run_of
+
 
 class TestParsing:
     def test_full_scale_train_command(self):
@@ -225,8 +227,8 @@ class TestEndToEnd:
         assert "method" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sections, missing", [
-        ("# option=pickup\nP,0,0,1,1,0,3.5\n", "'# option=drop'"),
-        ("# option=drop\nD,0,0,0,1.0\n", "'# option=pickup'"),
+        ("# option=pickup\n" + run_of("P,0,0,1,1", "3.5"), "'# option=drop'"),
+        ("# option=drop\n" + run_of("D,0,0"), "'# option=pickup'"),
         ("", "'# option=pickup' or '# option=drop'"),
     ], ids=["pickup-only", "drop-only", "header-only"])
     def test_eval_rejects_a_missing_section_before_writing(self, tmp_path, capsys,

@@ -78,6 +78,7 @@ from conftest import (
     reference_oracle,
     reference_read_qtable,
     reference_states,
+    run_of,
     table_row,
 )
 
@@ -1212,7 +1213,9 @@ class TestPersistence:
         path.write_text(f"{self.HEADER}\n# option=pickup\nP,0,0,1,1,0,3.5\nP,0,0,1,1,1,{text}\n")
         assert outcome(read_qtable, path) == f"{path}:4: value {text} is not finite"
 
-    def test_missing_actions_read_as_zero(self, tmp_path):
+    def test_missing_actions_are_refused(self, tmp_path):
+        """A row the writer writes has all five records; a lone record of
+        action 3 is refused on its line, where action 0 was due."""
         path = tmp_path / "partial.csv"
         path.write_text(
             "# mode=q-options planner=on alpha=0.1 gamma=0.95 eps_start=1.0"
@@ -1220,10 +1223,7 @@ class TestPersistence:
             "# option=pickup\n"
             "P,0,0,1,1,3,2.5\n"
         )
-        _, _, tables = read_qtable(path)
-        table = tables["pickup"]
-        assert best_value(table, PickupState((3, 3), (1, 1))) == 0.0
-        assert list(table.rows.values()) == [[0.0, 0.0, 0.0, 2.5, 0.0]]
+        assert outcome(read_qtable, path) == f"{path}:3: expected action 0 of P,0,0,1,1"
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1303,16 +1303,17 @@ class TestPersistence:
     def test_section_must_name_a_table_of_the_mode(self, tmp_path, section):
         path = tmp_path / "bad.csv"
         path.write_text(
-            f"{self.HEADER}\n# option=pickup\nP,0,0,1,1,0,3.5\n# option={section}\nD,0,0,0,1.0\n"
+            f"{self.HEADER}\n# option=pickup\n{run_of('P,0,0,1,1')}# option={section}\n"
+            f"{run_of('D,0,0')}"
         )
-        with pytest.raises(ParseError, match=rf"bad.csv:4: no '{section}' table"):
+        with pytest.raises(ParseError, match=rf"bad.csv:8: no '{section}' table"):
             read_qtable(path)
 
     def test_header_without_visit_decay_and_a_lone_section(self, tmp_path):
         # The form an older file takes, holding one table as the oracle writes it.
         path = tmp_path / "old.csv"
         header = self.HEADER.replace(" alpha_visit_decay=none", "")
-        path.write_text(header + "\n# option=drop\nD,0,0,0,1.0\n")
+        path.write_text(header + "\n# option=drop\n" + run_of("D,0,0"))
         mode, hyper, tables = read_qtable(path)
         assert hyper == Hyperparams() and mode == ControllerMode(Method.OPTIONS, True)
         assert set(tables) == {"drop"}
@@ -1325,6 +1326,18 @@ class TestPersistence:
         mode, hyper = ControllerMode(Method.OPTIONS, False), Hyperparams(seed=3)
         assert line == harness._hyper_header(mode, hyper)
         assert harness._parse_header(line, readme) == (mode, hyper)
+
+    def test_readme_example_states_are_the_ones_written(self):
+        """README's state table shows one state of each projection; each
+        reads with a fresh codec and is written back as the same text."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = [line.split("|") for line in readme.read_text().splitlines()
+                if line.startswith("| `") and line.count("|") == 5]
+        examples = [cells[4].strip().strip("`") for cells in rows]
+        assert examples == ["P,1,2,4,4", "D,7,3", "F,0,0,_,_,0", "N,1,1,0,0:2,_,_"]
+        for text in examples:
+            codec = StateCodec()
+            assert codec.serialize(codec.parse(text)) == text
 
     def test_summary_not_reached_sentinel(self, tmp_path):
         rows = [SummaryRow("q-options", "off", 12.5, 3.25, None)]
@@ -1395,14 +1408,15 @@ BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r"]
 
 def mutate(data, lines: list[str]) -> None:
     """Change one line of a Q-table file in place: a blank line, a section
-    line, a repeated, swapped or dropped line, a bad action or value, a state
-    of another kind, a record before any section, or a line break inside a
-    line."""
+    line, a repeated, swapped or dropped line, a dropped record, two records
+    swapped, a bad action or value, a state of another kind, a record before
+    any section, or a line break inside a line."""
     i = data.draw(st.integers(0, len(lines) - 1)) if lines else 0
     line = lines[i] if lines else ""
+    records = [k for k, text in enumerate(lines) if text and not text.startswith("#")]
     op = data.draw(st.sampled_from(
-        ["blank", "section", "repeat", "swap", "drop", "action", "value", "state", "before",
-         "break"]))
+        ["blank", "section", "repeat", "swap", "drop", "drop-record", "swap-records", "action",
+         "value", "state", "before", "break"]))
     record = line.rsplit(",", 2) if line.count(",") >= 2 else [line, "0", "1.0"]
     if op == "blank":
         lines.insert(i, data.draw(st.sampled_from(["", "  ", "\t"])))
@@ -1416,6 +1430,12 @@ def mutate(data, lines: list[str]) -> None:
         lines[i], lines[j] = lines[j], lines[i]
     elif op == "drop" and lines:
         del lines[i]
+    elif op == "drop-record" and records:
+        del lines[data.draw(st.sampled_from(records))]
+    elif op == "swap-records" and len(records) > 1:
+        j = data.draw(st.integers(0, len(records) - 2))
+        a, b = records[j], records[j + 1]  # next to each other, as in a run
+        lines[a], lines[b] = lines[b], lines[a]
     elif op == "action":
         lines[i:i + 1] = [f"{record[0]},{data.draw(st.sampled_from(BAD_ACTIONS))},{record[2]}"]
     elif op == "value":
@@ -1441,12 +1461,13 @@ class CountedPattern:
 
 
 class TestQTableCodec:
-    """`write_qtable` writes each row's records together and `read_qtable`
-    reads blocks of whole lines; the bytes and the accepted text are those
-    of sorting every record line as text and splitting the whole file."""
+    """`write_qtable` writes each row's five records together and
+    `read_qtable` reads them back line by line; the bytes are those of
+    sorting every record line as text."""
 
     HEADER = TestPersistence.HEADER
-    RECORDS = "# option=pickup\nP,0,0,1,1,0,3.5\nP,0,0,1,1,4,-1.25\nP,2,3,1,1,1,0.5\n"
+    RECORDS = "# option=pickup\n" + run_of("P,0,0,1,1", "3.5") + run_of("P,2,3,1,1", "-1.25")
+    RUN = run_of("P,0,0,1,1").splitlines(keepends=True)
 
     @pytest.mark.parametrize("mode", [
         ControllerMode(Method.OPTIONS, True),
@@ -1513,38 +1534,66 @@ class TestQTableCodec:
             write_qtable({PICKUP_TABLE: q}, path, ControllerMode(Method.OPTIONS), Hyperparams())
         assert not path.exists()
 
-    def test_last_record_without_newline_reads_the_same(self, tmp_path):
-        ended, open_ended = tmp_path / "ended.csv", tmp_path / "open.csv"
-        ended.write_text(f"{self.HEADER}\n{self.RECORDS}")
-        open_ended.write_text(f"{self.HEADER}\n{self.RECORDS.rstrip()}")
-        assert read_qtable(open_ended) == read_qtable(ended)
-        assert len(read_qtable(ended)[2][PICKUP_TABLE].rows) == 2
-
-    def test_crlf_file_reads_as_lf(self, tmp_path):
-        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["ended", "open"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_each_line_end_reads_as_lf(self, tmp_path, newline, end):
+        """A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; the last one may
+        end at the end of the file instead."""
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
         text = f"{self.HEADER}\n{self.RECORDS}"
         lf.write_bytes(text.encode())
-        crlf.write_bytes(text.replace("\n", "\r\n").encode())
-        assert read_qtable(crlf) == read_qtable(lf)
+        other.write_bytes((text[:-1].replace("\n", newline) + end).encode())
+        assert read_qtable(other) == read_qtable(lf)
+        assert len(read_qtable(lf)[2][PICKUP_TABLE].rows) == 2
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"],
+                             ids=["vt", "ff", "fs", "nel", "ls"])
+    def test_no_other_character_ends_a_line(self, tmp_path, char):
+        """`str.splitlines` splits at these too; the reader keeps them in
+        the line, so the value before one is no number, and is named."""
+        path = tmp_path / "q.csv"
+        text = f"{self.HEADER}\n{self.RECORDS}".replace("3.5\n", f"3.5{char}\n", 1)
+        path.write_bytes(text.encode())
+        assert outcome(read_qtable, path) == (
+            f"{path}:3: value {'3.5' + char!r} is not a number as repr writes it")
 
     def test_blank_lines_are_skipped_and_later_lines_keep_their_numbers(self, tmp_path):
         plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
         plain.write_text(f"{self.HEADER}\n{self.RECORDS}")
-        first, rest = self.RECORDS.split("\n", 2)[1:]
-        spaced.write_text(f"{self.HEADER}\n# option=pickup\n{first}\n\n  \n{rest}")
+        spaced.write_text(f"{self.HEADER}\n# option=pickup\n{run_of('P,0,0,1,1', '3.5')}\n  \n"
+                          f"{run_of('P,2,3,1,1', '-1.25')}")
         assert read_qtable(spaced) == read_qtable(plain)
-        # Header, section, record, two blank lines, two records, then line 8.
+        # Header, section, a run, two blank lines, a run, then line 15.
         with open(spaced, "a") as f:
-            f.write("P,0,0,1,1,9,1.0\n")
-        with pytest.raises(ParseError, match=r"spaced.csv:8: action '9'"):
+            f.write("P,4,4,1,1,9,1.0\n")
+        with pytest.raises(ParseError, match=r"spaced.csv:15: expected action 0 of P,4,4,1,1$"):
             read_qtable(spaced)
 
     @pytest.mark.parametrize("line", ["garbage", "1,2"])
     def test_a_record_short_of_two_commas_names_its_line(self, tmp_path, line):
         path = tmp_path / "bad.csv"
         path.write_text(f"{self.HEADER}\n{self.RECORDS}{line}\n")
-        with pytest.raises(ParseError, match=r"^\S*bad.csv:6: expected state,action,value$"):
+        with pytest.raises(ParseError, match=r"^\S*bad.csv:13: expected state,action,value$"):
             read_qtable(path)
+
+    @pytest.mark.parametrize("records, error", [
+        (RUN[0] + RUN[2], "4: expected action 1 of P,0,0,1,1"),
+        (RUN[0] + RUN[1] + run_of("P,2,3,1,1"), "5: expected action 2 of P,0,0,1,1"),
+        (RUN[0] + RUN[1] + "# option=drop\n" + run_of("D,0,0"),
+         "5: expected action 2 of P,0,0,1,1"),
+        (RUN[0] + RUN[1] + "\n" + "".join(RUN[2:]), "5: expected action 2 of P,0,0,1,1"),
+        ("".join(RUN[:4]), "7: expected action 4 of P,0,0,1,1"),
+        ("".join(RUN) + run_of("P,2,3,1,1") + "".join(RUN), "13: a second run of P,0,0,1,1"),
+    ], ids=["skipped-action", "cut-by-a-state", "cut-by-a-section", "cut-by-a-blank-line",
+            "cut-by-the-end", "second-run"])
+    def test_a_run_not_as_written_names_its_line(self, tmp_path, records, error):
+        """A state's five records stand on consecutive lines, actions 0 to 4
+        in order, once per table; the end of the file is the line after the
+        last."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.HEADER}\n# option=pickup\n{records}")
+        assert outcome(read_qtable, path) == outcome(reference_read_qtable, path) == (
+            f"{path}:{error}")
 
     @pytest.mark.parametrize("text", [
         "",
@@ -1592,34 +1641,24 @@ class TestQTableCodec:
         path.write_bytes((newline.join(lines) + end).encode())
         assert outcome(read_qtable, path) == outcome(reference_read_qtable, path)
 
-    @pytest.mark.parametrize("long, error", [
-        (" " * 20_000, "5: repeated record for action 0 of P,0,0,1,1"),
-        ("x" * 20_000, "3: expected state,action,value"),
-    ], ids=["blank", "junk"])
-    def test_a_line_longer_than_a_read_block_is_one_line(self, tmp_path, long, error):
-        """The reader reads 8 KiB blocks; a 20,000-character line spans three
-        of them and is still one line, and the lines after it keep their
-        numbers."""
-        path = tmp_path / "bad.csv"
-        path.write_text(f"{self.HEADER}\n# option=pickup\n{long}\n"
-                        "P,0,0,1,1,0,3.5\nP,0,0,1,1,0,4.5\n")
-        got = outcome(read_qtable, path)
-        assert got == outcome(reference_read_qtable, path) == f"{path}:{error}"
-
     @pytest.mark.parametrize("extra", ["", "\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028", "\n\n"],
                              ids=["none", "lf", "crlf", "cr", "vt", "ff", "ls", "blank"])
-    @pytest.mark.parametrize("block", [1, 2])
-    @pytest.mark.parametrize("shift", [-1, 0, 1])
-    def test_line_breaks_where_read_blocks_meet(self, tmp_path, extra, block, shift):
-        # The reader reads 8 KiB blocks; this 1,600-row file spans twenty.
+    @pytest.mark.parametrize("at", ["run-start", "in-state", "before-action", "in-value",
+                                    "mid-run", "file-end"])
+    def test_a_line_break_anywhere_in_a_run(self, tmp_path, extra, at):
+        """A break put into the second run of a written table, or after its
+        last line, reads as the reference reads it."""
         q = QTable()
-        for r, c in product(range(40), range(40)):
+        for r, c in product(range(2), range(2)):
             q.rows[PickupState((r, c), (c, r))] = [0.5 * r, -1.25, 0.0, float(c), 1e-3]
         path = tmp_path / "q.csv"
         write_qtable({PICKUP_TABLE: q}, path, ControllerMode(Method.OPTIONS), Hyperparams())
         text = path.read_text()
-        assert len(text) > 19 * (1 << 13)
-        cut = block * (1 << 13) + shift
+        head = "P,0,1,1,0"
+        start = text.index(f"\n{head},0,") + 1
+        cut = {"run-start": start, "in-state": start + 3, "before-action": start + len(head) + 1,
+               "in-value": start + len(head) + 4, "mid-run": text.index(f"{head},2,"),
+               "file-end": len(text)}[at]
         path.write_bytes((text[:cut] + extra + text[cut:]).encode())
         got = outcome(read_qtable, path)
         assert got == outcome(reference_read_qtable, path)
@@ -1755,7 +1794,7 @@ class TestReadPausesTheCollector:
 
     def path(self, tmp_path, value="3.5"):
         path = tmp_path / "q.csv"
-        path.write_text(f"{TestPersistence.HEADER}\n# option=pickup\nP,0,0,1,1,0,{value}\n")
+        path.write_text(f"{TestPersistence.HEADER}\n# option=pickup\n{run_of('P,0,0,1,1', value)}")
         return path
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

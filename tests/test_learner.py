@@ -247,11 +247,24 @@ class TestOptionDispatch:
         assert one_timestep(state, True, (0, None)) == ([Event.MOVED, Event.IDLE], [DROP_TABLE])
         assert one_timestep(world([(1, 1)], [None]), True, (None,)) == ([Event.IDLE], [])
 
-    def test_carrier_under_an_empty_slot_is_not_parked(self):
-        """An assignment that breaks ``alloc[i] == held[i]`` leaves the
-        carrier acting, on the deposit table."""
-        state = world([(1, 1)], [None], held=[0])
-        assert one_timestep(state, True, (None,)) == ([Event.MOVED], [DROP_TABLE])
+    @pytest.mark.parametrize("slot", [None, 1])
+    def test_carrier_under_a_slot_without_its_gem_is_refused(self, slot):
+        """An assignment that breaks ``alloc[i] == held[i]`` is refused."""
+        state = world([(1, 1)], [None, (4, 4)], held=[0])
+        with pytest.raises(ValueError, match=f"agent 0 carries gem 0 but its slot holds {slot}"):
+            one_timestep(state, True, (slot,))
+
+    def test_carrier_beside_the_bank_under_an_empty_slot_is_refused_at_entry(self):
+        """A carrier one Up move from the bank would deposit a gem its slot
+        does not hold; the call refuses before any draw or table write."""
+        cfg, mode, tables, state = options_setup([(4, 3)], [(5, 5)])
+        carrying = state._replace(held=(0,), gem_cells=(None,))
+        rng = random.Random(0)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="agent 0 carries gem 0 but its slot holds None"):
+            controller_step(carrying, cfg, mode, tables, (None,), 0.0, Hyperparams(), rng)
+        assert rng.getstate() == before
+        assert not any(q.rows for q in tables.values())
 
     def test_planner_off_carrying_means_drop(self):
         # Agent 0 fetches, so the deposit table's row is agent 1's.

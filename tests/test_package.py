@@ -80,22 +80,33 @@ def names_used(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-class TestNoDeadFunctions:
-    """Every public module-level function of the package is used somewhere in
-    it, outside its own body; `cli.main` alone is exempt, as the console
-    entry point."""
+def names_defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or a
+    class's, or each name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
 
-    def test_each_public_function_has_a_use(self):
+
+class TestNoDeadNames:
+    """Every module-level function, class and constant of the package,
+    private ones included, is used somewhere in it, outside its own
+    statement; `cli.main`, the console entry point, and `__version__` are
+    exempt."""
+
+    def test_each_module_level_name_has_a_use(self):
         trees = {path.stem: ast.parse(path.read_text(), str(path))
                  for path in sorted(PACKAGE.glob("*.py"))}
         used = sum((names_used(tree) for tree in trees.values()), Counter())
         unused = [
-            f"{module}.{node.name}"
+            f"{module}.{name}"
             for module, tree in trees.items()
             for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-            and (module, node.name) != ("cli", "main")
-            and used[node.name] == names_used(node)[node.name]
+            for name in names_defined(node)
+            if (module, name) not in (("cli", "main"), ("__init__", "__version__"))
+            and used[name] == names_used(node)[name]
         ]
         assert unused == []
 
